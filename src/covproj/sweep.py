@@ -13,10 +13,11 @@ each pair, and evaluates one metric mode:
                           function of the per-class sample size, with both
                           parameter-oracle and empirical projections.
 
-Randomness is keyed on (master seed, cell index, replicate, context), so
-results are identical for any worker count and across runs. Records stream
-to a CSV sink with resume-from-checkpoint at cell granularity; rows are
-written in cell order, which makes the file byte-stable. The per-record
+Randomness is keyed on (master seed, cell index, replicate, context) and BLAS
+runs on one thread (``covproj.blas``), so results are identical for any
+worker count, across runs and across hosts with the same BLAS build. Records
+stream to a CSV sink with resume-from-checkpoint at cell granularity; rows
+are written in cell order, which makes the file byte-stable. The per-record
 ``ms`` column is written as 0 unless timing capture is enabled, because wall
 times would break that byte stability; aggregate timing lives in the run
 manifest instead.
@@ -38,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import single_thread
 from .classify import fit_embedded_qda, mc_bayes_risk, oos_error, reconstruction_error
 from .core import (
     ConfigError,
@@ -598,43 +600,63 @@ class CsvSink:
 
     Rows are appended strictly in cell-index order and the checkpoint lists
     every fully written cell, so an interrupted run resumes by truncating any
-    un-checkpointed trailing rows and continuing with the next cell.
+    un-checkpointed trailing rows and continuing with the next cell. Nothing
+    is written before ``open``, so a resume can be checked against the rows
+    already on disk first.
     """
 
     def __init__(self, records_path: Path, checkpoint_path: Path, expected_rows: int):
         self.records_path = Path(records_path)
         self.checkpoint_path = Path(checkpoint_path)
         self.expected_rows = expected_rows
-        self.completed = self._load_checkpoint()
-        self._prepare_files()
+        self.completed, self._torn = self._load_checkpoint()
+        self._lines = self._load_records()
 
-    def _load_checkpoint(self) -> list[int]:
+    def _load_checkpoint(self) -> tuple[list[int], bool]:
         if not self.checkpoint_path.exists():
-            return []
-        done = [int(ln) for ln in self.checkpoint_path.read_text().split() if ln.strip()]
+            return [], False
+        text = self.checkpoint_path.read_text()
+        # a last line without its newline is a write cut short by a kill
+        done = [int(ln) for ln in text.split("\n")[:-1] if ln.strip()]
         if done != list(range(len(done))):
             raise ConfigError(
                 "checkpoint", f"{self.checkpoint_path} is not a contiguous cell prefix"
             )
-        return done
+        return done, not text.endswith("\n")
 
-    def _prepare_files(self):
+    def _load_records(self) -> list[str] | None:
         if not self.completed or not self.records_path.exists():
+            return None
+        lines = self.records_path.read_text(encoding="utf-8").splitlines()
+        if len(lines) < 1 + len(self.completed) * self.expected_rows or lines[0] != CSV_HEADER:
+            raise ConfigError(
+                "records", f"{self.records_path} inconsistent with its checkpoint"
+            )
+        return lines
+
+    def cell_rows(self, cell_index: int) -> list[str]:
+        """The rows a checkpointed cell left in the records file (before ``open``)."""
+        start = 1 + cell_index * self.expected_rows
+        return self._lines[start : start + self.expected_rows]
+
+    def open(self):
+        """Start fresh files, or trim them to the checkpointed cells."""
+        if self._lines is None:
             self.records_path.write_text(CSV_HEADER + "\n", encoding="utf-8", newline="")
             self.completed = []
             if self.checkpoint_path.exists():
                 self.checkpoint_path.unlink()
             return
         keep = 1 + len(self.completed) * self.expected_rows
-        lines = self.records_path.read_text(encoding="utf-8").splitlines()
-        if len(lines) < keep or lines[0] != CSV_HEADER:
-            raise ConfigError(
-                "records", f"{self.records_path} inconsistent with its checkpoint"
-            )
-        if len(lines) > keep:
+        if len(self._lines) > keep:
             self.records_path.write_text(
-                "\n".join(lines[:keep]) + "\n", encoding="utf-8", newline=""
+                "\n".join(self._lines[:keep]) + "\n", encoding="utf-8", newline=""
             )
+        if self._torn:
+            self.checkpoint_path.write_text(
+                "".join(f"{i}\n" for i in self.completed), encoding="utf-8", newline=""
+            )
+        self._lines = None
 
     def write_cell(self, cell_index: int, rows: list[str]):
         with open(self.records_path, "a", encoding="utf-8", newline="") as fh:
@@ -674,6 +696,37 @@ def _load_source(config: SweepConfig):
     return x_1, x_2
 
 
+def _check_resume(config: SweepConfig, cells: list[Cell], source, sink: CsvSink, out_dir: Path):
+    """Refuse to extend a partial run that another configuration wrote.
+
+    The manifest's configuration echo decides when it exists. Without it, the
+    last checkpointed cell is recomputed and must reproduce the file's rows in
+    every column but ``ms``.
+    """
+    if not sink.completed:
+        return
+    manifest_path = out_dir / "manifest.json"
+    if manifest_path.exists():
+        same = json.loads(manifest_path.read_text()).get("config") == config.to_mapping()
+        why = "a different configuration"
+    else:
+        last = sink.completed[-1]
+        fresh = _eval_cell(config, cells[last], source) if last < len(cells) else []
+        without_ms = lambda row: row.rsplit(",", 1)[0]
+        same = [without_ms(r.to_csv_row(False)) for r in fresh] == [
+            without_ms(row) for row in sink.cell_rows(last)
+        ]
+        why = (
+            f"no manifest, and cell {last} does not reproduce its rows (a different "
+            "configuration or BLAS build)"
+        )
+    if not same:
+        raise ConfigError(
+            "config",
+            f"{out_dir} holds a partial run with {why}; use a fresh output directory",
+        )
+
+
 def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[SweepRecord]:
     """Run every cell of the sweep; optionally stream records to ``out_dir``.
 
@@ -681,7 +734,18 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
     ``manifest.json`` there, resuming from the checkpoint when present, and
     returns the records computed by this call (already-checkpointed cells are
     skipped). Without one, returns all records in memory.
+
+    The whole run uses one BLAS thread (see ``covproj.blas``); the worker
+    pool is its only parallelism, and the caller's BLAS thread counts are
+    restored when it returns or raises.
     """
+    with single_thread() as blas:
+        return _run_sweep(config, out_dir, blas)
+
+
+def _run_sweep(
+    config: SweepConfig, out_dir: str | Path | None, blas: list[dict] | str
+) -> list[SweepRecord]:
     config.validate()
     cells = expand_grid(config)
     source = _load_source(config)
@@ -695,27 +759,17 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
         sink = CsvSink(
             out_dir / "records.csv", out_dir / "checkpoint.txt", rows_per_cell(config)
         )
-        manifest_path = out_dir / "manifest.json"
-        if sink.completed and manifest_path.exists():
-            previous = json.loads(manifest_path.read_text())
-            if previous.get("config") != config.to_mapping():
-                raise ConfigError(
-                    "config",
-                    f"{out_dir} holds a partial run with a different configuration; "
-                    "use a fresh output directory",
-                )
-        _write_manifest(
-            out_dir / "manifest.json",
-            config,
-            {
-                "records_csv": str(out_dir / "records.csv"),
-                "checkpoint": str(out_dir / "checkpoint.txt"),
-                "n_cells": len(cells),
-                "rows_per_cell": rows_per_cell(config),
-                "started_at": started,
-                "status": "running",
-            },
-        )
+        _check_resume(config, cells, source, sink, out_dir)
+        sink.open()
+        run_info = {
+            "records_csv": str(out_dir / "records.csv"),
+            "checkpoint": str(out_dir / "checkpoint.txt"),
+            "n_cells": len(cells),
+            "rows_per_cell": rows_per_cell(config),
+            "started_at": started,
+            "blas": blas,
+        }
+        _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 
     done = set(sink.completed) if sink else set()
     todo = [cell for cell in cells if cell.index not in done]
@@ -743,11 +797,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
             out_dir / "manifest.json",
             config,
             {
-                "records_csv": str(out_dir / "records.csv"),
-                "checkpoint": str(out_dir / "checkpoint.txt"),
-                "n_cells": len(cells),
-                "rows_per_cell": rows_per_cell(config),
-                "started_at": started,
+                **run_info,
                 "finished_at": datetime.now(timezone.utc).isoformat(),
                 "total_ms": int(round((time.perf_counter() - t_start) * 1000)),
                 "status": "complete",

@@ -19,6 +19,7 @@ from covproj import (
     run_sweep,
     summarize,
 )
+from covproj import blas, sweep
 from covproj.sweep import rows_per_cell
 
 PAPER_IW = SweepConfig(
@@ -222,6 +223,44 @@ class TestRunSweep:
             full_dir / "records.csv"
         ).read_bytes()
 
+    def test_resume_after_torn_checkpoint_line(self, tmp_path):
+        """A checkpoint line cut short by a kill is dropped, not refused."""
+        cfg = dataclasses.replace(SMALL_IW, df1_over_p=(1.0, 2.0, 3.0), n_simu=1)
+        n_cells = len(expand_grid(cfg))
+        assert n_cells >= 12
+        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+        run_sweep(cfg, out_dir=full_dir)
+        full_lines = (full_dir / "records.csv").read_text().splitlines()
+        part_dir.mkdir()
+        (part_dir / "records.csv").write_text(
+            "\n".join(full_lines[: 1 + 11 * rows_per_cell(cfg)]) + "\n"
+        )
+        (part_dir / "checkpoint.txt").write_text(
+            "".join(f"{i}\n" for i in range(11)) + "1"
+        )
+        run_sweep(cfg, out_dir=part_dir)
+        assert (part_dir / "records.csv").read_bytes() == (
+            full_dir / "records.csv"
+        ).read_bytes()
+        assert (part_dir / "checkpoint.txt").read_text() == "".join(
+            f"{i}\n" for i in range(n_cells)
+        )
+
+    def test_resume_without_manifest_rejects_other_seed(self, tmp_path):
+        """Without a manifest, the last checkpointed cell is recomputed and a
+        different seed is caught before any row is appended or trimmed."""
+        cfg = SweepConfig(
+            family="latent_low_dim", p_grid=(10,), q_grid=(1, 2, 3), master_seed=1
+        )
+        out = tmp_path / "run"
+        run_sweep(cfg, out_dir=out)
+        blob = (out / "records.csv").read_bytes()
+        (out / "checkpoint.txt").write_text("0\n")
+        (out / "manifest.json").unlink()
+        with pytest.raises(ConfigError):
+            run_sweep(dataclasses.replace(cfg, master_seed=2), out_dir=out)
+        assert (out / "records.csv").read_bytes() == blob
+
     def test_resume_with_other_config_rejected(self, tmp_path):
         out = tmp_path / "run"
         run_sweep(SMALL_IW, out_dir=out)
@@ -301,6 +340,83 @@ class TestRunSweep:
         assert ok and all(
             r.metric_oos is not None and r.metric_recon is not None for r in ok
         )
+
+
+def _threads(builds):
+    return [build.get_threads() for build in builds]
+
+
+@pytest.fixture
+def openblas_at_two():
+    """The bundled OpenBLAS builds, set to two threads for the test."""
+    builds = blas.find_openblas()
+    if not builds:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = _threads(builds)
+    for build in builds:
+        build.set_threads(2)
+    yield builds
+    for build, threads in zip(builds, before):
+        build.set_threads(threads)
+
+
+IW_P100 = SweepConfig(
+    family="inverse_wishart",
+    p_grid=(100,),
+    q_grid=(1, 5),
+    df1_over_p=(1.0, 2.0),
+    df2_over_p=(1.0,),
+    projections=("pca", "rp", "sparse_rp", "bhatt_optimal"),
+    n_simu=2,
+    master_seed=31,
+)
+
+
+class TestBlasPolicy:
+    def test_thread_counts_restored_after_sweep(self, openblas_at_two):
+        run_sweep(SMALL_IW)
+        assert _threads(openblas_at_two) == [2] * len(openblas_at_two)
+
+    def test_thread_counts_restored_when_sweep_raises(self, openblas_at_two, monkeypatch):
+        seen = []
+
+        def failing_cell(*args):
+            seen.append(_threads(openblas_at_two))
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(sweep, "_eval_cell", failing_cell)
+        with pytest.raises(RuntimeError):
+            run_sweep(SMALL_IW)
+        assert seen == [[1] * len(openblas_at_two)]
+        assert _threads(openblas_at_two) == [2] * len(openblas_at_two)
+
+    def test_manifest_records_one_thread_during_sweep(self, openblas_at_two, tmp_path):
+        run_sweep(SMALL_IW, out_dir=tmp_path / "run")
+        entries = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
+        assert [e["library"] for e in entries] == [b.library for b in openblas_at_two]
+        assert [e["config"] for e in entries] == [b.config for b in openblas_at_two]
+        assert all(e["threads_before"] == 2 and e["threads_during"] == 1 for e in entries)
+
+    def test_unmanaged_blas_still_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(blas, "find_openblas", lambda: [])
+        records = run_sweep(SMALL_IW, out_dir=tmp_path / "run")
+        assert len(records) == len(expand_grid(SMALL_IW)) * rows_per_cell(SMALL_IW)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["blas"] == "unmanaged"
+        assert manifest["config"] == SMALL_IW.to_mapping()
+
+    def test_records_independent_of_workers_and_caller_threads(
+        self, openblas_at_two, tmp_path
+    ):
+        """At p=100 OpenBLAS blocks its kernels, so the records would follow
+        the BLAS thread count if the sweep did not fix it."""
+        run_sweep(IW_P100, out_dir=tmp_path / "w1")
+        for build in openblas_at_two:
+            build.set_threads(1)
+        run_sweep(dataclasses.replace(IW_P100, n_workers=2), out_dir=tmp_path / "w2")
+        assert (tmp_path / "w1" / "records.csv").read_bytes() == (
+            tmp_path / "w2" / "records.csv"
+        ).read_bytes()
 
 
 def _toy_record(projection, value, replicate=0, status="ok", q=2):
