@@ -46,10 +46,12 @@ from .metrics import (
     project_model,
 )
 from .projections import (
+    PROJECTIONS,
     ClassEstimates,
     EigPair,
     OptimalProjection,
     bhattacharyya_optimal_projection,
+    build_projection,
     empirical_covariances,
     generalized_eigenpairs,
     mixture_covariance,
@@ -91,7 +93,6 @@ from .sweep import (
     SweepRecord,
     config_from_mapping,
     expand_grid,
-    finite_sample_scenario,
     parse_config_file,
     read_records_csv,
     run_sweep,

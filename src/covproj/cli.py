@@ -24,19 +24,11 @@ from .core import (
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
     derive_stream,
-    make_spd,
 )
 from .datasets import load_dataset, load_matrix, load_vector
 from .generators import column_overlap, pca_adversarial_pair, pca_favorable_pair
-from .metrics import bhattacharyya_report, embedded_overlap
-from .projections import (
-    empirical_covariances,
-    mixture_covariance,
-    optimal_projection_auto_ridge,
-    pca_projection,
-    random_projection,
-    sparse_random_projection,
-)
+from .metrics import bhattacharyya_overlap, embedded_overlap
+from .projections import PROJECTIONS, build_projection, empirical_covariances
 from .sweep import (
     parse_config_file,
     read_records_csv,
@@ -83,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--projections",
         default="pca,rp,sparse_rp",
-        help="comma list from {pca,rp,sparse_rp,bhatt_optimal}",
+        help=f"comma list from {{{','.join(PROJECTIONS)}}}",
     )
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--train-frac", type=float, default=0.7)
@@ -109,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--projection",
         default="pca",
-        choices=["pca", "rp", "sparse_rp", "bhatt_optimal", "identity"],
+        choices=[*PROJECTIONS, "identity"],
     )
     p_oracle.add_argument("--mc-samples", type=int, default=100000)
     p_oracle.add_argument("--seed", type=int, default=0)
@@ -124,7 +116,6 @@ def cmd_sweep(args) -> int:
         config = dataclasses.replace(config, master_seed=args.seed)
     if args.workers is not None:
         config = dataclasses.replace(config, n_workers=args.workers)
-    config.validate()
     try:
         records = run_sweep(config, out_dir=args.out)
     except OSError as exc:
@@ -169,21 +160,15 @@ def cmd_eval(args) -> int:
     est = empirical_covariances(train)
 
     names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
-    p = balanced.dim
+    # every projection is built before the first line is printed, so a bad
+    # name or a failed build leaves no partial table behind
+    projections = [
+        build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)
+        for j, name in enumerate(names)
+    ]
     any_singular = False
-    print(f"n_train={train.n} n_val={val.n} p={p} q={args.q} gamma={args.gamma}")
-    for j, name in enumerate(names):
-        proj_stream = stream.child(3, j)
-        if name == "pca":
-            w = pca_projection(mixture_covariance(train.X), args.q)
-        elif name == "rp":
-            w = random_projection(p, args.q, proj_stream)
-        elif name == "sparse_rp":
-            w = sparse_random_projection(p, args.q, proj_stream)
-        elif name == "bhatt_optimal":
-            w = optimal_projection_auto_ridge(est.cov_1, est.cov_2, args.q).matrix
-        else:
-            raise ConfigError("projections", f"unknown projection {name!r}")
+    print(f"n_train={train.n} n_val={val.n} p={balanced.dim} q={args.q} gamma={args.gamma}")
+    for name, w in zip(names, projections):
         try:
             qda = fit_embedded_qda(train, w, ridge=args.ridge)
         except SingularEmbeddedCovarianceError as exc:
@@ -212,23 +197,14 @@ def _oracle_model(args) -> TwoClassGaussian:
 def cmd_oracle(args) -> int:
     model = _oracle_model(args)
     stream = derive_stream(args.seed)
-    p = model.dim
     if args.projection == "identity":
         w = None
-    elif args.projection == "pca":
-        w = pca_projection(make_spd(model.cov_1.entries + model.cov_2.entries), args.q)
-    elif args.projection == "rp":
-        w = random_projection(p, args.q, stream.child(0))
-    elif args.projection == "sparse_rp":
-        w = sparse_random_projection(p, args.q, stream.child(0))
+        overlap = bhattacharyya_overlap(model)
     else:
-        w = optimal_projection_auto_ridge(
-            model.cov_1, model.cov_2, args.q, args.ridge or 1e-6
-        ).matrix
-    if w is None:
-        report = bhattacharyya_report(model)
-        overlap = report.overlap
-    else:
+        w = build_projection(
+            args.projection, args.q, model.cov_1, model.cov_2, stream.child(0),
+            args.ridge or 1e-6,
+        )
         overlap = embedded_overlap(model, w)
     risk = mc_bayes_risk(model, w, args.mc_samples, stream.child(1))
     print(f"embedded_overlap={overlap:.12g}")

@@ -31,6 +31,7 @@ from .core import (
     TwoClassGaussian,
     make_spd,
 )
+from .projections import mixture_covariance
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,7 @@ def empirical_cov_pair(
     x_1: np.ndarray, x_2: np.ndarray
 ) -> tuple[SpdMatrix, SpdMatrix]:
     """Column-centered empirical covariances (divisor n); may be rank deficient."""
-    covs = []
-    for x in (np.asarray(x_1, dtype=np.float64), np.asarray(x_2, dtype=np.float64)):
-        centered = x - x.mean(axis=0)
-        covs.append(make_spd(centered.T @ centered / x.shape[0]))
-    return covs[0], covs[1]
+    return mixture_covariance(x_1), mixture_covariance(x_2)
 
 
 def sample_gaussian(

@@ -82,29 +82,13 @@ def chernoff_distance(model: TwoClassGaussian, s: float) -> float:
 
 
 def bhattacharyya_distance(model: TwoClassGaussian) -> float:
-    """Bhattacharyya distance, i.e. the Chernoff distance at s = 1/2.
-
-    Computed directly as
-        1/2 * ln[ det((C1+C2)/2) / sqrt(det C1 det C2) ]
-        + 1/8 * d^T ((C1+C2)/2)^{-1} d .
-    """
-    c1 = model.cov_1.entries
-    c2 = model.cov_2.entries
-    mid = (c1 + c2) / 2.0
-    l_mid = _chol(mid, "covariance midpoint")
-    l1 = _chol(c1, "class-1 covariance")
-    l2 = _chol(c2, "class-2 covariance")
-    d = model.mean_2 - model.mean_1
-    u = solve_triangular(l_mid, d, lower=True)
-    quad = float(u @ u)
-    logdet_term = _logdet(l_mid) - 0.5 * _logdet(l1) - 0.5 * _logdet(l2)
-    return max(0.0, 0.5 * logdet_term + quad / 8.0)
+    """Bhattacharyya distance, i.e. the Chernoff distance at s = 1/2."""
+    return chernoff_distance(model, 0.5)
 
 
 def bhattacharyya_overlap(model: TwoClassGaussian) -> float:
     """Overlap sqrt(pi1*pi2) * exp(-delta(1/2)); in (0, 0.5] when balanced."""
-    delta = bhattacharyya_distance(model)
-    return math.sqrt(model.weight_1 * model.weight_2) * math.exp(-delta)
+    return bhattacharyya_report(model).overlap
 
 
 def bhattacharyya_report(model: TwoClassGaussian) -> OverlapReport:

@@ -4,8 +4,9 @@ Unsupervised: PCA of the mixture covariance, dense Gaussian random
 projection, and the very sparse three-valued random projection. Supervised
 benchmark: the overlap-optimal projection built from the generalized
 eigenvectors of the class covariance pair, selected by the extremeness score
-lam + 1/lam. Each constructor exists in a parameter-oracle form (true
-covariances) and an empirical form (sample covariances).
+lam + 1/lam. Each family is built by ``build_projection`` from a class
+covariance pair, which is either the true pair (the parameter-oracle form) or
+the sample estimates (the empirical form).
 
 All constructors are deterministic given their inputs and an RngStream.
 """
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import (
+    ConfigError,
     DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
@@ -30,6 +32,8 @@ from .core import (
     SpdMatrix,
     make_spd,
 )
+
+PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
 
 _MAX_RANK_RETRIES = 100
 
@@ -85,7 +89,8 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
 
 
 def mixture_covariance(x: np.ndarray) -> SpdMatrix:
-    """Pooled sample covariance (divisor n) of unlabeled rows, for PCA."""
+    """Sample covariance (divisor n) of the rows of x: a class, or the pooled
+    rows whose mixture covariance PCA decomposes."""
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=0)
     return make_spd(centered.T @ centered / x.shape[0])
@@ -230,10 +235,8 @@ def empirical_covariances(data: LabeledDataset) -> ClassEstimates:
         rows = data.class_rows(label)
         if rows.shape[0] == 0:
             raise EmptyClassError(f"class {label} has no observations")
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        covs.append(make_spd(centered.T @ centered / rows.shape[0]))
-        means.append(mu)
+        covs.append(mixture_covariance(rows))
+        means.append(rows.mean(axis=0))
         counts.append(rows.shape[0])
     n = counts[0] + counts[1]
     return ClassEstimates(
@@ -242,3 +245,32 @@ def empirical_covariances(data: LabeledDataset) -> ClassEstimates:
         weights=(counts[0] / n, counts[1] / n),
         means=(means[0], means[1]),
     )
+
+
+def build_projection(
+    name: str,
+    q: int,
+    cov_1: SpdMatrix,
+    cov_2: SpdMatrix,
+    stream: RngStream,
+    rel_ridge: float = 1e-6,
+    x: np.ndarray | None = None,
+) -> ProjectionMatrix:
+    """The q-dimensional projection ``name`` (one of ``PROJECTIONS``).
+
+    PCA decomposes the mixture covariance of the rows ``x`` when they are
+    given, and C1 + C2 otherwise; the random families draw from ``stream``;
+    the optimal projection falls back to a ridge of ``rel_ridge`` times the
+    mean class-1 variance when C1 is singular.
+    """
+    if name == "pca":
+        if x is not None:
+            return pca_projection(mixture_covariance(x), q)
+        return pca_projection(make_spd(cov_1.entries + cov_2.entries), q)
+    if name == "rp":
+        return random_projection(cov_1.dim, q, stream)
+    if name == "sparse_rp":
+        return sparse_random_projection(cov_1.dim, q, stream)
+    if name == "bhatt_optimal":
+        return optimal_projection_auto_ridge(cov_1, cov_2, q, rel_ridge).matrix
+    raise ConfigError("projections", f"unknown projection {name!r}")

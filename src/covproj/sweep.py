@@ -50,7 +50,6 @@ from .core import (
     SpdMatrix,
     TwoClassGaussian,
     derive_stream,
-    make_spd,
 )
 from .datasets import load_dataset
 from .generators import (
@@ -64,14 +63,7 @@ from .generators import (
     sample_two_class,
 )
 from .metrics import embedded_overlap
-from .projections import (
-    empirical_covariances,
-    mixture_covariance,
-    optimal_projection_auto_ridge,
-    pca_projection,
-    random_projection,
-    sparse_random_projection,
-)
+from .projections import PROJECTIONS, build_projection, empirical_covariances
 
 CSV_HEADER = (
     "family,p,q,param1,param2,param3,replicate,projection,"
@@ -80,13 +72,8 @@ CSV_HEADER = (
 
 FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", "example1", "example2")
 MODES = ("overlap", "risk_mc", "oos_loss", "finite_sample_curve")
-ORACLE_PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
-EMPIRICAL_PROJECTIONS = (
-    "empirical_pca",
-    "empirical_rp",
-    "empirical_sparse_rp",
-    "empirical_bhatt_optimal",
-)
+# "empirical_<name>" is projection <name> fitted to the training split
+EMPIRICAL = "empirical_"
 DATA_MODES = ("oos_loss", "finite_sample_curve")
 
 # path categories under the (cell index, replicate) stream
@@ -157,11 +144,10 @@ class SweepConfig:
             raise ConfigError("workers", "must be at least 1")
         if not self.projections:
             raise ConfigError("projections", "need at least one projection")
-        known = set(ORACLE_PROJECTIONS) | set(EMPIRICAL_PROJECTIONS)
         for name in self.projections:
-            if name not in known:
+            if name.removeprefix(EMPIRICAL) not in PROJECTIONS:
                 raise ConfigError("projections", f"unknown projection {name!r}")
-            if name in EMPIRICAL_PROJECTIONS and self.mode not in DATA_MODES:
+            if name.startswith(EMPIRICAL) and self.mode not in DATA_MODES:
                 raise ConfigError(
                     "projections",
                     f"{name!r} needs sampled data; valid only in modes {DATA_MODES}",
@@ -200,92 +186,92 @@ class SweepConfig:
 
     def to_mapping(self) -> dict[str, str]:
         """Flat key=value echo of every field, suitable for a manifest."""
-        join = lambda xs: ",".join(_fmt(x) for x in xs)
-        return {
-            "family": self.family,
-            "mode": self.mode,
-            "p": join(self.p_grid),
-            "q": join(self.q_grid),
-            "projections": ",".join(self.projections),
-            "n_simu": str(self.n_simu),
-            "seed": str(self.master_seed),
-            "workers": str(self.n_workers),
-            "df1_over_p": join(self.df1_over_p),
-            "df2_over_p": join(self.df2_over_p),
-            "share": ",".join(self.share_modes),
-            "q_density": ",".join(self.q_densities),
-            "sparse_q_density": _fmt(self.sparse_q_density),
-            "gamma": join(self.gamma_grid),
-            "dataset": self.dataset or "",
-            "label_column": self.label_column or "",
-            "alpha": _fmt(self.alpha),
-            "delta": _fmt(self.delta),
-            "train_frac": _fmt(self.train_frac),
-            "mc_samples": str(self.mc_samples),
-            "ridge": _fmt(self.ridge),
-            "n_per_class": str(self.n_per_class),
-            "sample_grid": join(self.sample_grid),
-            "record_timings": _fmt(self.record_timings),
-        }
+        return {key: fmt(getattr(self, name)) for key, name, (_, fmt) in _FIELDS}
 
 
-def _parse_list(value: str, parse, key: str) -> tuple:
-    items = [tok.strip() for tok in value.split(",") if tok.strip() != ""]
-    try:
-        return tuple(parse(tok) for tok in items)
-    except ValueError:
-        raise ConfigError(key, f"cannot parse list value {value!r}")
+def _scalar(parse, fmt=_fmt):
+    """(parse, format) pair of a single value."""
+
+    def read(key: str, text: str):
+        try:
+            return parse(text.strip())
+        except ValueError:
+            raise ConfigError(key, f"cannot parse value {text!r}")
+
+    return read, fmt
 
 
-def _parse_scalar(value: str, parse, key: str):
-    try:
-        return parse(value.strip())
-    except ValueError:
-        raise ConfigError(key, f"cannot parse value {value!r}")
+def _listed(parse, fmt=_fmt):
+    """(parse, format) pair of a comma-separated list."""
+
+    def read(key: str, text: str):
+        items = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+        try:
+            return tuple(parse(tok) for tok in items)
+        except ValueError:
+            raise ConfigError(key, f"cannot parse list value {text!r}")
+
+    return read, lambda xs: ",".join(fmt(x) for x in xs)
+
+
+def _boolean(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+_STR = _scalar(str, str)
+_OPTIONAL = _scalar(lambda v: v or None, lambda v: v or "")
+_INT = _scalar(int, str)
+_FLOAT = _scalar(float)
+_INTS = _listed(int)
+_FLOATS = _listed(float)
+_STRS = _listed(str, str)
+
+# (config key, SweepConfig field, kind): the one spelling of every field in
+# config files and in the manifest echo
+_FIELDS = (
+    ("family", "family", _STR),
+    ("mode", "mode", _STR),
+    ("p", "p_grid", _INTS),
+    ("q", "q_grid", _INTS),
+    ("projections", "projections", _STRS),
+    ("n_simu", "n_simu", _INT),
+    ("seed", "master_seed", _INT),
+    ("workers", "n_workers", _INT),
+    ("df1_over_p", "df1_over_p", _FLOATS),
+    ("df2_over_p", "df2_over_p", _FLOATS),
+    ("share", "share_modes", _STRS),
+    ("q_density", "q_densities", _STRS),
+    ("sparse_q_density", "sparse_q_density", _FLOAT),
+    ("gamma", "gamma_grid", _FLOATS),
+    ("dataset", "dataset", _OPTIONAL),
+    ("label_column", "label_column", _OPTIONAL),
+    ("alpha", "alpha", _FLOAT),
+    ("delta", "delta", _FLOAT),
+    ("train_frac", "train_frac", _FLOAT),
+    ("mc_samples", "mc_samples", _INT),
+    ("ridge", "ridge", _FLOAT),
+    ("n_per_class", "n_per_class", _INT),
+    ("sample_grid", "sample_grid", _INTS),
+    ("record_timings", "record_timings", _scalar(_boolean)),
+)
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     """Build a config from flat string key=value pairs, validating each field."""
-    m = dict(mapping)
-    if "family" not in m:
+    if "family" not in mapping:
         raise ConfigError("family", "missing required key")
-    kwargs = {"family": m.pop("family").strip()}
-    spec = {
-        "mode": ("mode", lambda v: v.strip()),
-        "p": ("p_grid", lambda v: _parse_list(v, int, "p")),
-        "q": ("q_grid", lambda v: _parse_list(v, int, "q")),
-        "projections": ("projections", lambda v: _parse_list(v, str, "projections")),
-        "n_simu": ("n_simu", lambda v: _parse_scalar(v, int, "n_simu")),
-        "seed": ("master_seed", lambda v: _parse_scalar(v, int, "seed")),
-        "workers": ("n_workers", lambda v: _parse_scalar(v, int, "workers")),
-        "df1_over_p": ("df1_over_p", lambda v: _parse_list(v, float, "df1_over_p")),
-        "df2_over_p": ("df2_over_p", lambda v: _parse_list(v, float, "df2_over_p")),
-        "share": ("share_modes", lambda v: _parse_list(v, str, "share")),
-        "q_density": ("q_densities", lambda v: _parse_list(v, str, "q_density")),
-        "sparse_q_density": (
-            "sparse_q_density",
-            lambda v: _parse_scalar(v, float, "sparse_q_density"),
-        ),
-        "gamma": ("gamma_grid", lambda v: _parse_list(v, float, "gamma")),
-        "dataset": ("dataset", lambda v: v.strip() or None),
-        "label_column": ("label_column", lambda v: v.strip() or None),
-        "alpha": ("alpha", lambda v: _parse_scalar(v, float, "alpha")),
-        "delta": ("delta", lambda v: _parse_scalar(v, float, "delta")),
-        "train_frac": ("train_frac", lambda v: _parse_scalar(v, float, "train_frac")),
-        "mc_samples": ("mc_samples", lambda v: _parse_scalar(v, int, "mc_samples")),
-        "ridge": ("ridge", lambda v: _parse_scalar(v, float, "ridge")),
-        "n_per_class": ("n_per_class", lambda v: _parse_scalar(v, int, "n_per_class")),
-        "sample_grid": ("sample_grid", lambda v: _parse_list(v, int, "sample_grid")),
-        "record_timings": (
-            "record_timings",
-            lambda v: v.strip().lower() in ("1", "true", "yes"),
-        ),
-    }
-    for key, value in m.items():
-        if key not in spec:
+    fields = {key: (name, read) for key, name, (read, _) in _FIELDS}
+    kwargs = {}
+    for key, value in mapping.items():
+        if key not in fields:
             raise ConfigError(key, "unknown configuration key")
-        name, parser = spec[key]
-        kwargs[name] = parser(value)
+        name, read = fields[key]
+        kwargs[name] = read(key, value)
     config = SweepConfig(**kwargs)
     config.validate()
     return config
@@ -299,7 +285,10 @@ def parse_config_file(path: str | Path) -> SweepConfig:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"{path} is not valid JSON: {exc}")
         if "config" not in payload:
             raise ConfigError("config", "manifest JSON lacks a 'config' section")
         return config_from_mapping(payload["config"])
@@ -483,23 +472,6 @@ def _generate_pair(
     return pca_adversarial_pair(cell.p, cell.q, config.alpha, config.delta)
 
 
-def _build_projection(name, cell, cov_1, cov_2, train, est, stream, config):
-    p, q = cell.p, cell.q
-    if name == "pca":
-        return pca_projection(make_spd(cov_1.entries + cov_2.entries), q)
-    if name in ("rp", "empirical_rp"):
-        return random_projection(p, q, stream)
-    if name in ("sparse_rp", "empirical_sparse_rp"):
-        return sparse_random_projection(p, q, stream)
-    if name == "bhatt_optimal":
-        return optimal_projection_auto_ridge(cov_1, cov_2, q, config.ridge).matrix
-    if name == "empirical_pca":
-        return pca_projection(mixture_covariance(train.X), q)
-    if name == "empirical_bhatt_optimal":
-        return optimal_projection_auto_ridge(est.cov_1, est.cov_2, q, config.ridge).matrix
-    raise ConfigError("projections", f"unknown projection {name!r}")
-
-
 def _failed_records(config, cell, rep, n_pc, reason) -> list[SweepRecord]:
     p1, p2, p3 = _param_strings(config, cell, n_pc)
     return [
@@ -550,9 +522,14 @@ def _eval_point(
             projection=name,
         )
         try:
-            w = _build_projection(
-                name, cell, cov_1, cov_2, train, est, base.child(_CTX_PROJ, idx, j), config
-            )
+            stream = base.child(_CTX_PROJ, idx, j)
+            base_name = name.removeprefix(EMPIRICAL)
+            if base_name == name:
+                w = build_projection(name, cell.q, cov_1, cov_2, stream, config.ridge)
+            else:
+                w = build_projection(
+                    base_name, cell.q, est.cov_1, est.cov_2, stream, config.ridge, train.X
+                )
             if config.mode == "overlap":
                 record.metric_overlap = embedded_overlap(model, w)
             elif config.mode == "risk_mc":
@@ -746,7 +723,6 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
 def _run_sweep(
     config: SweepConfig, out_dir: str | Path | None, blas: list[dict] | str
 ) -> list[SweepRecord]:
-    config.validate()
     cells = expand_grid(config)
     source = _load_source(config)
     started = datetime.now(timezone.utc).isoformat()
@@ -804,15 +780,6 @@ def _run_sweep(
             },
         )
     return collected
-
-
-def finite_sample_scenario(
-    config: SweepConfig, out_dir: str | Path | None = None
-) -> list[SweepRecord]:
-    """Sample-size curve experiment: requires mode ``finite_sample_curve``."""
-    if config.mode != "finite_sample_curve":
-        raise ConfigError("mode", "finite_sample_scenario needs mode=finite_sample_curve")
-    return run_sweep(config, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from covproj import (
     pca_favorable_pair,
     sample_two_class,
 )
-from covproj.cli import main
+from covproj.cli import build_parser, main
+from covproj.projections import PROJECTIONS
 
 IW_CFG = """
 family = inverse_wishart
@@ -79,6 +80,14 @@ class TestSweepCommand:
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_truncated_manifest_exits_2(self, iw_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_text(manifest.read_text()[:40])
+        assert main(["sweep", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 2
+        assert "config" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, iw_cfg):
         with pytest.raises(SystemExit) as err:
@@ -181,6 +190,14 @@ class TestEvalCommand:
             main(["eval", str(path), "--label-column", "nope", "--q", "2"]) == 2
         )
 
+    def test_unknown_projection_exits_2_before_any_output(self, separable_csv, capsys):
+        path, _ = separable_csv
+        argv = ["eval", str(path), "--label-column", "label", "--q", "2"]
+        assert main(argv + ["--projections", "pca,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err
+
     def test_bad_value_reported_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,label\n1,2,1\n1,oops,2\n")
@@ -254,6 +271,15 @@ class TestOracleCommand:
         expected = 0.5 * (2.5 / 2.0) ** -1.0  # two variance-4 directions
         assert overlap == pytest.approx(expected, rel=1e-9)
         assert risk <= overlap + 3 * se
+
+    def test_projection_choices_are_the_registry(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        oracle = sub.choices["oracle"]
+        choice = next(a for a in oracle._actions if a.dest == "projection")
+        assert choice.choices == [*PROJECTIONS, "identity"]
+        help_text = sub.choices["eval"].format_help()
+        assert "{" + ",".join(PROJECTIONS) + "}" in help_text
 
     def test_unknown_fixture_exits_2(self, capsys):
         assert main(["oracle", "whatever", "--q", "1"]) == 2

@@ -13,13 +13,13 @@ from covproj import (
     SweepRecord,
     config_from_mapping,
     expand_grid,
-    finite_sample_scenario,
     parse_config_file,
     read_records_csv,
     run_sweep,
     summarize,
 )
 from covproj import blas, sweep
+from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
 
 PAPER_IW = SweepConfig(
@@ -99,6 +99,63 @@ class TestConfig:
         cfg = config_from_mapping(PAPER_IW.to_mapping())
         assert cfg == PAPER_IW
 
+    def test_mapping_golden_every_field_non_default(self):
+        """The manifest echo of a config whose every field differs from its
+        default, spelled out: resume compares this echo byte for byte."""
+        cfg = SweepConfig(
+            family="latent_low_dim",
+            p_grid=(12, 30),
+            q_grid=(2, 3),
+            mode="finite_sample_curve",
+            projections=("pca", "empirical_bhatt_optimal"),
+            n_simu=3,
+            master_seed=11,
+            n_workers=2,
+            df1_over_p=(1.5, 2),
+            df2_over_p=(3.0,),
+            share_modes=("q", "theta"),
+            q_densities=("sparse",),
+            sparse_q_density=0.3,
+            gamma_grid=(0.25, 1.0),
+            dataset="data.csv",
+            label_column="label",
+            alpha=5.5,
+            delta=0.5,
+            train_frac=0.6,
+            mc_samples=500,
+            ridge=1e-4,
+            n_per_class=50,
+            sample_grid=(10, 30),
+            record_timings=True,
+        )
+        assert cfg.to_mapping() == {
+            "family": "latent_low_dim",
+            "mode": "finite_sample_curve",
+            "p": "12,30",
+            "q": "2,3",
+            "projections": "pca,empirical_bhatt_optimal",
+            "n_simu": "3",
+            "seed": "11",
+            "workers": "2",
+            "df1_over_p": "1.5,2",
+            "df2_over_p": "3",
+            "share": "q,theta",
+            "q_density": "sparse",
+            "sparse_q_density": "0.29999999999999999",
+            "gamma": "0.25,1",
+            "dataset": "data.csv",
+            "label_column": "label",
+            "alpha": "5.5",
+            "delta": "0.5",
+            "train_frac": "0.59999999999999998",
+            "mc_samples": "500",
+            "ridge": "0.0001",
+            "n_per_class": "50",
+            "sample_grid": "10,30",
+            "record_timings": "true",
+        }
+        assert config_from_mapping(cfg.to_mapping()) == cfg
+
     def test_parse_file_with_comments(self, tmp_path):
         text = (
             "# overlap sweep\n"
@@ -133,6 +190,27 @@ class TestConfig:
         cfg = dataclasses.replace(SMALL_IW, projections=("pca", "empirical_pca"))
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_record_timings_accepts_only_boolean_words(self):
+        base = {"family": "inverse_wishart", "p": "10", "q": "2"}
+        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("false", False), ("NO", False)):
+            cfg = config_from_mapping({**base, "record_timings": text})
+            assert cfg.record_timings is value
+        for text in ("ture", "", "2", "on"):
+            with pytest.raises(ConfigError) as err:
+                config_from_mapping({**base, "record_timings": text})
+            assert "record_timings" in str(err.value)
+
+    def test_projection_names_are_the_registry(self):
+        data_mode = dataclasses.replace(SMALL_IW, mode="oos_loss")
+        for name in PROJECTIONS:
+            dataclasses.replace(SMALL_IW, projections=(name,)).validate()
+            dataclasses.replace(data_mode, projections=(f"empirical_{name}",)).validate()
+        for name in ("identity", "bogus", "empirical_identity", "empirical_empirical_pca"):
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(data_mode, projections=(name,)).validate()
+            assert "projections" in str(err.value)
 
     def test_manifest_rerun_config(self, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "run")
@@ -289,10 +367,6 @@ class TestRunSweep:
         assert manifest["n_cells"] == len(expand_grid(SMALL_IW))
         assert "finished_at" in manifest
 
-    def test_finite_sample_scenario_mode_guard(self):
-        with pytest.raises(ConfigError):
-            finite_sample_scenario(SMALL_IW)
-
     def test_fixture_family_injection(self):
         """The adversarial fixture run as a degenerate family: PCA records
         carry overlap exactly 0.5 while the optimal matches the closed form."""
@@ -333,7 +407,7 @@ class TestRunSweep:
             projections=("pca", "empirical_pca"),
             master_seed=4,
         )
-        records = finite_sample_scenario(cfg)
+        records = run_sweep(cfg)
         assert len(records) == 2 * 2 * 2
         assert {r.param3 for r in records} == {"10", "20"}
         ok = [r for r in records if r.ok]
