@@ -27,7 +27,7 @@ from .core import (
     TwoClassGaussian,
     make_spd,
 )
-from .projections import empirical_covariances
+from .projections import ClassEstimates
 
 _MC_BLOCK = 1 << 16
 
@@ -183,19 +183,18 @@ def qda_from_model(
 
 
 def fit_embedded_qda(
-    train: LabeledDataset,
+    est: ClassEstimates,
     w: ProjectionMatrix,
     ridge: float = 0.0,
     use_priors: bool = True,
 ) -> EmbeddedQda:
-    """Train the embedded classifier on a labeled split.
+    """Train the embedded classifier from a training split's estimates.
 
     Class weights, means and covariances are the per-class sample statistics
-    of the training data, pushed through W. Raises
-    :class:`SingularEmbeddedCovarianceError` when an embedded sample
+    of the training data (:func:`empirical_covariances`), pushed through W.
+    Raises :class:`SingularEmbeddedCovarianceError` when an embedded sample
     covariance cannot be factorized and no ridge was requested.
     """
-    est = empirical_covariances(train)
     return qda_from_parameters(
         est.weights,
         est.means,

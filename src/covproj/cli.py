@@ -170,7 +170,7 @@ def cmd_eval(args) -> int:
     print(f"n_train={train.n} n_val={val.n} p={balanced.dim} q={args.q} gamma={args.gamma}")
     for name, w in zip(names, projections):
         try:
-            qda = fit_embedded_qda(train, w, ridge=args.ridge)
+            qda = fit_embedded_qda(est, w, ridge=args.ridge)
         except SingularEmbeddedCovarianceError as exc:
             print(f"{name:>16s}  oos_loss=singular ({exc})")
             any_singular = True

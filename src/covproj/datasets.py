@@ -8,6 +8,7 @@ values are rejected with the offending 1-based line number.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from .core import ConfigError, DatasetFormatError, LabeledDataset, SpdMatrix, ma
 
 
 def _split_line(line: str, delimiter: str) -> list[str]:
-    return [tok.strip() for tok in line.rstrip("\n").rstrip("\r").split(delimiter)]
+    return list(map(str.strip, line.rstrip("\n").rstrip("\r").split(delimiter)))
 
 
 def _detect_delimiter(first_line: str) -> str:
@@ -71,25 +72,37 @@ def _parse_float(token: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise DatasetFormatError(f"cannot parse {token!r} as a number", line=lineno)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DatasetFormatError(f"non-finite value {token!r}", line=lineno)
     return value
+
+
+def _parse_row(tokens: list[str], lineno: int) -> list[float]:
+    """Parse one row of number tokens with Python's ``float``.
+
+    The whole row is converted and checked at once; a row that fails is
+    parsed again token by token, so the error names its first bad token.
+    """
+    try:
+        values = list(map(float, tokens))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_float(tok, lineno) for tok in tokens]
 
 
 def load_matrix(path: str | Path, delimiter: str | None = None) -> SpdMatrix:
     """Load a square matrix file and validate it as symmetric PSD."""
     _, rows, line_numbers = _read_table(path, delimiter)
-    data = np.array(
-        [[_parse_float(tok, ln) for tok in row] for row, ln in zip(rows, line_numbers)]
-    )
+    data = np.array([_parse_row(row, ln) for row, ln in zip(rows, line_numbers)])
     return make_spd(data)
 
 
 def load_vector(path: str | Path, delimiter: str | None = None) -> np.ndarray:
     """Load a one-row or one-column numeric file as a flat vector."""
     _, rows, line_numbers = _read_table(path, delimiter)
-    data = [[_parse_float(tok, ln) for tok in row] for row, ln in zip(rows, line_numbers)]
-    arr = np.array(data)
+    arr = np.array([_parse_row(row, ln) for row, ln in zip(rows, line_numbers)])
     if 1 not in arr.shape:
         raise DatasetFormatError(f"expected a vector, got shape {arr.shape}")
     return arr.ravel()
@@ -127,14 +140,11 @@ def load_dataset(
             f"label column must have exactly 2 distinct values, found {len(values)}"
         )
     label_map = {values[0]: 1, values[1]: 2}
-    x = np.empty((len(rows), len(feature_names)))
-    z = np.empty(len(rows), dtype=np.int64)
-    for r, (row, lineno) in enumerate(zip(rows, line_numbers)):
-        z[r] = label_map[row[label_idx]]
-        c = 0
-        for i, tok in enumerate(row):
-            if i == label_idx:
-                continue
-            x[r, c] = _parse_float(tok, lineno)
-            c += 1
+    x = np.array(
+        [
+            _parse_row(row[:label_idx] + row[label_idx + 1 :], lineno)
+            for row, lineno in zip(rows, line_numbers)
+        ]
+    )
+    z = np.array([label_map[row[label_idx]] for row in rows], dtype=np.int64)
     return LabeledDataset(x, z), feature_names

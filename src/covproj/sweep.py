@@ -291,7 +291,12 @@ def parse_config_file(path: str | Path) -> SweepConfig:
             raise ConfigError("config", f"{path} is not valid JSON: {exc}")
         if "config" not in payload:
             raise ConfigError("config", "manifest JSON lacks a 'config' section")
-        return config_from_mapping(payload["config"])
+        section = payload["config"]
+        if not isinstance(section, dict) or not all(
+            isinstance(value, str) for value in section.values()
+        ):
+            raise ConfigError("config", "the manifest's 'config' section must map keys to strings")
+        return config_from_mapping(section)
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -537,7 +542,7 @@ def _eval_point(
                 record.metric_mc = risk.estimate
                 record.metric_mc_se = risk.std_error
             else:
-                qda = fit_embedded_qda(train, w, ridge=config.ridge)
+                qda = fit_embedded_qda(est, w, ridge=config.ridge)
                 record.metric_oos = oos_error(qda, val)
                 if config.mode == "finite_sample_curve":
                     record.metric_recon = reconstruction_error(

@@ -14,6 +14,7 @@ from covproj import (
     TwoClassGaussian,
     derive_stream,
     embedded_overlap,
+    empirical_covariances,
     fit_embedded_qda,
     make_spd,
     mc_bayes_risk,
@@ -101,16 +102,16 @@ class TestDecisionGeometry:
         r = g.standard_normal((q, q)) + 3.0 * np.eye(q)
         wr = ProjectionMatrix(w.entries @ r)
         val = sample_two_class(model, 50, 50, derive_stream(202))
-        pred_a = fit_embedded_qda(data, w).predict(val.X)
-        pred_b = fit_embedded_qda(data, wr).predict(val.X)
+        pred_a = fit_embedded_qda(empirical_covariances(data), w).predict(val.X)
+        pred_b = fit_embedded_qda(empirical_covariances(data), wr).predict(val.X)
         assert np.array_equal(pred_a, pred_b)
 
     def test_fit_deterministic(self, g):
         model = TwoClassGaussian.zero_mean(rand_spd(g, 5), rand_spd(g, 5))
         data = sample_two_class(model, 30, 30, derive_stream(203))
         w = ProjectionMatrix(np.eye(5)[:, :2], orthonormal_columns=True)
-        a = fit_embedded_qda(data, w)
-        b = fit_embedded_qda(data, w)
+        a = fit_embedded_qda(empirical_covariances(data), w)
+        b = fit_embedded_qda(empirical_covariances(data), w)
         assert a.emb_covs[0].entries.tobytes() == b.emb_covs[0].entries.tobytes()
 
     def test_stored_logdets_match_cholesky(self, g):
@@ -126,8 +127,8 @@ class TestDecisionGeometry:
         data = LabeledDataset(x, np.array([1] * 4 + [2] * 4))
         w = ProjectionMatrix(g.standard_normal((10, 6)))
         with pytest.raises(SingularEmbeddedCovarianceError):
-            fit_embedded_qda(data, w)
-        fit_embedded_qda(data, w, ridge=1e-6)
+            fit_embedded_qda(empirical_covariances(data), w)
+        fit_embedded_qda(empirical_covariances(data), w, ridge=1e-6)
 
 
 class TestOosError:

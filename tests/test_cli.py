@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, reproducibility, printed results."""
 
+import json
 import math
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 0
         manifest = out / "manifest.json"
         manifest.write_text(manifest.read_text()[:40])
+        assert main(["sweep", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 2
+        assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda section: {**section, "n_simu": 3}, lambda section: 5],
+        ids=["number_value", "number_section"],
+    )
+    def test_manifest_config_not_strings_exits_2(self, iw_cfg, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"] = edit(payload["config"])
+        manifest.write_text(json.dumps(payload))
         assert main(["sweep", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 2
         assert "config" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Delimited-text ingestion: detection, validation, label mapping."""
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -99,3 +100,83 @@ class TestLoadMatrixAndVector:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(DatasetFormatError):
             load_vector(path)
+
+
+class TestRowParser:
+    """Values and error messages pinned token by token against ``float``."""
+
+    def test_values_equal_float_bit_for_bit(self, tmp_path):
+        rows = [
+            [" 1.5 ", "-0.0", "1e-320", "1_000"],
+            ["0.1", "+2.5E3", ".5", "-7."],
+            ["123456.789012", "-1e-300", "5e-324", "1.7976931348623157e308"],
+        ]
+        path = tmp_path / "d.csv"
+        body = "".join(",".join(r) + f",{k % 2}\n" for k, r in enumerate(rows))
+        path.write_text("a,b,c,d,label\n" + body)
+        data, _ = load_dataset(path, "label")
+        expected = np.array([[float(tok) for tok in r] for r in rows])
+        assert data.X.dtype == np.float64
+        assert data.X.tobytes() == expected.tobytes()
+        assert np.signbit(data.X[0, 1])
+
+    @pytest.mark.parametrize(
+        "header, rows, names",
+        [
+            ("a,label,b", ["1,x,2", "3,y,4", "5,x,6"], ["a", "b"]),
+            ("a,b,label", ["1,2,x", "3,4,y", "5,6,x"], ["a", "b"]),
+            ("label,a,b", ["x,1,2", "y,3,4", "x,5,6"], ["a", "b"]),
+        ],
+    )
+    def test_label_column_anywhere(self, tmp_path, header, rows, names):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        data, feature_names = load_dataset(path, "label")
+        assert feature_names == names
+        assert data.z.tolist() == [1, 2, 1]
+        assert data.X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2,x\ninf,foo,y\n", "line 3: non-finite value 'inf'"),
+            ("1,2,x\nfoo,inf,y\n", "line 3: cannot parse 'foo' as a number"),
+            ("1,2,x\n3,foo,y\ninf,4,x\n", "line 3: cannot parse 'foo' as a number"),
+            ("1,2,x\n3,1e500,y\n5,foo,x\n", "line 3: non-finite value '1e500'"),
+            ("1,nan,x\n3,4,y\n", "line 2: non-finite value 'nan'"),
+        ],
+    )
+    def test_first_bad_token_in_row_major_order(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n" + body)
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path, "label")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0\n0,foo\n", "line 2: cannot parse 'foo' as a number"),
+            ("a,b\n1,0\n\n0,-inf\n", "line 4: non-finite value '-inf'"),
+        ],
+    )
+    def test_matrix_reports_line_number(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n2\nbar\n", "line 3: cannot parse 'bar' as a number"),
+            ("1,2,3\n4,nan,5\n", "line 2: non-finite value 'nan'"),
+        ],
+    )
+    def test_vector_reports_line_number(self, tmp_path, text, message):
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as err:
+            load_vector(path)
+        assert str(err.value) == message

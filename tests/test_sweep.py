@@ -18,7 +18,7 @@ from covproj import (
     run_sweep,
     summarize,
 )
-from covproj import blas, sweep
+from covproj import blas, projections, sweep
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
 
@@ -414,6 +414,34 @@ class TestRunSweep:
         assert ok and all(
             r.metric_oos is not None and r.metric_recon is not None for r in ok
         )
+
+    def test_finite_sample_estimates_once_per_point(self, monkeypatch):
+        """Each (replicate, sample size) point computes three sample
+        covariances, the two class estimates and the pooled one empirical PCA
+        decomposes, however many projections build and fit from them."""
+        original = projections.mixture_covariance
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(projections, "mixture_covariance", counting)
+        cfg = SweepConfig(
+            family="inverse_wishart",
+            p_grid=(12,),
+            q_grid=(2,),
+            df1_over_p=(2.0,),
+            df2_over_p=(2.0,),
+            n_simu=2,
+            mode="finite_sample_curve",
+            sample_grid=(10, 20),
+            projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
+            master_seed=4,
+        )
+        records = run_sweep(cfg)
+        assert len(records) == 2 * 2 * 8 and all(r.ok for r in records)
+        assert len(calls) == 3 * 2 * 2
 
 
 def _threads(builds):
