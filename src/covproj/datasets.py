@@ -116,8 +116,9 @@ def load_dataset(
     """Load a labeled dataset; returns it with the feature column names.
 
     The label column must contain exactly two distinct values, which are
-    mapped to labels 1 and 2 in ascending order (numeric when both values
-    parse as numbers, lexicographic otherwise).
+    mapped to labels 1 and 2 in ascending order (numeric when every label
+    parses as a number, lexicographic otherwise). Numeric labels must be
+    finite: a non-finite one is rejected with its line number.
     """
     header, rows, line_numbers = _read_table(path, delimiter)
     if header is None:
@@ -131,10 +132,16 @@ def load_dataset(
     label_idx = header.index(label_column)
     feature_names = [name for i, name in enumerate(header) if i != label_idx]
     raw_labels = [row[label_idx] for row in rows]
-    values = sorted(
-        set(raw_labels),
-        key=(float if all(_is_float(v) for v in set(raw_labels)) else str),
-    )
+    distinct = set(raw_labels)
+    if all(map(_is_float, distinct)):
+        # NaN has no place in a numeric order, so the mapping would follow
+        # the set's hash order; ties between spellings of one number break
+        # on the text for the same reason
+        for token, lineno in zip(raw_labels, line_numbers):
+            _parse_float(token, lineno)
+        values = sorted(distinct, key=lambda v: (float(v), v))
+    else:
+        values = sorted(distinct)
     if len(values) != 2:
         raise DatasetFormatError(
             f"label column must have exactly 2 distinct values, found {len(values)}"

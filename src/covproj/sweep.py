@@ -18,13 +18,10 @@ runs on one thread (``covproj.blas``), so results are identical for any
 worker count, across runs and across hosts with the same BLAS build. Records
 stream to a CSV sink with resume-from-checkpoint at cell granularity; rows
 are written in cell order, which makes the file byte-stable. The per-record
-``ms`` column is written as 0 unless timing capture is enabled, because wall
-times would break that byte stability; aggregate timing lives in the run
-manifest instead.
-
-Record CSV header (fixed):
-    family,p,q,param1,param2,param3,replicate,projection,metric_overlap,
-    metric_oos,metric_mc,metric_mc_se,metric_recon,status,ms
+``ms`` column is 0 unless timing capture is enabled, because wall times
+would break that byte stability; aggregate timing lives in the run manifest
+instead. The columns of ``records.csv`` are the fields of ``SweepRecord``, in
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,11 +61,6 @@ from .generators import (
 )
 from .metrics import embedded_overlap
 from .projections import PROJECTIONS, build_projection, empirical_covariances
-
-CSV_HEADER = (
-    "family,p,q,param1,param2,param3,replicate,projection,"
-    "metric_overlap,metric_oos,metric_mc,metric_mc_se,metric_recon,status,ms"
-)
 
 FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", "example1", "example2")
 MODES = ("overlap", "risk_mc", "oos_loss", "finite_sample_curve")
@@ -265,12 +257,12 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     """Build a config from flat string key=value pairs, validating each field."""
     if "family" not in mapping:
         raise ConfigError("family", "missing required key")
-    fields = {key: (name, read) for key, name, (read, _) in _FIELDS}
+    known = {key: (name, read) for key, name, (read, _) in _FIELDS}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in fields:
+        if key not in known:
             raise ConfigError(key, "unknown configuration key")
-        name, read = fields[key]
+        name, read = known[key]
         kwargs[name] = read(key, value)
     config = SweepConfig(**kwargs)
     config.validate()
@@ -360,7 +352,11 @@ def expand_grid(config: SweepConfig) -> list[Cell]:
 
 @dataclass
 class SweepRecord:
-    """One evaluated (cell, replicate, projection) combination."""
+    """One evaluated (cell, replicate, projection) combination.
+
+    Its fields, in order, are the columns of ``records.csv``: this class is
+    the one definition of the record format.
+    """
 
     family: str
     p: int
@@ -382,56 +378,42 @@ class SweepRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_csv_row(self, with_timing: bool) -> str:
-        return ",".join(
-            (
-                self.family,
-                str(self.p),
-                str(self.q),
-                self.param1,
-                self.param2,
-                self.param3,
-                str(self.replicate),
-                self.projection,
-                _fmt(self.metric_overlap),
-                _fmt(self.metric_oos),
-                _fmt(self.metric_mc),
-                _fmt(self.metric_mc_se),
-                _fmt(self.metric_recon),
-                self.status,
-                str(self.ms if with_timing else 0),
-            )
-        )
+    def to_csv_row(self) -> str:
+        return ",".join(fmt(getattr(self, name)) for name, (_, fmt) in _COLUMNS)
+
+
+# (parse, format) of each record field type; a missing metric is an empty cell
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float | None": (lambda tok: float(tok) if tok else None, _fmt),
+}
+_COLUMNS = tuple((f.name, _CODECS[f.type]) for f in fields(SweepRecord))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def read_records_csv(path: str | Path) -> list[SweepRecord]:
+    """Parse a records file; a malformed row raises ``ConfigError`` naming its line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError("records", f"{path} does not carry the sweep record header")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        tok = line.split(",")
-        records.append(
-            SweepRecord(
-                family=tok[0],
-                p=int(tok[1]),
-                q=int(tok[2]),
-                param1=tok[3],
-                param2=tok[4],
-                param3=tok[5],
-                replicate=int(tok[6]),
-                projection=tok[7],
-                metric_overlap=float(tok[8]) if tok[8] else None,
-                metric_oos=float(tok[9]) if tok[9] else None,
-                metric_mc=float(tok[10]) if tok[10] else None,
-                metric_mc_se=float(tok[11]) if tok[11] else None,
-                metric_recon=float(tok[12]) if tok[12] else None,
-                status=tok[13],
-                ms=int(tok[14]),
+        tokens = line.split(",")
+        if len(tokens) != len(_COLUMNS):
+            raise ConfigError(
+                "records",
+                f"{path} line {lineno}: expected {len(_COLUMNS)} fields, found {len(tokens)}",
             )
-        )
+        values = {}
+        for (name, (parse, _)), tok in zip(_COLUMNS, tokens):
+            try:
+                values[name] = parse(tok)
+            except ValueError:
+                raise ConfigError("records", f"{path} line {lineno}: bad {name} value {tok!r}")
+        records.append(SweepRecord(**values))
     return records
 
 
@@ -477,7 +459,8 @@ def _generate_pair(
     return pca_adversarial_pair(cell.p, cell.q, config.alpha, config.delta)
 
 
-def _failed_records(config, cell, rep, n_pc, reason) -> list[SweepRecord]:
+def _point_records(config, cell, rep, n_pc, status="ok") -> list[SweepRecord]:
+    """The records of one (cell, replicate, point), one per projection."""
     p1, p2, p3 = _param_strings(config, cell, n_pc)
     return [
         SweepRecord(
@@ -489,48 +472,38 @@ def _failed_records(config, cell, rep, n_pc, reason) -> list[SweepRecord]:
             param3=p3,
             replicate=rep,
             projection=name,
-            status=f"failed:{reason}",
+            status=status,
         )
         for name in config.projections
     ]
 
 
+def _failed(exc: CovProjError) -> str:
+    return f"failed:{type(exc).__name__}"
+
+
 def _eval_point(
     config: SweepConfig, cell: Cell, rep: int, base: RngStream, idx: int, n_pc: int | None, source
 ) -> list[SweepRecord]:
+    train = val = est = None
     try:
         cov_1, cov_2 = _generate_pair(config, cell, base.child(_CTX_PAIR, idx), source)
-    except CovProjError as exc:
-        return _failed_records(config, cell, rep, n_pc, type(exc).__name__)
-    model = TwoClassGaussian.zero_mean(cov_1, cov_2)
-    train = val = est = None
-    if config.mode in DATA_MODES:
-        per_class = n_pc if n_pc is not None else config.n_per_class
-        try:
+        model = TwoClassGaussian.zero_mean(cov_1, cov_2)
+        if config.mode in DATA_MODES:
+            per_class = n_pc if n_pc is not None else config.n_per_class
             data = sample_two_class(model, per_class, per_class, base.child(_CTX_DATA, idx))
             train, val = data.split(config.train_frac, base.child(_CTX_SPLIT, idx))
             est = empirical_covariances(train)
-        except CovProjError as exc:
-            return _failed_records(config, cell, rep, n_pc, type(exc).__name__)
-    p1, p2, p3 = _param_strings(config, cell, n_pc)
-    records = []
-    for j, name in enumerate(config.projections):
+    except CovProjError as exc:
+        return _point_records(config, cell, rep, n_pc, _failed(exc))
+    records = _point_records(config, cell, rep, n_pc)
+    for j, record in enumerate(records):
         started = time.perf_counter()
-        record = SweepRecord(
-            family=config.family,
-            p=cell.p,
-            q=cell.q,
-            param1=p1,
-            param2=p2,
-            param3=p3,
-            replicate=rep,
-            projection=name,
-        )
         try:
             stream = base.child(_CTX_PROJ, idx, j)
-            base_name = name.removeprefix(EMPIRICAL)
-            if base_name == name:
-                w = build_projection(name, cell.q, cov_1, cov_2, stream, config.ridge)
+            base_name = record.projection.removeprefix(EMPIRICAL)
+            if base_name == record.projection:
+                w = build_projection(base_name, cell.q, cov_1, cov_2, stream, config.ridge)
             else:
                 w = build_projection(
                     base_name, cell.q, est.cov_1, est.cov_2, stream, config.ridge, train.X
@@ -549,9 +522,9 @@ def _eval_point(
                         w, est.cov_1, est.cov_2, cov_1, cov_2
                     )
         except CovProjError as exc:
-            record.status = f"failed:{type(exc).__name__}"
-        record.ms = int(round((time.perf_counter() - started) * 1000))
-        records.append(record)
+            record.status = _failed(exc)
+        if config.record_timings:
+            record.ms = int(round((time.perf_counter() - started) * 1000))
     return records
 
 
@@ -695,7 +668,7 @@ def _check_resume(config: SweepConfig, cells: list[Cell], source, sink: CsvSink,
         last = sink.completed[-1]
         fresh = _eval_cell(config, cells[last], source) if last < len(cells) else []
         without_ms = lambda row: row.rsplit(",", 1)[0]
-        same = [without_ms(r.to_csv_row(False)) for r in fresh] == [
+        same = [without_ms(r.to_csv_row()) for r in fresh] == [
             without_ms(row) for row in sink.cell_rows(last)
         ]
         why = (
@@ -758,10 +731,7 @@ def _run_sweep(
 
     def consume(cell: Cell, records: list[SweepRecord]):
         if sink:
-            sink.write_cell(
-                cell.index,
-                [r.to_csv_row(config.record_timings) for r in records],
-            )
+            sink.write_cell(cell.index, [r.to_csv_row() for r in records])
         collected.extend(records)
 
     if config.n_workers > 1 and len(todo) > 1:
@@ -791,18 +761,18 @@ def _run_sweep(
 # Summaries
 # ---------------------------------------------------------------------------
 
-GROUPABLE_FIELDS = ("family", "p", "q", "param1", "param2", "param3")
-_IDENTITY_FIELDS = GROUPABLE_FIELDS + ("replicate",)
+# the columns before ``replicate`` name a record's cell; with it, its pair
+_COLUMN_NAMES = CSV_HEADER.split(",")
+_IDENTITY_FIELDS = tuple(_COLUMN_NAMES[: _COLUMN_NAMES.index("replicate") + 1])
+GROUPABLE_FIELDS = _IDENTITY_FIELDS[:-1]
+
+
+# the first metric column a record fills is the one its mode is summarized by
+_METRIC_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.type == "float | None")
 
 
 def _record_metric_field(record: SweepRecord) -> str | None:
-    if record.metric_overlap is not None:
-        return "metric_overlap"
-    if record.metric_mc is not None:
-        return "metric_mc"
-    if record.metric_oos is not None:
-        return "metric_oos"
-    return None
+    return next((name for name in _METRIC_FIELDS if getattr(record, name) is not None), None)
 
 
 @dataclass

@@ -137,6 +137,32 @@ class TestSummarizeCommand:
             main(["summarize", str(out / "records.csv"), "--group-by", "bogus"]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "index, edit",
+        [
+            (-1, lambda row: row[: len(row) // 2]),
+            (1, lambda row: row.rsplit(",", 1)[0]),
+            (1, lambda row: row + ",0"),
+            (3, lambda row: row.replace("inverse_wishart,10,", "inverse_wishart,ten,")),
+            (3, lambda row: row.replace(",,1,pca,", ",,0.5,pca,")),
+        ],
+        ids=["torn_last_row", "14_fields", "16_fields", "word_in_int", "fraction_in_int"],
+    )
+    def test_malformed_records_exit_2_naming_the_line(self, iw_cfg, tmp_path, capsys, index, edit):
+        out = tmp_path / "run"
+        main(["sweep", "--config", str(iw_cfg), "--out", str(out)])
+        path = out / "records.csv"
+        header, *rows = path.read_text().splitlines()
+        edited = edit(rows[index])
+        assert edited != rows[index]
+        rows[index] = edited
+        # no final newline, as a kill mid-write leaves the file
+        path.write_text("\n".join([header, *rows]))
+        capsys.readouterr()
+        assert main(["summarize", str(path)]) == 2
+        assert f"line {2 + index % len(rows)}:" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
 
 class TestEvalCommand:
     def test_strong_covariance_signal_gives_low_pca_loss(self, separable_csv, capsys):

@@ -71,6 +71,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError):
             load_dataset(tmp_path / "absent.csv", "label")
 
+    @pytest.mark.parametrize(
+        "labels, line", [(["nan", "1", "nan"], 2), (["1", "2", "inf"], 4), (["-inf", "1", "2"], 2)]
+    )
+    def test_non_finite_numeric_label_rejected_with_line_number(self, tmp_path, labels, line):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n" + "".join(f"{i},{z}\n" for i, z in enumerate(labels)))
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path, "label")
+        assert f"line {line}" in str(err.value)
+
+    def test_labels_spelling_one_number_map_by_text(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,1.0\n2,1\n3,1.0\n")
+        data, _ = load_dataset(path, "label")
+        assert data.z.tolist() == [2, 1, 2]
+
 
 class TestLoadMatrixAndVector:
     def test_matrix_headerless(self, tmp_path):

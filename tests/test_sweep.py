@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,9 +248,9 @@ class TestRunSweep:
         assert all(r.status == "failed:SingularEmbeddedCovarianceError" for r in records)
 
     def test_worker_count_invariance(self):
-        rows_1 = [r.to_csv_row(False) for r in run_sweep(SMALL_IW)]
+        rows_1 = [r.to_csv_row() for r in run_sweep(SMALL_IW)]
         rows_8 = [
-            r.to_csv_row(False)
+            r.to_csv_row()
             for r in run_sweep(dataclasses.replace(SMALL_IW, n_workers=8))
         ]
         assert rows_1 == rows_8
@@ -261,8 +262,8 @@ class TestRunSweep:
         blob_b = (tmp_path / "b" / "records.csv").read_bytes()
         assert blob_a == blob_b
         records = read_records_csv(tmp_path / "a" / "records.csv")
-        assert [r.to_csv_row(False) for r in records] == [
-            r.to_csv_row(False) for r in run_sweep(SMALL_IW)
+        assert [r.to_csv_row() for r in records] == [
+            r.to_csv_row() for r in run_sweep(SMALL_IW)
         ]
 
     def test_resume_from_checkpoint(self, tmp_path):
@@ -521,6 +522,30 @@ class TestBlasPolicy:
         ).read_bytes()
 
 
+class TestRecordSchema:
+    """The record columns are derived from ``SweepRecord``; these pin the file format."""
+
+    HEADER = (
+        "family,p,q,param1,param2,param3,replicate,projection,metric_overlap,"
+        "metric_oos,metric_mc,metric_mc_se,metric_recon,status,ms"
+    )
+
+    def test_header_is_the_fixed_fifteen_columns(self):
+        assert sweep.CSV_HEADER == self.HEADER
+
+    def test_readme_documents_the_header(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert [ln for ln in readme.splitlines() if ln.startswith("family,")] == [
+            sweep.CSV_HEADER
+        ]
+
+    def test_groupable_columns_precede_replicate(self):
+        assert sweep.GROUPABLE_FIELDS == ("family", "p", "q", "param1", "param2", "param3")
+
+    def test_ms_is_zero_in_memory_without_record_timings(self):
+        assert all(r.ms == 0 for r in run_sweep(SMALL_IW))
+
+
 def _toy_record(projection, value, replicate=0, status="ok", q=2):
     return SweepRecord(
         family="inverse_wishart",
@@ -578,6 +603,21 @@ class TestSummarize:
         b.metric_oos = 0.4
         with pytest.raises(MixedModesError):
             summarize([a, b], ["q"], "pca")
+
+    @pytest.mark.parametrize(
+        "metrics, summarized",
+        [
+            ({"metric_overlap": 0.2}, 0.2),
+            ({"metric_mc": 0.3, "metric_mc_se": 0.01}, 0.3),
+            ({"metric_oos": 0.4}, 0.4),
+            ({"metric_oos": 0.5, "metric_recon": 7.0}, 0.5),
+        ],
+        ids=["overlap", "risk_mc", "oos_loss", "finite_sample_curve"],
+    )
+    def test_each_mode_summarizes_its_headline_metric(self, metrics, summarized):
+        record = dataclasses.replace(_toy_record("pca", None), **metrics)
+        table = summarize([record], ["q"], "pca")
+        assert dict(zip(table.columns, table.rows[0]))["mean_pca"] == summarized
 
     def test_unknown_group_column(self):
         with pytest.raises(ConfigError):
