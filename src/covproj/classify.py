@@ -25,7 +25,7 @@ from .core import (
     SingularEmbeddedCovarianceError,
     SpdMatrix,
     TwoClassGaussian,
-    make_spd,
+    _derived_spd,
 )
 from .projections import ClassEstimates
 
@@ -134,17 +134,15 @@ def qda_from_parameters(
             cov_k = w.entries.T @ covs[k].entries @ w.entries
         if ridge_abs > 0.0:
             cov_k = cov_k + ridge_abs * np.eye(q)
+        spd_k = _derived_spd(cov_k)
         try:
-            spd_k = make_spd(cov_k)
             if ridge_abs == 0.0:
                 # Cholesky can sneak through an exactly rank-deficient matrix
                 # on round-off pivots, so singularity is tested spectrally.
                 w_k = np.linalg.eigvalsh(spd_k.entries)
                 if w_k[0] <= 1e-12 * max(w_k[-1], 0.0) or w_k[-1] <= 0.0:
-                    raise SingularEmbeddedCovarianceError(
-                        f"embedded covariance of class {k + 1} is singular at "
-                        f"q={q}; the embedding dimension is too large for the "
-                        "class sample size"
+                    raise NotPositiveDefiniteError(
+                        f"eigenvalues span [{w_k[0]:.3e}, {w_k[-1]:.3e}]"
                     )
             chol_k = spd_k.cholesky()
         except NotPositiveDefiniteError as exc:

@@ -181,34 +181,43 @@ class SpdMatrix:
 
 
 def make_spd(raw: np.ndarray, strict: bool = False) -> SpdMatrix:
-    """Symmetrize a square matrix and wrap it as an :class:`SpdMatrix`.
+    """Check a square matrix and wrap it as an :class:`SpdMatrix`.
 
-    The input is replaced by (A + A^T)/2, which makes repeated application
-    bit-stable. The result must be positive semi-definite: its smallest
-    eigenvalue may not fall below ``-PSD_RTOL`` times the largest one (exact
-    rank deficiency, e.g. sample covariances with n < p, is representable).
-    With ``strict`` the matrix must additionally admit a Cholesky
-    factorization, i.e. be strictly positive definite.
+    The entries must be finite. The input is replaced by (A + A^T)/2, which
+    makes repeated application bit-stable. The result must be positive
+    semi-definite: its smallest eigenvalue may not fall below ``-PSD_RTOL``
+    times the largest one (exact rank deficiency, e.g. sample covariances
+    with n < p, is representable). With ``strict`` the matrix must
+    additionally admit a Cholesky factorization, i.e. be strictly positive
+    definite. Matrices the package derives from checked ones skip this test.
     """
     a = np.asarray(raw, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
-    sym = (a + a.T) / 2.0
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
+    spd = _derived_spd(a)
     if strict:
         try:
-            np.linalg.cholesky(sym)
+            np.linalg.cholesky(spd.entries)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"matrix of order {a.shape[0]} is not strictly positive definite"
             ) from exc
     else:
-        w = np.linalg.eigvalsh(sym)
+        w = np.linalg.eigvalsh(spd.entries)
         if w[0] < -PSD_RTOL * w[-1]:
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {w[0]:.3e} below PSD tolerance "
                 f"(largest {w[-1]:.3e})"
             )
-    return SpdMatrix(_as_readonly(sym))
+    return spd
+
+
+def _derived_spd(a: np.ndarray) -> SpdMatrix:
+    """Symmetrize and wrap a float matrix that is PSD by construction from
+    checked inputs (a Gram matrix, a sum or a congruence W^T C W), untested."""
+    return SpdMatrix(_as_readonly((a + a.T) / 2.0))
 
 
 @dataclass(frozen=True, eq=False)

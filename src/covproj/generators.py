@@ -29,6 +29,7 @@ from .core import (
     RngStream,
     SpdMatrix,
     TwoClassGaussian,
+    _derived_spd,
     make_spd,
 )
 from .projections import mixture_covariance
@@ -100,7 +101,7 @@ def sample_scaled_inverse_wishart(dim: int, df: float, stream: RngStream) -> Spd
     if df < dim:
         raise DegreesOfFreedomError(f"df={df} must be >= dimension {dim}")
     inv = sample_inverse_wishart(dim, df, stream)
-    return make_spd(df * inv.entries, strict=True)
+    return _derived_spd(df * inv.entries)
 
 
 def gen_iw_pair(
@@ -239,7 +240,7 @@ def pca_favorable_pair(
     """
     _check_spike_params(p, block, alpha, delta)
     c1 = np.diag(np.concatenate([np.full(block, alpha), np.full(p - block, delta)]))
-    return make_spd(c1, strict=True), make_spd(delta * np.eye(p), strict=True)
+    return _derived_spd(c1), _derived_spd(delta * np.eye(p))
 
 
 def pca_adversarial_pair(
@@ -257,11 +258,11 @@ def pca_adversarial_pair(
     if 2 * block > p:
         raise ConfigError("q", "the adversarial pair requires block <= p/2")
     c1 = np.diag(np.concatenate([np.full(block, alpha), np.full(p - block, delta)]))
-    return make_spd(c1, strict=True), make_spd(alpha * np.eye(p), strict=True)
+    return _derived_spd(c1), _derived_spd(alpha * np.eye(p))
 
 
 def _check_spike_params(p: int, block: int, alpha: float, delta: float) -> None:
-    if not 0 < delta < alpha:
-        raise ConfigError("alpha/delta", "need 0 < delta < alpha")
+    if not 0 < delta < alpha < np.inf:
+        raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
     if not 1 <= block < p:
         raise ConfigError("q", f"block size must satisfy 1 <= q < p, got {block}")

@@ -25,11 +25,10 @@ from scipy.linalg import solve_triangular
 from .core import (
     DimensionMismatchError,
     NonPositiveEigenvalueError,
-    NotPositiveDefiniteError,
     ProjectionMatrix,
     SingularBlendError,
     TwoClassGaussian,
-    make_spd,
+    _derived_spd,
 )
 
 
@@ -108,8 +107,8 @@ def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGauss
         model.weight_1,
         we.T @ model.mean_1,
         we.T @ model.mean_2,
-        make_spd(we.T @ model.cov_1.entries @ we),
-        make_spd(we.T @ model.cov_2.entries @ we),
+        _derived_spd(we.T @ model.cov_1.entries @ we),
+        _derived_spd(we.T @ model.cov_2.entries @ we),
     )
 
 
@@ -120,13 +119,7 @@ def embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:
     determinant factors of R cancel; in particular random projections need
     not be orthonormalized before scoring.
     """
-    try:
-        projected = project_model(model, w)
-    except NotPositiveDefiniteError as exc:
-        raise SingularBlendError(
-            f"embedded covariance is not PSD: {exc}", dim=w.embed_dim
-        ) from exc
-    return bhattacharyya_overlap(projected)
+    return bhattacharyya_overlap(project_model(model, w))
 
 
 def optimal_overlap_closed_form(

@@ -30,7 +30,7 @@ from .core import (
     RngStream,
     SingularAfterRidgeError,
     SpdMatrix,
-    make_spd,
+    _derived_spd,
 )
 
 PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
@@ -64,11 +64,10 @@ class ClassEstimates(NamedTuple):
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each is positive."""
-    out = v.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
+    out = v.copy()  # C order: on a Fortran-ordered result later products round differently
+    rows = np.argmax(np.abs(out), axis=0)
+    flip = out[rows, np.arange(out.shape[1])] < 0
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -93,7 +92,7 @@ def mixture_covariance(x: np.ndarray) -> SpdMatrix:
     rows whose mixture covariance PCA decomposes."""
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=0)
-    return make_spd(centered.T @ centered / x.shape[0])
+    return _derived_spd(centered.T @ centered / x.shape[0])
 
 
 def random_projection(p: int, q: int, stream: RngStream) -> ProjectionMatrix:
@@ -266,7 +265,7 @@ def build_projection(
     if name == "pca":
         if x is not None:
             return pca_projection(mixture_covariance(x), q)
-        return pca_projection(make_spd(cov_1.entries + cov_2.entries), q)
+        return pca_projection(_derived_spd(cov_1.entries + cov_2.entries), q)
     if name == "rp":
         return random_projection(cov_1.dim, q, stream)
     if name == "sparse_rp":

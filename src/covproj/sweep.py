@@ -27,6 +27,7 @@ order.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -206,6 +207,13 @@ def _listed(parse, fmt=_fmt):
     return read, lambda xs: ",".join(fmt(x) for x in xs)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _boolean(text: str) -> bool:
     word = text.lower()
     if word in ("1", "true", "yes"):
@@ -218,9 +226,9 @@ def _boolean(text: str) -> bool:
 _STR = _scalar(str, str)
 _OPTIONAL = _scalar(lambda v: v or None, lambda v: v or "")
 _INT = _scalar(int, str)
-_FLOAT = _scalar(float)
+_FLOAT = _scalar(_finite)
 _INTS = _listed(int)
-_FLOATS = _listed(float)
+_FLOATS = _listed(_finite)
 _STRS = _listed(str, str)
 
 # (config key, SweepConfig field, kind): the one spelling of every field in
@@ -394,7 +402,10 @@ CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 def read_records_csv(path: str | Path) -> list[SweepRecord]:
     """Parse a records file; a malformed row raises ``ConfigError`` naming its line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError("records", f"cannot read {path}: {exc}")
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError("records", f"{path} does not carry the sweep record header")
     records = []

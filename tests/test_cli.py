@@ -79,6 +79,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "df1_over_p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["df1_over_p", "ridge"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"family = inverse_wishart\np = 10\nq = 2\n{key} = {value}\n")
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -129,6 +139,17 @@ class TestSummarizeCommand:
         printed = capsys.readouterr().out
         assert "regret_rp" in printed and "freq_positive_sparse_rp" in printed
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("records", ["absent.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_records_exit_2(self, tmp_path, capsys, records):
+        assert main(["summarize", str(tmp_path / records)]) == 2
+        assert "records: cannot read" in capsys.readouterr().err
+
+    def test_unwritable_summary_exits_3(self, iw_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["sweep", "--config", str(iw_cfg), "--out", str(out)])
+        assert main(["summarize", str(out / "records.csv"), "--out", str(tmp_path)]) == 3
+        assert "sink error" in capsys.readouterr().err
 
     def test_unknown_column_exits_2(self, iw_cfg, tmp_path, capsys):
         out = tmp_path / "run"
@@ -325,3 +346,10 @@ class TestOracleCommand:
 
     def test_unknown_fixture_exits_2(self, capsys):
         assert main(["oracle", "whatever", "--q", "1"]) == 2
+
+    @pytest.mark.parametrize("fixture", ["example1", "example2"])
+    def test_infinite_alpha_exits_2(self, capsys, fixture):
+        """The fixtures' diagonal covariances are built from alpha and delta
+        without a spectral test, so both must be finite."""
+        assert main(["oracle", fixture, "--q", "1", "--alpha", "inf"]) == 2
+        assert "alpha/delta" in capsys.readouterr().err

@@ -43,6 +43,15 @@ class TestMakeSpd:
         with pytest.raises(NotSquareError):
             make_spd(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, strict):
+        """Neither the eigenvalue test nor Cholesky fails on NaN by itself."""
+        raw = np.eye(2)
+        raw[0, 0] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            make_spd(raw, strict=strict)
+
     def test_idempotent_bit_for_bit(self, g):
         base = g.standard_normal((6, 6))
         raw = base @ base.T + 6.0 * np.eye(6) + 1e-3 * g.standard_normal((6, 6))

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from covproj import (
     DimensionMismatchError,
@@ -27,6 +28,7 @@ from covproj import (
     sample_gaussian,
     sparse_random_projection,
 )
+from covproj.projections import _fix_column_signs
 from conftest import rand_spd, rand_orthonormal
 
 
@@ -59,6 +61,50 @@ class TestPcaProjection:
         for j in range(3):
             col = w.entries[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+
+def _fix_column_signs_loop(v):
+    """Column-by-column reference for the vectorized sign fix."""
+    out = v.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        if out[i, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+class TestFixColumnSigns:
+    CASES = {
+        "tie_first_negative": [[-2.0, 1.0], [2.0, 3.0]],
+        "tie_first_positive": [[2.0, 0.5], [-2.0, -0.5]],
+        "negative_zero": [[-0.0, 0.0], [-0.0, -0.0]],
+        "zero_then_negative": [[0.0, -0.0], [-1.0, 0.0]],
+        "all_negative": [[-1.0, -4.0], [-3.0, -2.0], [-0.5, -4.0]],
+        "single_row": [[-1.0, 2.0, -0.0]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_loop_bit_for_bit(self, name):
+        v = np.array(self.CASES[name])
+        for layout in (v, np.asfortranarray(v)):
+            got = _fix_column_signs(layout)
+            want = _fix_column_signs_loop(layout)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+    def test_fortran_ordered_eigenvectors(self, g):
+        """PCA's column selection and the generalized problem's triangular
+        back-solve both hand over Fortran-ordered vectors; the fix must return
+        C order, because later BLAS products round differently on the other
+        layout."""
+        c = rand_spd(g, 30).entries
+        w, u = np.linalg.eigh(c)
+        ell = np.linalg.cholesky(rand_spd(g, 30).entries)
+        for v in (u[:, np.argsort(-w)[:5]], solve_triangular(ell.T, u, lower=False)):
+            assert not v.flags.c_contiguous
+            got = _fix_column_signs(v)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == _fix_column_signs_loop(v).tobytes()
 
     def test_determinant_optimality_among_random_frames(self, g):
         """PCA maximizes det(W^T M W) over orthonormal frames."""

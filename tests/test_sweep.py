@@ -4,6 +4,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covproj import (
@@ -99,6 +100,27 @@ class TestConfig:
     def test_mapping_roundtrip(self):
         cfg = config_from_mapping(PAPER_IW.to_mapping())
         assert cfg == PAPER_IW
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("df1_over_p", "nan"),
+            ("df2_over_p", "2,inf"),
+            ("gamma", "0,nan"),
+            ("ridge", "nan"),
+            ("ridge", "inf"),
+            ("sparse_q_density", "nan"),
+            ("alpha", "inf"),
+            ("delta", "-inf"),
+            ("train_frac", "nan"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, key, value):
+        """A NaN slips past every range check, since each comparison with it
+        is false; the field table refuses it where the value is read."""
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"family": "inverse_wishart", key: value})
+        assert err.value.field == key
 
     def test_mapping_golden_every_field_non_default(self):
         """The manifest echo of a config whose every field differs from its
@@ -443,6 +465,65 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert len(records) == 2 * 2 * 8 and all(r.ok for r in records)
         assert len(calls) == 3 * 2 * 2
+
+    def _count_factorizations(self, monkeypatch, p):
+        """Patch numpy's eigvalsh and cholesky to log the order of every
+        call; returns the log of eigvalsh calls and that of p x p Choleskys."""
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        eig_calls, chol_calls = [], []
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            eig_calls.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        def counting_cholesky(a, *args, **kwargs):
+            if a.shape[0] == p:
+                chol_calls.append(p)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        return eig_calls, chol_calls
+
+    def test_overlap_sweep_checks_each_draw_once(self, monkeypatch):
+        """A scaled inverse Wishart draw gets one strict Cholesky, and the
+        optimal projection factors C1 once: three p x p factorizations per
+        pair. Matrices built from the draws (C1 + C2 for PCA, W^T C W for the
+        overlap) are not re-checked, so no eigvalsh runs."""
+        eig_calls, chol_calls = self._count_factorizations(monkeypatch, 40)
+        cfg = SweepConfig(
+            family="inverse_wishart",
+            p_grid=(40,),
+            q_grid=(3,),
+            df1_over_p=(2.0,),
+            df2_over_p=(2.0,),
+            projections=PROJECTIONS,
+            n_simu=2,
+            master_seed=5,
+        )
+        records = run_sweep(cfg)
+        assert len(records) == 2 * len(PROJECTIONS) and all(r.ok for r in records)
+        assert eig_calls == []
+        assert len(chol_calls) == 3 * 2
+
+    def test_finite_sample_sweep_runs_no_eigvalsh(self, monkeypatch):
+        """With the default QDA ridge, sample covariances and embedded fits
+        are factored by Cholesky alone."""
+        eig_calls, _ = self._count_factorizations(monkeypatch, 12)
+        cfg = SweepConfig(
+            family="inverse_wishart",
+            p_grid=(12,),
+            q_grid=(2,),
+            df1_over_p=(2.0,),
+            df2_over_p=(2.0,),
+            mode="finite_sample_curve",
+            sample_grid=(10, 20),
+            projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
+            master_seed=4,
+        )
+        records = run_sweep(cfg)
+        assert len(records) == 2 * 8 and all(r.ok for r in records)
+        assert eig_calls == []
 
 
 def _threads(builds):
