@@ -62,6 +62,25 @@ class TestPcaProjection:
             col = w.entries[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
+    def test_determinant_optimality_among_random_frames(self, g):
+        """PCA maximizes det(W^T M W) over orthonormal frames."""
+        m = rand_spd(g, 6)
+        w = pca_projection(m, 2)
+        best = np.linalg.det(w.entries.T @ m.entries @ w.entries)
+        for _ in range(1000):
+            v = rand_orthonormal(g, 6, 2)
+            assert best >= np.linalg.det(v.T @ m.entries @ v) - 1e-9
+
+    def test_q_exceeds_p(self, g):
+        with pytest.raises(DimensionMismatchError):
+            pca_projection(rand_spd(g, 3), 4)
+
+    def test_nested_prefix_consistency(self, g):
+        m = rand_spd(g, 7)
+        w5 = pca_projection(m, 5)
+        w2 = pca_projection(m, 2)
+        assert np.array_equal(w5.entries[:, :2], w2.entries)
+
 
 def _fix_column_signs_loop(v):
     """Column-by-column reference for the vectorized sign fix."""
@@ -105,25 +124,6 @@ class TestFixColumnSigns:
             got = _fix_column_signs(v)
             assert got.flags.c_contiguous
             assert got.tobytes() == _fix_column_signs_loop(v).tobytes()
-
-    def test_determinant_optimality_among_random_frames(self, g):
-        """PCA maximizes det(W^T M W) over orthonormal frames."""
-        m = rand_spd(g, 6)
-        w = pca_projection(m, 2)
-        best = np.linalg.det(w.entries.T @ m.entries @ w.entries)
-        for _ in range(1000):
-            v = rand_orthonormal(g, 6, 2)
-            assert best >= np.linalg.det(v.T @ m.entries @ v) - 1e-9
-
-    def test_q_exceeds_p(self, g):
-        with pytest.raises(DimensionMismatchError):
-            pca_projection(rand_spd(g, 3), 4)
-
-    def test_nested_prefix_consistency(self, g):
-        m = rand_spd(g, 7)
-        w5 = pca_projection(m, 5)
-        w2 = pca_projection(m, 2)
-        assert np.array_equal(w5.entries[:, :2], w2.entries)
 
 
 class TestRandomProjection:
