@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .projections import (
     PROJECTIONS,
-    ClassEstimates,
     EigPair,
     OptimalProjection,
     bhattacharyya_optimal_projection,
@@ -81,8 +80,6 @@ from .classify import (
     fit_embedded_qda,
     mc_bayes_risk,
     oos_error,
-    qda_from_model,
-    qda_from_parameters,
     reconstruction_error,
 )
 from .datasets import load_dataset, load_matrix, load_vector

@@ -10,7 +10,7 @@ the Monte Carlo risk oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -27,7 +27,7 @@ from .core import (
     TwoClassGaussian,
     _derived_spd,
 )
-from .projections import ClassEstimates
+from .metrics import _logdet, project_model
 
 _MC_BLOCK = 1 << 16
 
@@ -52,16 +52,14 @@ class EmbeddedQda:
     """
 
     w: ProjectionMatrix | None
-    weights: tuple[float, float]
-    emb_means: tuple[np.ndarray, np.ndarray]
-    emb_covs: tuple[SpdMatrix, SpdMatrix]
+    model: TwoClassGaussian
     chol_factors: tuple[np.ndarray, np.ndarray]
     log_dets: tuple[float, float]
     use_priors: bool = True
 
     @property
     def embed_dim(self) -> int:
-        return self.emb_means[0].shape[0]
+        return self.model.dim
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -75,12 +73,13 @@ class EmbeddedQda:
         return x @ self.w.entries
 
     def _scores(self, y: np.ndarray) -> np.ndarray:
+        m = self.model
         scores = np.empty((y.shape[0], 2))
-        for k in range(2):
-            centered = y - self.emb_means[k]
+        for k, (mean, weight) in enumerate(((m.mean_1, m.weight_1), (m.mean_2, m.weight_2))):
+            centered = y - mean
             u = solve_triangular(self.chol_factors[k], centered.T, lower=True)
             quad = np.einsum("ij,ij->j", u, u)
-            prior = math.log(self.weights[k]) if self.use_priors else 0.0
+            prior = math.log(weight) if self.use_priors else 0.0
             scores[:, k] = prior - 0.5 * self.log_dets[k] - 0.5 * quad
         return scores
 
@@ -95,110 +94,58 @@ class EmbeddedQda:
         return np.where(scores[:, 1] > scores[:, 0], 2, 1)
 
 
-def qda_from_parameters(
-    weights: tuple[float, float],
-    means: tuple[np.ndarray, np.ndarray],
-    covs: tuple[SpdMatrix, SpdMatrix],
+def fit_embedded_qda(
+    model: TwoClassGaussian,
     w: ProjectionMatrix | None = None,
     ridge: float = 0.0,
     use_priors: bool = True,
 ) -> EmbeddedQda:
-    """Build the embedded classifier from explicit class parameters.
+    """The embedded classifier of a two-class model seen through W.
 
-    ``ridge`` is relative: each embedded covariance receives
-    ridge * mean(trace(C_k)/p) * I, an ambient-scale floor that keeps the fit
-    well defined when the projection lands in the null space of a sample
-    covariance. With ridge 0, a singular embedded covariance is an error, not
+    Given the population model this is the embedded Bayes rule; given the
+    plug-in estimates of a training split (:func:`empirical_covariances`) it
+    is the trained rule. ``ridge`` is relative: each embedded covariance
+    receives ridge * mean(trace(C_k)/p) * I, an ambient-scale floor that
+    keeps the fit well defined when the projection lands in the null space
+    of a sample covariance. With ridge 0, a singular embedded covariance
+    raises :class:`SingularEmbeddedCovarianceError` rather than being
     silently repaired, because the instability of large embedding dimensions
     is a phenomenon to surface rather than mask.
     """
-    p = covs[0].dim
-    if w is not None and w.ambient_dim != p:
-        raise DimensionMismatchError(
-            f"projection ambient dim {w.ambient_dim} != parameter dim {p}"
-        )
+    if not 0.0 <= ridge < math.inf:
+        raise ConfigError("ridge", f"must be finite and non-negative, got {ridge!r}")
+    emb = model if w is None else project_model(model, w)
     ridge_abs = 0.0
     if ridge > 0.0:
         ridge_abs = ridge * (
-            (float(np.trace(covs[0].entries)) + float(np.trace(covs[1].entries)))
-            / (2.0 * p)
+            (float(np.trace(model.cov_1.entries)) + float(np.trace(model.cov_2.entries)))
+            / (2.0 * model.dim)
         )
-    emb_means, emb_covs, chols, log_dets = [], [], [], []
-    q = p if w is None else w.embed_dim
-    for k in range(2):
-        if w is None:
-            mean_k = np.asarray(means[k], dtype=np.float64)
-            cov_k = covs[k].entries.copy()
-        else:
-            mean_k = w.entries.T @ np.asarray(means[k], dtype=np.float64)
-            cov_k = w.entries.T @ covs[k].entries @ w.entries
+    covs, chols = [], []
+    for k, cov_k in enumerate((emb.cov_1, emb.cov_2)):
         if ridge_abs > 0.0:
-            cov_k = cov_k + ridge_abs * np.eye(q)
-        spd_k = _derived_spd(cov_k)
+            cov_k = _derived_spd(cov_k.entries + ridge_abs * np.eye(emb.dim))
         try:
             if ridge_abs == 0.0:
                 # Cholesky can sneak through an exactly rank-deficient matrix
                 # on round-off pivots, so singularity is tested spectrally.
-                w_k = np.linalg.eigvalsh(spd_k.entries)
+                w_k = np.linalg.eigvalsh(cov_k.entries)
                 if w_k[0] <= 1e-12 * max(w_k[-1], 0.0) or w_k[-1] <= 0.0:
                     raise NotPositiveDefiniteError(
                         f"eigenvalues span [{w_k[0]:.3e}, {w_k[-1]:.3e}]"
                     )
-            chol_k = spd_k.cholesky()
+            chols.append(cov_k.cholesky())
         except NotPositiveDefiniteError as exc:
             raise SingularEmbeddedCovarianceError(
-                f"embedded covariance of class {k + 1} is singular at q={q}; "
+                f"embedded covariance of class {k + 1} is singular at q={emb.dim}; "
                 "the embedding dimension is too large for the class sample size"
             ) from exc
-        emb_means.append(mean_k)
-        emb_covs.append(spd_k)
-        chols.append(chol_k)
-        log_dets.append(2.0 * float(np.sum(np.log(np.diag(chol_k)))))
+        covs.append(cov_k)
     return EmbeddedQda(
         w=w,
-        weights=(float(weights[0]), float(weights[1])),
-        emb_means=(emb_means[0], emb_means[1]),
-        emb_covs=(emb_covs[0], emb_covs[1]),
+        model=replace(emb, cov_1=covs[0], cov_2=covs[1]),
         chol_factors=(chols[0], chols[1]),
-        log_dets=(log_dets[0], log_dets[1]),
-        use_priors=use_priors,
-    )
-
-
-def qda_from_model(
-    model: TwoClassGaussian,
-    w: ProjectionMatrix | None = None,
-    use_priors: bool = True,
-) -> EmbeddedQda:
-    """Population-parameter (oracle) classifier, i.e. the embedded Bayes rule."""
-    return qda_from_parameters(
-        (model.weight_1, model.weight_2),
-        (model.mean_1, model.mean_2),
-        (model.cov_1, model.cov_2),
-        w=w,
-        use_priors=use_priors,
-    )
-
-
-def fit_embedded_qda(
-    est: ClassEstimates,
-    w: ProjectionMatrix,
-    ridge: float = 0.0,
-    use_priors: bool = True,
-) -> EmbeddedQda:
-    """Train the embedded classifier from a training split's estimates.
-
-    Class weights, means and covariances are the per-class sample statistics
-    of the training data (:func:`empirical_covariances`), pushed through W.
-    Raises :class:`SingularEmbeddedCovarianceError` when an embedded sample
-    covariance cannot be factorized and no ridge was requested.
-    """
-    return qda_from_parameters(
-        est.weights,
-        est.means,
-        (est.cov_1, est.cov_2),
-        w=w,
-        ridge=ridge,
+        log_dets=(_logdet(chols[0]), _logdet(chols[1])),
         use_priors=use_priors,
     )
 
@@ -228,7 +175,7 @@ def mc_bayes_risk(
     """
     if n_samples < 1:
         raise ConfigError("n_samples", "must be at least 1")
-    rule = qda_from_model(model, w)
+    rule = fit_embedded_qda(model, w)
     l_1 = model.cov_1.cholesky()
     l_2 = model.cov_2.cholesky()
     n_errors = 0

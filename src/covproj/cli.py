@@ -160,23 +160,23 @@ def cmd_eval(args) -> int:
     est = empirical_covariances(train)
 
     names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
-    # every projection is built before the first line is printed, so a bad
-    # name or a failed build leaves no partial table behind
-    projections = [
-        build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)
-        for j, name in enumerate(names)
-    ]
-    any_singular = False
-    print(f"n_train={train.n} n_val={val.n} p={balanced.dim} q={args.q} gamma={args.gamma}")
-    for name, w in zip(names, projections):
+    # every projection is built and fitted before the first line is printed,
+    # so a bad name, a failed build or a rejected ridge leaves no partial
+    # table behind; a singular fit is reported in its row
+    fits = []
+    for j, name in enumerate(names):
+        w = build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)
         try:
-            qda = fit_embedded_qda(est, w, ridge=args.ridge)
+            fits.append(fit_embedded_qda(est, w, ridge=args.ridge))
         except SingularEmbeddedCovarianceError as exc:
-            print(f"{name:>16s}  oos_loss=singular ({exc})")
-            any_singular = True
-            continue
-        print(f"{name:>16s}  oos_loss={oos_error(qda, val):.6f}")
-    return 4 if any_singular else 0
+            fits.append(exc)
+    print(f"n_train={train.n} n_val={val.n} p={balanced.dim} q={args.q} gamma={args.gamma}")
+    for name, fit in zip(names, fits):
+        if isinstance(fit, SingularEmbeddedCovarianceError):
+            print(f"{name:>16s}  oos_loss=singular ({fit})")
+        else:
+            print(f"{name:>16s}  oos_loss={oos_error(fit, val):.6f}")
+    return 4 if any(isinstance(fit, SingularEmbeddedCovarianceError) for fit in fits) else 0
 
 
 def _oracle_model(args) -> TwoClassGaussian:

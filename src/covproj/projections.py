@@ -30,6 +30,7 @@ from .core import (
     RngStream,
     SingularAfterRidgeError,
     SpdMatrix,
+    TwoClassGaussian,
     _derived_spd,
 )
 
@@ -51,15 +52,6 @@ class OptimalProjection(NamedTuple):
 
     matrix: ProjectionMatrix
     pairs: list[EigPair]
-
-
-class ClassEstimates(NamedTuple):
-    """Per-class sample statistics of a labeled dataset."""
-
-    cov_1: SpdMatrix
-    cov_2: SpdMatrix
-    weights: tuple[float, float]
-    means: tuple[np.ndarray, np.ndarray]
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -222,8 +214,9 @@ def optimal_projection_auto_ridge(
         )
 
 
-def empirical_covariances(data: LabeledDataset) -> ClassEstimates:
-    """Per-class sample means and covariances (divisor n_k) plus weights.
+def empirical_covariances(data: LabeledDataset) -> TwoClassGaussian:
+    """The plug-in model: class shares, per-class sample means and
+    covariances (divisor n_k).
 
     A single-observation class yields the zero matrix (rank 0), which the
     semi-definite constructor accepts; strictness is enforced later, where
@@ -238,12 +231,7 @@ def empirical_covariances(data: LabeledDataset) -> ClassEstimates:
         means.append(rows.mean(axis=0))
         counts.append(rows.shape[0])
     n = counts[0] + counts[1]
-    return ClassEstimates(
-        cov_1=covs[0],
-        cov_2=covs[1],
-        weights=(counts[0] / n, counts[1] / n),
-        means=(means[0], means[1]),
-    )
+    return TwoClassGaussian(counts[0] / n, means[0], means[1], covs[0], covs[1])
 
 
 def build_projection(

@@ -147,8 +147,8 @@ class SweepConfig:
                 )
         if self.family == "inverse_wishart":
             for key, grid in (("df1_over_p", self.df1_over_p), ("df2_over_p", self.df2_over_p)):
-                if not grid or any(m < 1.0 for m in grid):
-                    raise ConfigError(key, "df/p multiples must all be >= 1")
+                if not grid or not all(1.0 <= m < math.inf for m in grid):
+                    raise ConfigError(key, "df/p multiples must all be finite and >= 1")
         if self.family == "latent_low_dim":
             for mode in self.share_modes:
                 if mode not in ("none", "q", "theta"):
@@ -161,14 +161,14 @@ class SweepConfig:
         if self.family == "empirical_cov":
             if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
                 raise ConfigError("gamma", "overlap fractions must lie in [0, 1]")
-        if self.family in ("example1", "example2") and not 0 < self.delta < self.alpha:
-            raise ConfigError("alpha/delta", "need 0 < delta < alpha")
+        if self.family in ("example1", "example2") and not 0 < self.delta < self.alpha < math.inf:
+            raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError("train_frac", "must lie strictly between 0 and 1")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples", "must be at least 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge", "must be non-negative")
+        if not 0 <= self.ridge < math.inf:
+            raise ConfigError("ridge", "must be finite and non-negative")
         if self.n_per_class < 2:
             raise ConfigError("n_per_class", "need at least 2 observations per class")
         if self.mode == "finite_sample_curve":

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 from covproj import (
+    ConfigError,
     LabeledDataset,
     ProjectionMatrix,
     SingularEmbeddedCovarianceError,
@@ -20,8 +21,6 @@ from covproj import (
     mc_bayes_risk,
     oos_error,
     pca_projection,
-    qda_from_model,
-    qda_from_parameters,
     reconstruction_error,
     sample_two_class,
 )
@@ -49,15 +48,15 @@ class TestDecisionGeometry:
     def test_identical_classes_decide_by_prior(self, g):
         c = rand_spd(g, 3)
         model = TwoClassGaussian.zero_mean(c, c, weight_1=0.7)
-        rule = qda_from_model(model)
+        rule = fit_embedded_qda(model)
         x = g.standard_normal((200, 3))
         assert np.all(rule.predict(x) == 1)
-        minority = qda_from_model(TwoClassGaussian.zero_mean(c, c, weight_1=0.3))
+        minority = fit_embedded_qda(TwoClassGaussian.zero_mean(c, c, weight_1=0.3))
         assert np.all(minority.predict(x) == 2)
 
     def test_scalar_threshold(self):
         """Boundary at |x| = sqrt(8 ln 2 / 3) = 1.3596 for variances 1 vs 4."""
-        rule = qda_from_model(scalar_var_model())
+        rule = fit_embedded_qda(scalar_var_model())
         x_star = math.sqrt(8.0 * math.log(2.0) / 3.0)
         inside = np.array([[0.0], [1.2], [-1.2], [x_star - 1e-6]])
         outside = np.array([[1.5], [-1.5], [x_star + 1e-6]])
@@ -66,16 +65,14 @@ class TestDecisionGeometry:
 
     def test_tie_goes_to_class_one(self, g):
         c = rand_spd(g, 2)
-        rule = qda_from_model(TwoClassGaussian.zero_mean(c, c, weight_1=0.5))
+        rule = fit_embedded_qda(TwoClassGaussian.zero_mean(c, c, weight_1=0.5))
         assert np.all(rule.predict(g.standard_normal((50, 2))) == 1)
 
     def test_log_ratio_identity_without_priors(self, g):
         """-2 ln(p1/p2) = x^T (S1^{-1} - S2^{-1}) x + ln(det S1 / det S2)."""
         q = 4
         s1, s2 = rand_spd(g, q), rand_spd(g, q)
-        rule = qda_from_parameters(
-            (0.5, 0.5), (np.zeros(q), np.zeros(q)), (s1, s2), use_priors=False
-        )
+        rule = fit_embedded_qda(TwoClassGaussian.zero_mean(s1, s2), use_priors=False)
         x = g.standard_normal((20, q))
         inv1, inv2 = np.linalg.inv(s1.entries), np.linalg.inv(s2.entries)
         _, ld1 = np.linalg.slogdet(s1.entries)
@@ -86,9 +83,9 @@ class TestDecisionGeometry:
     def test_prior_term_shifts_log_ratio(self, g):
         q = 3
         s1, s2 = rand_spd(g, q), rand_spd(g, q)
-        means = (np.zeros(q), np.zeros(q))
-        with_priors = qda_from_parameters((0.7, 0.3), means, (s1, s2))
-        without = qda_from_parameters((0.7, 0.3), means, (s1, s2), use_priors=False)
+        model = TwoClassGaussian.zero_mean(s1, s2, weight_1=0.7)
+        with_priors = fit_embedded_qda(model)
+        without = fit_embedded_qda(model, use_priors=False)
         x = g.standard_normal((10, q))
         shift = with_priors.log_ratio(x) - without.log_ratio(x)
         assert_allclose(shift, -2.0 * math.log(0.7 / 0.3), rtol=1e-12)
@@ -112,13 +109,13 @@ class TestDecisionGeometry:
         w = ProjectionMatrix(np.eye(5)[:, :2], orthonormal_columns=True)
         a = fit_embedded_qda(empirical_covariances(data), w)
         b = fit_embedded_qda(empirical_covariances(data), w)
-        assert a.emb_covs[0].entries.tobytes() == b.emb_covs[0].entries.tobytes()
+        assert a.model.cov_1.entries.tobytes() == b.model.cov_1.entries.tobytes()
 
     def test_stored_logdets_match_cholesky(self, g):
         model = TwoClassGaussian.zero_mean(rand_spd(g, 4), rand_spd(g, 4))
-        rule = qda_from_model(model)
-        for k in range(2):
-            recomputed = 2.0 * np.sum(np.log(np.diag(rule.emb_covs[k].cholesky())))
+        rule = fit_embedded_qda(model)
+        for k, cov in enumerate((rule.model.cov_1, rule.model.cov_2)):
+            recomputed = 2.0 * np.sum(np.log(np.diag(cov.cholesky())))
             assert abs(rule.log_dets[k] - recomputed) <= 1e-10
 
     def test_singular_embedded_covariance_raised(self, g):
@@ -131,18 +128,87 @@ class TestDecisionGeometry:
         fit_embedded_qda(empirical_covariances(data), w, ridge=1e-6)
 
 
+def former_embedding(weights, means, covs, w, ridge):
+    """The arithmetic of the former explicit-parameter QDA builder, kept as
+    the reference: push each class through W, add the ridge, symmetrize."""
+    p = covs[0].dim
+    ridge_abs = 0.0
+    if ridge > 0.0:
+        ridge_abs = ridge * (
+            (float(np.trace(covs[0].entries)) + float(np.trace(covs[1].entries)))
+            / (2.0 * p)
+        )
+    q = p if w is None else w.embed_dim
+    classes = []
+    for k in range(2):
+        if w is None:
+            mean_k = np.asarray(means[k], dtype=np.float64)
+            cov_k = covs[k].entries.copy()
+        else:
+            mean_k = w.entries.T @ np.asarray(means[k], dtype=np.float64)
+            cov_k = w.entries.T @ covs[k].entries @ w.entries
+        if ridge_abs > 0.0:
+            cov_k = cov_k + ridge_abs * np.eye(q)
+        cov_k = (cov_k + cov_k.T) / 2.0
+        chol_k = np.linalg.cholesky(cov_k)
+        classes.append((mean_k, cov_k, chol_k, 2.0 * float(np.sum(np.log(np.diag(chol_k))))))
+    return weights, classes
+
+
+class TestOneBuilder:
+    """The trained rule is the Bayes rule of the plug-in model: building it
+    from the estimates reproduces the former builder's arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("n_1, n_2", [(25, 25), (30, 20)])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_matches_former_builder_bitwise(self, g, n_1, n_2, ridge, projected):
+        p, q = 6, 3
+        model = TwoClassGaussian(
+            0.5, g.standard_normal(p), g.standard_normal(p), rand_spd(g, p), rand_spd(g, p)
+        )
+        est = empirical_covariances(sample_two_class(model, n_1, n_2, derive_stream(204)))
+        w = ProjectionMatrix(g.standard_normal((p, q))) if projected else None
+        rule = fit_embedded_qda(est, w, ridge=ridge)
+        weights, classes = former_embedding(
+            (n_1 / (n_1 + n_2), n_2 / (n_1 + n_2)),
+            (est.mean_1, est.mean_2),
+            (est.cov_1, est.cov_2),
+            w,
+            ridge,
+        )
+        fitted = (rule.model.mean_1, rule.model.mean_2), (rule.model.cov_1, rule.model.cov_2)
+        for k, (mean_k, cov_k, chol_k, log_det_k) in enumerate(classes):
+            assert fitted[0][k].tobytes() == mean_k.tobytes()
+            assert fitted[1][k].entries.tobytes() == cov_k.tobytes()
+            assert rule.chol_factors[k].tobytes() == chol_k.tobytes()
+            assert rule.log_dets[k] == log_det_k
+        assert rule.model.weight_1 == weights[0]
+        assert rule.model.weight_2 == 1.0 - weights[0]
+        if n_1 == n_2:
+            assert rule.model.weight_2 == weights[1] == 0.5
+
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-12, math.nan, math.inf, -math.inf])
+    def test_invalid_ridge_rejected(self, g, ridge):
+        model = TwoClassGaussian.zero_mean(rand_spd(g, 3), rand_spd(g, 3))
+        w = ProjectionMatrix(g.standard_normal((3, 2)))
+        with pytest.raises(ConfigError) as err:
+            fit_embedded_qda(model, w, ridge=ridge)
+        assert err.value.field == "ridge"
+
+
 class TestOosError:
     def test_zero_on_agreeing_validation(self, g):
         c = rand_spd(g, 2)
         model = TwoClassGaussian.zero_mean(c, c, weight_1=0.9)
-        rule = qda_from_model(model)
+        rule = fit_embedded_qda(model)
         val = LabeledDataset(g.standard_normal((40, 2)), np.ones(40, dtype=int))
         assert oos_error(rule, val) == 0.0
 
     def test_half_on_identical_distributions(self, g):
         c = rand_spd(g, 3)
         model = TwoClassGaussian.zero_mean(c, c)
-        rule = qda_from_model(model)
+        rule = fit_embedded_qda(model)
         val = sample_two_class(model, 2000, 2000, derive_stream(211))
         err = oos_error(rule, val)
         assert abs(err - 0.5) <= 3.0 * math.sqrt(0.25 / val.n)
@@ -156,7 +222,7 @@ class TestOosError:
             make_spd(np.eye(1)),
             make_spd(np.eye(1)),
         )
-        rule = qda_from_model(model)
+        rule = fit_embedded_qda(model)
         val = sample_two_class(model, 500, 500, derive_stream(212))
         assert oos_error(rule, val) == 0.0
 
@@ -201,7 +267,7 @@ class TestMcBayesRisk:
         """Held-out loss of the population-parameter rule is at least the
         Monte Carlo Bayes risk, up to combined sampling noise."""
         model = TwoClassGaussian.zero_mean(rand_spd(g, 4), rand_spd(g, 4))
-        rule = qda_from_model(model)
+        rule = fit_embedded_qda(model)
         val = sample_two_class(model, 1500, 1500, derive_stream(228))
         loss = oos_error(rule, val)
         risk = mc_bayes_risk(model, None, 50_000, derive_stream(229))

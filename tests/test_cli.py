@@ -261,6 +261,15 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "bogus" in captured.err
 
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    def test_invalid_ridge_exits_2_before_any_output(self, separable_csv, capsys, ridge):
+        path, _ = separable_csv
+        argv = ["eval", str(path), "--label-column", "label", "--q", "2"]
+        assert main(argv + ["--ridge", ridge]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ridge" in captured.err
+
     def test_bad_value_reported_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,label\n1,2,1\n1,oops,2\n")

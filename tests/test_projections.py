@@ -256,10 +256,10 @@ class TestEmpiricalCovariances:
         x = np.vstack([v, -v, 2 * v, -2 * v])
         z = np.array([1, 1, 2, 2])
         est = empirical_covariances(LabeledDataset(x, z))
-        assert_allclose(est.means[0], 0.0, atol=1e-12)
+        assert_allclose(est.mean_1, 0.0, atol=1e-12)
         assert_allclose(est.cov_1.entries, np.outer(v, v), atol=1e-12)
         assert_allclose(est.cov_2.entries, 4 * np.outer(v, v), atol=1e-12)
-        assert est.weights == (0.5, 0.5)
+        assert (est.weight_1, est.weight_2) == (0.5, 0.5)
 
     def test_single_point_class_is_zero_matrix(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

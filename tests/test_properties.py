@@ -4,13 +4,27 @@ Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covproj import SweepConfig, SweepRecord, config_from_mapping, read_records_csv
+from covproj import (
+    DatasetFormatError,
+    ProjectionMatrix,
+    SweepConfig,
+    SweepRecord,
+    TwoClassGaussian,
+    config_from_mapping,
+    embedded_overlap,
+    make_spd,
+    read_records_csv,
+)
+from covproj.datasets import _parse_row
 from covproj.projections import PROJECTIONS
 from covproj.sweep import CSV_HEADER, DATA_MODES, EMPIRICAL, FAMILIES, MODES
 
@@ -99,3 +113,60 @@ def configs(draw):
 def test_config_survives_the_mapping_round_trip(config):
     config.validate()
     assert config_from_mapping(config.to_mapping()) == config
+
+
+@st.composite
+def overlap_cases(draw):
+    """A two-class model with distinct means, a p x q frame W and an
+    invertible q x q R = U diag(s) V^T whose condition number is at most 100."""
+    p = draw(st.integers(2, 12))
+    q = draw(st.integers(1, p))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = []
+    for _ in range(2):
+        a = g.standard_normal((p, p))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+    model = TwoClassGaussian(0.5, g.standard_normal(p), g.standard_normal(p), *covs)
+    w = g.standard_normal((p, q))
+    u, _ = np.linalg.qr(g.standard_normal((q, q)))
+    v, _ = np.linalg.qr(g.standard_normal((q, q)))
+    s = draw(st.lists(st.floats(0.1, 10.0), min_size=q, max_size=q))
+    return model, w, u @ np.diag(s) @ v.T
+
+
+@FIXED
+@given(overlap_cases())
+def test_embedded_overlap_invariant_under_right_factor(case):
+    model, w, r = case
+    a = embedded_overlap(model, ProjectionMatrix(w))
+    b = embedded_overlap(model, ProjectionMatrix(w @ r))
+    assert b == pytest.approx(a, rel=1e-9)
+
+
+def _float_or_none(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+number_tokens = st.floats().map(repr) | st.integers().map(str)
+odd_tokens = st.sampled_from(
+    ["nan", "-inf", "Infinity", "1e400", "-1e-400", "1_000", " 2.5 ", "0x10", "", "+", "1,5"]
+)
+tokens = number_tokens | odd_tokens | st.text(max_size=6)
+
+
+@FIXED
+@given(st.lists(tokens, min_size=1, max_size=5), st.integers(1, 10**6))
+def test_parse_row_accepts_exactly_the_finite_floats(row, lineno):
+    """A token is accepted iff ``float`` parses it to a finite value; any
+    other token rejects the row with an error naming the line."""
+    values = [_float_or_none(tok) for tok in row]
+    if all(v is not None and math.isfinite(v) for v in values):
+        assert _parse_row(row, lineno) == values
+    else:
+        with pytest.raises(DatasetFormatError) as err:
+            _parse_row(row, lineno)
+        assert err.value.line == lineno
+        assert str(err.value).startswith(f"line {lineno}: ")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,25 @@ class TestConfig:
         is false; the field table refuses it where the value is read."""
         with pytest.raises(ConfigError) as err:
             config_from_mapping({"family": "inverse_wishart", key: value})
+        assert err.value.field == key
+
+    @pytest.mark.parametrize(
+        "family, field, value, key",
+        [
+            ("inverse_wishart", "df1_over_p", (math.nan,), "df1_over_p"),
+            ("inverse_wishart", "df1_over_p", (math.inf,), "df1_over_p"),
+            ("inverse_wishart", "df2_over_p", (2.0, math.nan), "df2_over_p"),
+            ("inverse_wishart", "ridge", math.nan, "ridge"),
+            ("inverse_wishart", "ridge", math.inf, "ridge"),
+            ("example1", "alpha", math.inf, "alpha/delta"),
+        ],
+    )
+    def test_validate_rejects_non_finite(self, family, field, value, key):
+        """A config built in Python never passes through the field table, so
+        ``validate`` itself must refuse NaN and infinities."""
+        config = SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+        with pytest.raises(ConfigError) as err:
+            config.validate()
         assert err.value.field == key
 
     def test_mapping_golden_every_field_non_default(self):
