@@ -30,6 +30,9 @@ from .core import (
 from .metrics import _logdet, project_model
 
 _MC_BLOCK = 1 << 16
+# rows of noise drawn and embedded at a time inside a block; it bounds the
+# memory of mc_bayes_risk and does not move the draws
+_MC_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -166,32 +169,47 @@ def mc_bayes_risk(
 ) -> RiskEstimate:
     """Monte Carlo estimate of the Bayes risk in the image of W.
 
-    Labels are drawn from the class weights, observations from the matching
-    class in the ambient space, and the population-parameter rule is applied
-    to W^T x. Sampling is independent of W, so calling with the same stream
-    and different projections compares them on common random draws. The
-    sample loop is split into fixed-size blocks with per-block stream forks,
-    merged in block order, so the estimate does not depend on scheduling.
+    Labels are drawn from the class weights and observations x = m_k + L_k z
+    from the matching class in the ambient space (L_k the Cholesky factor of
+    C_k), and the population-parameter rule is applied to y = W^T x. Sampling
+    is independent of W, so calling with the same stream and different
+    projections compares them on common random draws.
+
+    The sample loop is split into fixed-size blocks with per-block stream
+    forks, merged in block order, so the estimate does not depend on
+    scheduling. Each block draws its label uniforms first and then its
+    standard-normal noise z in row chunks from the same generator; numpy
+    fills normals sequentially, so the draws are those of one block-sized
+    call. Each chunk goes straight into the embedding as
+    y = W^T m_k + (W^T L_k) z, at p*q flops per sample rather than p^2,
+    and no ambient sample is ever formed. Memory is one chunk of noise,
+    independent of ``n_samples``; with ``w`` None the embedding is the
+    identity.
     """
     if n_samples < 1:
         raise ConfigError("n_samples", "must be at least 1")
-    rule = fit_embedded_qda(model, w)
-    l_1 = model.cov_1.cholesky()
-    l_2 = model.cov_2.cholesky()
+    emb = model if w is None else project_model(model, w)
+    rule = fit_embedded_qda(emb)
+    factors = [model.cov_1.cholesky(), model.cov_2.cholesky()]
+    if w is not None:
+        factors = [w.entries.T @ l_k for l_k in factors]
+    # both classes' embeddings of a chunk come from one product; each row
+    # then keeps the half that belongs to its label
+    stacked = np.vstack(factors).T
+    means = np.concatenate([emb.mean_1, emb.mean_2])
+    q = emb.dim
     n_errors = 0
     done = 0
     block = 0
     while done < n_samples:
         nb = min(_MC_BLOCK, n_samples - done)
         g = stream.child(block).generator()
-        u = g.random(nb)
-        noise = g.standard_normal((nb, model.dim))
-        labels = np.where(u < model.weight_1, 1, 2)
-        x = np.empty_like(noise)
-        mask = labels == 1
-        x[mask] = model.mean_1 + noise[mask] @ l_1.T
-        x[~mask] = model.mean_2 + noise[~mask] @ l_2.T
-        n_errors += int(np.count_nonzero(rule.predict(x) != labels))
+        labels = np.where(g.random(nb) < model.weight_1, 1, 2)
+        for start in range(0, nb, _MC_CHUNK):
+            chunk = labels[start : start + _MC_CHUNK]
+            both = g.standard_normal((chunk.size, model.dim)) @ stacked + means
+            y = np.where((chunk == 1)[:, None], both[:, :q], both[:, q:])
+            n_errors += int(np.count_nonzero(rule.predict(y) != chunk))
         done += nb
         block += 1
     estimate = n_errors / n_samples

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -195,6 +196,8 @@ def _oracle_model(args) -> TwoClassGaussian:
 
 
 def cmd_oracle(args) -> int:
+    if not 0.0 <= args.ridge < math.inf:
+        raise ConfigError("ridge", f"must be finite and non-negative, got {args.ridge!r}")
     model = _oracle_model(args)
     stream = derive_stream(args.seed)
     if args.projection == "identity":

@@ -1,14 +1,17 @@
 """Embedded QDA: decision geometry, risk estimates, reconstruction error."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+import covproj.classify
 from covproj import (
     ConfigError,
+    RiskEstimate,
     LabeledDataset,
     ProjectionMatrix,
     SingularEmbeddedCovarianceError,
@@ -42,6 +45,53 @@ def analytic_scalar_risk(var_1=1.0, var_2=4.0):
         -x_star, scale=math.sqrt(var_2)
     )
     return 0.5 * (p_err_1 + p_err_2)
+
+
+def x_first_mc_bayes_risk(model, w, n_samples, stream):
+    """The ambient-space Monte Carlo loop ``mc_bayes_risk`` replaced: form
+    every block's samples x = m_k + L_k z in full, then classify W^T x."""
+    rule = fit_embedded_qda(model, w)
+    l_1 = model.cov_1.cholesky()
+    l_2 = model.cov_2.cholesky()
+    n_errors = 0
+    done = 0
+    block = 0
+    while done < n_samples:
+        nb = min(1 << 16, n_samples - done)
+        g = stream.child(block).generator()
+        u = g.random(nb)
+        noise = g.standard_normal((nb, model.dim))
+        labels = np.where(u < model.weight_1, 1, 2)
+        x = np.empty_like(noise)
+        mask = labels == 1
+        x[mask] = model.mean_1 + noise[mask] @ l_1.T
+        x[~mask] = model.mean_2 + noise[~mask] @ l_2.T
+        n_errors += int(np.count_nonzero(rule.predict(x) != labels))
+        done += nb
+        block += 1
+    estimate = n_errors / n_samples
+    std_error = math.sqrt(estimate * (1.0 - estimate) / n_samples)
+    return RiskEstimate(estimate=estimate, std_error=std_error, n_samples=n_samples)
+
+
+def _mc_case(name, g):
+    """(model, w, n_samples) for the reference-equivalence cases."""
+    p = 12
+    model = TwoClassGaussian.zero_mean(rand_spd(g, p), rand_spd(g, p))
+    if name == "identity":
+        return model, None, 20_000
+    if name == "pca":
+        mix = make_spd(model.cov_1.entries + model.cov_2.entries)
+        return model, pca_projection(mix, 3), 20_000
+    if name == "random_w":
+        return model, ProjectionMatrix(g.standard_normal((p, 3))), 20_000
+    if name == "means_weight":
+        shifted = TwoClassGaussian(
+            0.3, g.standard_normal(p), 0.5 * g.standard_normal(p), model.cov_1, model.cov_2
+        )
+        return shifted, ProjectionMatrix(g.standard_normal((p, 4))), 20_000
+    assert name == "cross_block"
+    return model, ProjectionMatrix(g.standard_normal((p, 2))), (1 << 16) + 500
 
 
 class TestDecisionGeometry:
@@ -285,6 +335,42 @@ class TestMcBayesRisk:
         model = scalar_var_model()
         big = mc_bayes_risk(model, None, (1 << 16) + 500, derive_stream(227))
         assert 0.25 <= big.estimate <= 0.45
+        one_block = mc_bayes_risk(model, None, 1 << 16, derive_stream(227))
+        count = round(one_block.estimate * one_block.n_samples)
+        big_count = round(big.estimate * big.n_samples)
+        assert count <= big_count <= count + 500
+
+    @pytest.mark.parametrize(
+        "case", ["identity", "pca", "random_w", "means_weight", "cross_block"]
+    )
+    def test_matches_x_first_reference(self, g, case):
+        """Embedding the noise through W^T L_k gives the estimate of forming
+        the ambient samples first, on the same draws."""
+        model, w, n = _mc_case(case, g)
+        stream = derive_stream(230)
+        assert mc_bayes_risk(model, w, n, stream) == x_first_mc_bayes_risk(
+            model, w, n, stream
+        )
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 16])
+    def test_chunk_size_does_not_move_draws(self, g, monkeypatch, chunk):
+        model, w, n = _mc_case("cross_block", g)
+        expected = mc_bayes_risk(model, w, n, derive_stream(231))
+        monkeypatch.setattr(covproj.classify, "_MC_CHUNK", chunk)
+        assert mc_bayes_risk(model, w, n, derive_stream(231)) == expected
+
+    def test_memory_independent_of_samples_times_p(self, g):
+        """One p=200 block embeds chunk by chunk; the 65536 x 200 ambient
+        sample (over 100 MB) is never formed."""
+        model = TwoClassGaussian.zero_mean(rand_spd(g, 200), rand_spd(g, 200))
+        w = pca_projection(make_spd(model.cov_1.entries + model.cov_2.entries), 5)
+        tracemalloc.start()
+        try:
+            mc_bayes_risk(model, w, 1 << 16, derive_stream(232))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestReconstructionError:

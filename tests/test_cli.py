@@ -356,6 +356,14 @@ class TestOracleCommand:
     def test_unknown_fixture_exits_2(self, capsys):
         assert main(["oracle", "whatever", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+    def test_invalid_ridge_exits_2_before_printing(self, capsys, ridge):
+        code = main(["oracle", "example1", "--q", "1", "--mc-samples", "100", "--ridge", ridge])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "ridge" in err
+
     @pytest.mark.parametrize("fixture", ["example1", "example2"])
     def test_infinite_alpha_exits_2(self, capsys, fixture):
         """The fixtures' diagonal covariances are built from alpha and delta
