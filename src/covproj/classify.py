@@ -30,9 +30,10 @@ from .core import (
 from .metrics import _logdet, project_model
 
 _MC_BLOCK = 1 << 16
-# rows of noise drawn and embedded at a time inside a block; it bounds the
-# memory of mc_bayes_risk and does not move the draws
-_MC_CHUNK = 1 << 13
+# normals drawn and embedded at a time inside a block (1 MB), so a chunk holds
+# max(1, _MC_CHUNK // p) rows; it bounds the memory of mc_bayes_risk whatever
+# p is, and does not move the draws
+_MC_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -178,13 +179,13 @@ def mc_bayes_risk(
     The sample loop is split into fixed-size blocks with per-block stream
     forks, merged in block order, so the estimate does not depend on
     scheduling. Each block draws its label uniforms first and then its
-    standard-normal noise z in row chunks from the same generator; numpy
-    fills normals sequentially, so the draws are those of one block-sized
-    call. Each chunk goes straight into the embedding as
-    y = W^T m_k + (W^T L_k) z, at p*q flops per sample rather than p^2,
-    and no ambient sample is ever formed. Memory is one chunk of noise,
-    independent of ``n_samples``; with ``w`` None the embedding is the
-    identity.
+    standard-normal noise z in chunks of about 2^17 normals (1 MB), that is
+    max(1, 2^17 // p) rows, from the same generator; numpy fills normals
+    sequentially, so the draws are those of one block-sized call. Each chunk
+    goes straight into the embedding as y = W^T m_k + (W^T L_k) z, at p*q
+    flops per sample rather than p^2, and no ambient sample is ever formed.
+    Memory is one chunk of noise plus a block's labels, independent of both
+    ``n_samples`` and p; with ``w`` None the embedding is the identity.
     """
     if n_samples < 1:
         raise ConfigError("n_samples", "must be at least 1")
@@ -198,6 +199,7 @@ def mc_bayes_risk(
     stacked = np.vstack(factors).T
     means = np.concatenate([emb.mean_1, emb.mean_2])
     q = emb.dim
+    rows = max(1, _MC_CHUNK // model.dim)
     n_errors = 0
     done = 0
     block = 0
@@ -205,8 +207,8 @@ def mc_bayes_risk(
         nb = min(_MC_BLOCK, n_samples - done)
         g = stream.child(block).generator()
         labels = np.where(g.random(nb) < model.weight_1, 1, 2)
-        for start in range(0, nb, _MC_CHUNK):
-            chunk = labels[start : start + _MC_CHUNK]
+        for start in range(0, nb, rows):
+            chunk = labels[start : start + rows]
             both = g.standard_normal((chunk.size, model.dim)) @ stacked + means
             y = np.where((chunk == 1)[:, None], both[:, :q], both[:, q:])
             n_errors += int(np.count_nonzero(rule.predict(y) != chunk))

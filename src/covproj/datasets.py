@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,39 +33,87 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _read_table(path: str | Path, delimiter: str | None):
-    """Return (header or None, rows of string tokens, line numbers)."""
+class _Table(NamedTuple):
+    """A delimited file read in one pass."""
+
+    header: list[str] | None
+    values: np.ndarray  # one row per data line; the label column left out
+    labels: list[str]  # label tokens in file order, when a label column is read
+    line_numbers: list[int]
+    error: DatasetFormatError | None  # the first bad value token, in file order
+
+
+def _read_table(
+    path: str | Path, delimiter: str | None, label_column: str | None = None
+) -> _Table:
+    """Read a delimited file in one pass into a preallocated float64 array.
+
+    The delimiter and the header are detected from the first non-blank line.
+    Each data row is parsed straight into its row of the array, so beyond the
+    file's text only the result and the label tokens are held. Errors keep a
+    fixed precedence: a ragged row anywhere, then a header of the wrong
+    width, then a missing label column; the first bad value token is returned
+    rather than raised, so that a caller can rank its own checks above it.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}")
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip() != ""]
+    content = [i for i, ln in enumerate(lines) if ln.strip() != ""]
     if not content:
         raise DatasetFormatError("file contains no data")
     if delimiter is None:
-        delimiter = _detect_delimiter(content[0][1])
-    first_tokens = _split_line(content[0][1], delimiter)
+        delimiter = _detect_delimiter(lines[content[0]])
+    first_tokens = _split_line(lines[content[0]], delimiter)
     header = None
     if not all(_is_float(tok) for tok in first_tokens):
         header = first_tokens
         content = content[1:]
         if not content:
             raise DatasetFormatError("file contains a header but no data rows")
-    width = len(_split_line(content[0][1], delimiter))
-    rows, line_numbers = [], []
-    for lineno, ln in content:
-        tokens = _split_line(ln, delimiter)
+    width = len(_split_line(lines[content[0]], delimiter))
+    fits = header is None or len(header) == width
+    label_idx = header.index(label_column) if header and label_column in header else None
+    # a file that fails the header or label checks is only scanned for ragged rows
+    parse = fits and (label_column is None or label_idx is not None)
+    values = np.empty((len(content), width - (label_idx is not None)))
+    labels: list[str] = []
+    error = None
+    for row, i in enumerate(content):
+        tokens = _split_line(lines[i], delimiter)
         if len(tokens) != width:
             raise DatasetFormatError(
-                f"expected {width} fields, found {len(tokens)}", line=lineno
+                f"expected {width} fields, found {len(tokens)}", line=i + 1
             )
-        rows.append(tokens)
-        line_numbers.append(lineno)
-    if header is not None and len(header) != width:
+        if not parse:
+            continue
+        if label_idx is not None:
+            labels.append(tokens.pop(label_idx))
+        if error is None:
+            try:
+                values[row] = _parse_row(tokens, i + 1)
+            except DatasetFormatError as exc:
+                error = exc
+    if not fits:
         raise DatasetFormatError(
             f"header has {len(header)} fields but rows have {width}", line=1
         )
-    return header, rows, line_numbers
+    if label_column is not None:
+        if header is None:
+            raise ConfigError(
+                "label_column", "a header line is required to select a label column"
+            )
+        if label_idx is None:
+            raise ConfigError(
+                "label_column", f"{label_column!r} not found in header {header}"
+            )
+    return _Table(header, values, labels, [i + 1 for i in content], error)
+
+
+def _checked(table: _Table) -> np.ndarray:
+    if table.error is not None:
+        raise table.error
+    return table.values
 
 
 def _parse_float(token: str, lineno: int) -> float:
@@ -94,15 +143,12 @@ def _parse_row(tokens: list[str], lineno: int) -> list[float]:
 
 def load_matrix(path: str | Path, delimiter: str | None = None) -> SpdMatrix:
     """Load a square matrix file and validate it as symmetric PSD."""
-    _, rows, line_numbers = _read_table(path, delimiter)
-    data = np.array([_parse_row(row, ln) for row, ln in zip(rows, line_numbers)])
-    return make_spd(data)
+    return make_spd(_checked(_read_table(path, delimiter)))
 
 
 def load_vector(path: str | Path, delimiter: str | None = None) -> np.ndarray:
     """Load a one-row or one-column numeric file as a flat vector."""
-    _, rows, line_numbers = _read_table(path, delimiter)
-    arr = np.array([_parse_row(row, ln) for row, ln in zip(rows, line_numbers)])
+    arr = _checked(_read_table(path, delimiter))
     if 1 not in arr.shape:
         raise DatasetFormatError(f"expected a vector, got shape {arr.shape}")
     return arr.ravel()
@@ -120,24 +166,15 @@ def load_dataset(
     parses as a number, lexicographic otherwise). Numeric labels must be
     finite: a non-finite one is rejected with its line number.
     """
-    header, rows, line_numbers = _read_table(path, delimiter)
-    if header is None:
-        raise ConfigError(
-            "label_column", "a header line is required to select a label column"
-        )
-    if label_column not in header:
-        raise ConfigError(
-            "label_column", f"{label_column!r} not found in header {header}"
-        )
-    label_idx = header.index(label_column)
-    feature_names = [name for i, name in enumerate(header) if i != label_idx]
-    raw_labels = [row[label_idx] for row in rows]
-    distinct = set(raw_labels)
+    table = _read_table(path, delimiter, label_column)
+    label_idx = table.header.index(label_column)
+    feature_names = table.header[:label_idx] + table.header[label_idx + 1 :]
+    distinct = set(table.labels)
     if all(map(_is_float, distinct)):
         # NaN has no place in a numeric order, so the mapping would follow
         # the set's hash order; ties between spellings of one number break
         # on the text for the same reason
-        for token, lineno in zip(raw_labels, line_numbers):
+        for token, lineno in zip(table.labels, table.line_numbers):
             _parse_float(token, lineno)
         values = sorted(distinct, key=lambda v: (float(v), v))
     else:
@@ -147,11 +184,5 @@ def load_dataset(
             f"label column must have exactly 2 distinct values, found {len(values)}"
         )
     label_map = {values[0]: 1, values[1]: 2}
-    x = np.array(
-        [
-            _parse_row(row[:label_idx] + row[label_idx + 1 :], lineno)
-            for row, lineno in zip(rows, line_numbers)
-        ]
-    )
-    z = np.array([label_map[row[label_idx]] for row in rows], dtype=np.int64)
-    return LabeledDataset(x, z), feature_names
+    z = np.array([label_map[token] for token in table.labels], dtype=np.int64)
+    return LabeledDataset(_checked(table), z), feature_names

@@ -130,9 +130,10 @@ def sparse_random_projection(p: int, q: int, stream: RngStream) -> ProjectionMat
 
 
 def generalized_eigenpairs(
-    cov_1: SpdMatrix, cov_2: SpdMatrix, ridge: float = 0.0
+    cov_1: SpdMatrix, cov_2: SpdMatrix, ridge: float = 0.0, k: int | None = None
 ) -> list[EigPair]:
-    """Eigenpairs of C2 phi = lam (C1 + ridge*I) phi, most extreme first.
+    """The k most extreme eigenpairs of C2 phi = lam (C1 + ridge*I) phi, most
+    extreme first; all p of them when k is None.
 
     Solved by whitening: factor C1 + ridge*I = L L^T, take the symmetric
     eigendecomposition of L^{-1} C2 L^{-T}, and back-transform the
@@ -143,7 +144,10 @@ def generalized_eigenpairs(
     Pairs are ordered by decreasing extremeness lam + 1/lam, with ties broken
     by ascending position in the eigensolver output. Eigenvalues that are
     non-positive (round-off on rank-deficient empirical covariances) are
-    treated as maximally extreme, matching the lam -> 0+ limit.
+    treated as maximally extreme, matching the lam -> 0+ limit. The order
+    is taken over all p eigenvalues; only the k pairs kept are
+    back-transformed, which gives the same bits as back-transforming all p
+    and keeping k.
     """
     p = cov_1.dim
     if cov_2.dim != p:
@@ -161,14 +165,17 @@ def generalized_eigenpairs(
     whitened = solve_triangular(ell, inner.T, lower=True)
     whitened = (whitened + whitened.T) / 2.0
     lam, u = np.linalg.eigh(whitened)
-    phi = solve_triangular(ell.T, u, lower=False)
-    phi /= np.linalg.norm(phi, axis=0)
-    phi = _fix_column_signs(phi)
     with np.errstate(divide="ignore"):
         lam_pos = np.maximum(lam, 0.0)
         score = np.where(lam_pos > 0.0, lam_pos + 1.0 / lam_pos, np.inf)
     order = np.argsort(-score, kind="stable")
-    return [EigPair(float(lam[j]), phi[:, j].copy()) for j in order]
+    # one right-hand side would take BLAS's vector solve, which rounds
+    # differently from the blocked solve of several columns
+    chosen = order[: max(2, k or p)]
+    phi = solve_triangular(ell.T, u[:, chosen], lower=False)
+    phi /= np.linalg.norm(phi, axis=0)
+    phi = _fix_column_signs(phi)
+    return [EigPair(float(lam[j]), phi[:, i].copy()) for i, j in enumerate(order[:k])]
 
 
 def bhattacharyya_optimal_projection(
@@ -184,7 +191,7 @@ def bhattacharyya_optimal_projection(
     p = cov_1.dim
     if q < 1 or q > p:
         raise DimensionMismatchError(f"q={q} must satisfy 1 <= q <= p={p}")
-    pairs = generalized_eigenpairs(cov_1, cov_2, ridge)[:q]
+    pairs = generalized_eigenpairs(cov_1, cov_2, ridge, q)
     raw = np.column_stack([pair.vector for pair in pairs])
     qmat, rmat = np.linalg.qr(raw)
     flip = np.sign(np.diag(rmat))

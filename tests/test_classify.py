@@ -372,6 +372,19 @@ class TestMcBayesRisk:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_chunk_memory_independent_of_p(self, g):
+        """The noise chunk is an element budget, so a p=200 call holds about
+        1 MB of noise rather than thousands of rows of p normals."""
+        model = TwoClassGaussian.zero_mean(rand_spd(g, 200), rand_spd(g, 200))
+        w = pca_projection(make_spd(model.cov_1.entries + model.cov_2.entries), 5)
+        tracemalloc.start()
+        try:
+            mc_bayes_risk(model, w, 1 << 16, derive_stream(233))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestReconstructionError:
     def test_zero_when_estimates_exact(self, g):

@@ -1,5 +1,7 @@
 """Delimited-text ingestion: detection, validation, label mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -88,6 +90,25 @@ class TestLoadDataset:
         assert data.z.tolist() == [2, 1, 2]
 
 
+def test_load_peak_memory_follows_the_result(tmp_path):
+    """Parsing a 2000 x 301 table (about 5 MB of text) into a preallocated
+    array keeps the traced peak near text + result, not a list of Python
+    token lists and float lists (about 60 MB)."""
+    g = np.random.default_rng(20260811)
+    table = np.column_stack([np.repeat([1, 2], 1000), g.standard_normal((2000, 300))])
+    path = tmp_path / "wide.csv"
+    header = "label," + ",".join(f"x{j}" for j in range(300))
+    np.savetxt(path, table, fmt=["%d"] + ["%.6f"] * 300, delimiter=",", header=header, comments="")
+    tracemalloc.start()
+    try:
+        data, _ = load_dataset(path, "label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.X.shape == (2000, 300)
+    assert peak < 20 * 2**20
+
+
 class TestLoadMatrixAndVector:
     def test_matrix_headerless(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -166,6 +187,26 @@ class TestRowParser:
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n" + body)
         with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path, "label")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,label\n1,2,x\nfoo,4,y\n5,6\n", "line 4: expected 3 fields, found 2"),
+            ("a,b,label\n1,foo,x,7\n3,4,y,8\n", "line 1: header has 3 fields but rows have 4"),
+            ("a,b,c\n1,foo,x\n3,4,y\n", "label_column: 'label' not found in header ['a', 'b', 'c']"),
+            ("a,b,label\n1,foo,1\n3,4,nan\n5,6,2\n", "line 3: non-finite value 'nan'"),
+            ("a,b,label\n1,foo,x\n3,4,y\n5,6,z\n", "label column must have exactly 2 distinct values, found 3"),
+        ],
+    )
+    def test_error_precedence_with_two_defects(self, tmp_path, text, message):
+        """A ragged row outranks everything, then a header of the wrong
+        width, then the label checks, and a bad feature token comes last,
+        wherever in the file each defect sits."""
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises((ConfigError, DatasetFormatError)) as err:
             load_dataset(path, "label")
         assert str(err.value) == message
 

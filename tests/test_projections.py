@@ -243,6 +243,20 @@ class TestOptimalProjection:
         proj = optimal_projection_auto_ridge(s1, s2, 3)
         assert proj.matrix.embed_dim == 3
 
+    @pytest.mark.parametrize("p", [20, 100, 200])
+    @pytest.mark.parametrize("k", [1, 5, "p"])
+    def test_k_pairs_are_the_leading_pairs_bit_for_bit(self, g, p, k):
+        """Back-transforming only the kept pairs gives the bits of
+        back-transforming all p and keeping the first k."""
+        k = p if k == "p" else k
+        c1, c2 = rand_spd(g, p), rand_spd(g, p)
+        full = generalized_eigenpairs(c1, c2)
+        kept = generalized_eigenpairs(c1, c2, k=k)
+        assert len(kept) == k
+        for a, b in zip(kept, full):
+            assert a.value == b.value
+            assert a.vector.tobytes() == b.vector.tobytes()
+
     def test_deterministic(self, g):
         c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
         a = bhattacharyya_optimal_projection(c1, c2, 2).matrix

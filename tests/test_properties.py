@@ -1,4 +1,5 @@
-"""Property-based invariants of the record and config formats.
+"""Property-based invariants of the record and config formats, the row
+parser, and the overlap of an embedding.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -19,9 +20,11 @@ from covproj import (
     SweepConfig,
     SweepRecord,
     TwoClassGaussian,
+    bhattacharyya_optimal_projection,
     config_from_mapping,
     embedded_overlap,
     make_spd,
+    optimal_overlap_closed_form,
     read_records_csv,
 )
 from covproj.datasets import _parse_row
@@ -141,6 +144,30 @@ def test_embedded_overlap_invariant_under_right_factor(case):
     a = embedded_overlap(model, ProjectionMatrix(w))
     b = embedded_overlap(model, ProjectionMatrix(w @ r))
     assert b == pytest.approx(a, rel=1e-9)
+
+
+@st.composite
+def optimal_cases(draw):
+    """A zero-mean class pair, q <= p and a random p x q W of rank q."""
+    p = draw(st.integers(2, 12))
+    q = draw(st.integers(1, p))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = []
+    for _ in range(2):
+        a = g.standard_normal((p, p))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+    return TwoClassGaussian.zero_mean(*covs), q, ProjectionMatrix(g.standard_normal((p, q)))
+
+
+@FIXED
+@given(optimal_cases())
+def test_optimal_projection_attains_its_closed_form_and_beats_random_w(case):
+    model, q, w = case
+    optimal = bhattacharyya_optimal_projection(model.cov_1, model.cov_2, q)
+    achieved = embedded_overlap(model, optimal.matrix)
+    closed_form = optimal_overlap_closed_form([pair.value for pair in optimal.pairs])
+    assert achieved == pytest.approx(closed_form, rel=1e-9)
+    assert achieved <= embedded_overlap(model, w) * (1 + 1e-9)
 
 
 def _float_or_none(token):
