@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -565,10 +567,11 @@ class CsvSink:
     """Cell-ordered append sink with a completed-cell checkpoint.
 
     Rows are appended strictly in cell-index order and the checkpoint lists
-    every fully written cell, so an interrupted run resumes by truncating any
-    un-checkpointed trailing rows and continuing with the next cell. Nothing
-    is written before ``open``, so a resume can be checked against the rows
-    already on disk first.
+    every fully written cell, so an interrupted run resumes by truncating the
+    records file after the checkpointed cells' rows and continuing with the
+    next cell. The constructor reads the records file one line at a time and
+    keeps only the byte length to truncate to. Nothing is written before
+    ``open``, so a resume can be refused first.
     """
 
     def __init__(self, records_path: Path, checkpoint_path: Path, expected_rows: int):
@@ -576,53 +579,46 @@ class CsvSink:
         self.checkpoint_path = Path(checkpoint_path)
         self.expected_rows = expected_rows
         self.completed, self._torn = self._load_checkpoint()
-        self._lines = self._load_records()
+        self._keep_bytes = self._checkpointed_bytes()
 
     def _load_checkpoint(self) -> tuple[list[int], bool]:
         if not self.checkpoint_path.exists():
             return [], False
-        text = self.checkpoint_path.read_text()
+        # undecodable bytes become U+FFFD, which no cell index matches
+        text = self.checkpoint_path.read_text(encoding="utf-8", errors="replace")
         # a last line without its newline is a write cut short by a kill
-        done = [int(ln) for ln in text.split("\n")[:-1] if ln.strip()]
-        if done != list(range(len(done))):
+        done = [ln.strip() for ln in text.split("\n")[:-1] if ln.strip()]
+        if done != [str(i) for i in range(len(done))]:
             raise ConfigError(
                 "checkpoint", f"{self.checkpoint_path} is not a contiguous cell prefix"
             )
-        return done, not text.endswith("\n")
+        return list(range(len(done))), not text.endswith("\n")
 
-    def _load_records(self) -> list[str] | None:
+    def _checkpointed_bytes(self) -> int | None:
+        """Byte length of the header and the checkpointed rows; None starts fresh."""
         if not self.completed or not self.records_path.exists():
             return None
-        lines = self.records_path.read_text(encoding="utf-8").splitlines()
-        if len(lines) < 1 + len(self.completed) * self.expected_rows or lines[0] != CSV_HEADER:
-            raise ConfigError(
-                "records", f"{self.records_path} inconsistent with its checkpoint"
-            )
-        return lines
-
-    def cell_rows(self, cell_index: int) -> list[str]:
-        """The rows a checkpointed cell left in the records file (before ``open``)."""
-        start = 1 + cell_index * self.expected_rows
-        return self._lines[start : start + self.expected_rows]
+        rows = len(self.completed) * self.expected_rows
+        with open(self.records_path, "rb") as fh:
+            header = fh.readline() == (CSV_HEADER + "\n").encode()
+            # only the last line read can lack its newline
+            if header and sum(line.endswith(b"\n") for line in islice(fh, rows)) == rows:
+                return fh.tell()
+        raise ConfigError("records", f"{self.records_path} inconsistent with its checkpoint")
 
     def open(self):
         """Start fresh files, or trim them to the checkpointed cells."""
-        if self._lines is None:
+        if self._keep_bytes is None:
             self.records_path.write_text(CSV_HEADER + "\n", encoding="utf-8", newline="")
             self.completed = []
             if self.checkpoint_path.exists():
                 self.checkpoint_path.unlink()
             return
-        keep = 1 + len(self.completed) * self.expected_rows
-        if len(self._lines) > keep:
-            self.records_path.write_text(
-                "\n".join(self._lines[:keep]) + "\n", encoding="utf-8", newline=""
-            )
+        os.truncate(self.records_path, self._keep_bytes)
         if self._torn:
             self.checkpoint_path.write_text(
                 "".join(f"{i}\n" for i in self.completed), encoding="utf-8", newline=""
             )
-        self._lines = None
 
     def write_cell(self, cell_index: int, rows: list[str]):
         with open(self.records_path, "a", encoding="utf-8", newline="") as fh:
@@ -640,9 +636,10 @@ def _write_manifest(path: Path, config: SweepConfig, payload_extra: dict):
         "config": config.to_mapping(),
     }
     payload.update(payload_extra)
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # written aside and renamed over, so a kill mid-write cannot tear it
+    staged = path.with_name(path.name + ".tmp")
+    staged.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(staged, path)
 
 
 def _load_source(config: SweepConfig):
@@ -662,34 +659,28 @@ def _load_source(config: SweepConfig):
     return x_1, x_2
 
 
-def _check_resume(config: SweepConfig, cells: list[Cell], source, sink: CsvSink, out_dir: Path):
-    """Refuse to extend a partial run that another configuration wrote.
+def _check_resume(config: SweepConfig, sink: CsvSink, out_dir: Path):
+    """Refuse to extend a partial run unless its manifest echoes this config.
 
-    The manifest's configuration echo decides when it exists. Without it, the
-    last checkpointed cell is recomputed and must reproduce the file's rows in
-    every column but ``ms``.
+    The worker count is left out of the comparison: records do not depend on it.
     """
     if not sink.completed:
         return
-    manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
-        same = json.loads(manifest_path.read_text()).get("config") == config.to_mapping()
-        why = "a different configuration"
-    else:
-        last = sink.completed[-1]
-        fresh = _eval_cell(config, cells[last], source) if last < len(cells) else []
-        without_ms = lambda row: row.rsplit(",", 1)[0]
-        same = [without_ms(r.to_csv_row()) for r in fresh] == [
-            without_ms(row) for row in sink.cell_rows(last)
-        ]
-        why = (
-            f"no manifest, and cell {last} does not reproduce its rows (a different "
-            "configuration or BLAS build)"
-        )
-    if not same:
+    try:
+        manifest = json.loads((out_dir / "manifest.json").read_bytes())
+    except (OSError, ValueError) as exc:
         raise ConfigError(
             "config",
-            f"{out_dir} holds a partial run with {why}; use a fresh output directory",
+            f"{out_dir} holds a partial run without a readable manifest.json ({exc}); "
+            "use a fresh output directory",
+        )
+    echo = manifest.get("config") if isinstance(manifest, dict) else None
+    ours = config.to_mapping()
+    if not isinstance(echo, dict) or {**echo, "workers": ""} != {**ours, "workers": ""}:
+        raise ConfigError(
+            "config",
+            f"{out_dir} holds a partial run with a different configuration; "
+            "use a fresh output directory",
         )
 
 
@@ -697,9 +688,11 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
     """Run every cell of the sweep; optionally stream records to ``out_dir``.
 
     With an output directory, writes ``records.csv``, ``checkpoint.txt`` and
-    ``manifest.json`` there, resuming from the checkpoint when present, and
-    returns the records computed by this call (already-checkpointed cells are
-    skipped). Without one, returns all records in memory.
+    ``manifest.json`` there and returns the records computed by this call.
+    A directory with a non-empty checkpoint is resumed after its last
+    checkpointed cell, provided its manifest echoes this configuration (the
+    worker count may differ); otherwise ``ConfigError`` is raised and nothing
+    is written. Without a directory, returns all records in memory.
 
     The whole run uses one BLAS thread (see ``covproj.blas``); the worker
     pool is its only parallelism, and the caller's BLAS thread counts are
@@ -724,7 +717,7 @@ def _run_sweep(
         sink = CsvSink(
             out_dir / "records.csv", out_dir / "checkpoint.txt", rows_per_cell(config)
         )
-        _check_resume(config, cells, source, sink, out_dir)
+        _check_resume(config, sink, out_dir)
         sink.open()
         run_info = {
             "records_csv": str(out_dir / "records.csv"),

@@ -101,6 +101,27 @@ class TestSweepCommand:
         assert "config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda out: (out / "manifest.json").unlink(),
+            lambda out: (out / "manifest.json").write_bytes(
+                (out / "manifest.json").read_bytes()[:50]
+            ),
+            lambda out: (out / "checkpoint.txt").write_text("0\nx\n"),
+        ],
+        ids=["missing_manifest", "torn_manifest", "bad_checkpoint_line"],
+    )
+    def test_unresumable_directory_exits_2_untouched(self, iw_cfg, tmp_path, capsys, defect):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 0
+        (out / "checkpoint.txt").write_text("0\n")
+        defect(out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
         "edit",
         [lambda section: {**section, "n_simu": 3}, lambda section: 5],
         ids=["number_value", "number_section"],

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,7 @@ class TestRunSweep:
         per_cell = rows_per_cell(SMALL_IW)
         keep_cells = 3
         part_dir.mkdir()
+        shutil.copy(full_dir / "manifest.json", part_dir)
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + keep_cells * per_cell]) + "\n"
         )
@@ -335,6 +338,7 @@ class TestRunSweep:
         full_lines = (full_dir / "records.csv").read_text().splitlines()
         per_cell = rows_per_cell(SMALL_IW)
         part_dir.mkdir()
+        shutil.copy(full_dir / "manifest.json", part_dir)
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + 2 * per_cell + 1]) + "\n"
         )
@@ -353,6 +357,7 @@ class TestRunSweep:
         run_sweep(cfg, out_dir=full_dir)
         full_lines = (full_dir / "records.csv").read_text().splitlines()
         part_dir.mkdir()
+        shutil.copy(full_dir / "manifest.json", part_dir)
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + 11 * rows_per_cell(cfg)]) + "\n"
         )
@@ -368,8 +373,8 @@ class TestRunSweep:
         )
 
     def test_resume_without_manifest_rejects_other_seed(self, tmp_path):
-        """Without a manifest, the last checkpointed cell is recomputed and a
-        different seed is caught before any row is appended or trimmed."""
+        """A partial run without a manifest is refused before any row is
+        appended or trimmed, whatever the resuming configuration."""
         cfg = SweepConfig(
             family="latent_low_dim", p_grid=(10,), q_grid=(1, 2, 3), master_seed=1
         )
@@ -544,6 +549,143 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert len(records) == 2 * 8 and all(r.ok for r in records)
         assert eig_calls == []
+
+
+# a 12-cell grid of two rows per cell that runs in milliseconds: small enough
+# to resume from every byte cut of its files
+TINY = SweepConfig(
+    family="example1", p_grid=(3, 4, 5, 6, 7, 8), q_grid=(1, 2), projections=("pca", "rp")
+)
+OUTPUTS = ("records.csv", "checkpoint.txt")
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The bytes of a complete ``TINY`` run's three files."""
+    out = tmp_path_factory.mktemp("tiny")
+    run_sweep(TINY, out_dir=out)
+    return {name: (out / name).read_bytes() for name in (*OUTPUTS, "manifest.json")}
+
+
+def _write_files(out, files):
+    out.mkdir(exist_ok=True)
+    for name, blob in files.items():
+        (out / name).write_bytes(blob)
+
+
+def _read_files(out, names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
+class TestResume:
+    """Resume is judged on the manifest and reproduces the full run's bytes."""
+
+    def _checkpointed_prefix(self, records, n_cells, per_cell):
+        lines = records.splitlines(keepends=True)
+        return len(b"".join(lines[: 1 + n_cells * per_cell]))
+
+    def test_every_checkpoint_cut_resumes_to_the_full_bytes(self, tmp_path, tiny_run):
+        checkpoint = tiny_run["checkpoint.txt"]
+        assert checkpoint.count(b"\n") == len(expand_grid(TINY)) >= 11
+        want = {name: tiny_run[name] for name in OUTPUTS}
+        for cut in range(len(checkpoint) + 1):
+            _write_files(tmp_path, {**tiny_run, "checkpoint.txt": checkpoint[:cut]})
+            run_sweep(TINY, out_dir=tmp_path)
+            assert _read_files(tmp_path, OUTPUTS) == want, cut
+
+    def test_every_records_cut_past_the_checkpoint_resumes(self, tmp_path, tiny_run):
+        records = tiny_run["records.csv"]
+        checkpoint = b"".join(b"%d\n" % i for i in range(9))
+        keep = self._checkpointed_prefix(records, 9, rows_per_cell(TINY))
+        want = {name: tiny_run[name] for name in OUTPUTS}
+        for cut in range(keep, len(records) + 1):
+            _write_files(
+                tmp_path, {**tiny_run, "records.csv": records[:cut], "checkpoint.txt": checkpoint}
+            )
+            run_sweep(TINY, out_dir=tmp_path)
+            assert _read_files(tmp_path, OUTPUTS) == want, cut
+
+    def test_records_cut_below_the_checkpoint_is_refused(self, tmp_path, tiny_run):
+        records = tiny_run["records.csv"]
+        checkpoint = b"".join(b"%d\n" % i for i in range(9))
+        keep = self._checkpointed_prefix(records, 9, rows_per_cell(TINY))
+        for cut in range(keep):
+            files = {**tiny_run, "records.csv": records[:cut], "checkpoint.txt": checkpoint}
+            _write_files(tmp_path, files)
+            with pytest.raises(ConfigError):
+                run_sweep(TINY, out_dir=tmp_path)
+            assert _read_files(tmp_path, files) == files, cut
+
+    def test_resume_with_other_worker_count(self, tmp_path):
+        """Records do not depend on the worker count, so neither does resume."""
+        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+        run_sweep(SMALL_IW, out_dir=full_dir)
+        run_sweep(SMALL_IW, out_dir=part_dir)
+        assert SMALL_IW.n_workers == 1
+        records = (part_dir / "records.csv").read_bytes()
+        keep = self._checkpointed_prefix(records, 2, rows_per_cell(SMALL_IW))
+        (part_dir / "records.csv").write_bytes(records[: keep + 30])
+        (part_dir / "checkpoint.txt").write_text("0\n1\n")
+        run_sweep(dataclasses.replace(SMALL_IW, n_workers=2), out_dir=part_dir)
+        assert _read_files(part_dir, OUTPUTS) == _read_files(full_dir, OUTPUTS)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            lambda blob: blob[:50],
+            lambda blob: b"[]",
+            lambda blob: json.dumps({**json.loads(blob), "config": 5}).encode(),
+            lambda blob: json.dumps({**json.loads(blob), "config": {}}).encode(),
+        ],
+        ids=["torn", "not_an_object", "config_not_a_mapping", "config_empty"],
+    )
+    def test_unusable_manifest_is_refused(self, tmp_path, tiny_run, manifest):
+        files = {
+            **tiny_run,
+            "checkpoint.txt": b"0\n1\n",
+            "manifest.json": manifest(tiny_run["manifest.json"]),
+        }
+        _write_files(tmp_path, files)
+        with pytest.raises(ConfigError, match="partial run"):
+            run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, files) == files
+
+    @pytest.mark.parametrize("line", [b"x", b"1.0", b"-1", b"0x1", b"\xff"])
+    def test_non_integer_checkpoint_line_is_refused(self, tmp_path, tiny_run, line):
+        files = {**tiny_run, "checkpoint.txt": b"0\n" + line + b"\n"}
+        _write_files(tmp_path, files)
+        with pytest.raises(ConfigError, match="contiguous cell prefix"):
+            run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, files) == files
+
+    def test_run_leaves_no_staged_manifest(self, tmp_path):
+        run_sweep(TINY, out_dir=tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "checkpoint.txt",
+            "manifest.json",
+            "records.csv",
+        ]
+
+    def test_trim_reads_records_in_bounded_memory(self, tmp_path):
+        """Trimming a records file of several MB traces a small fraction of it."""
+        per_cell, n_cells = 300, 200
+        row = _toy_record("bhatt_optimal", 0.12345678901234567).to_csv_row() + "\n"
+        records, checkpoint = tmp_path / "records.csv", tmp_path / "checkpoint.txt"
+        with open(records, "w", encoding="utf-8", newline="") as fh:
+            fh.write(sweep.CSV_HEADER + "\n")
+            fh.writelines(row for _ in range(n_cells * per_cell))
+            fh.write(row[:20])
+        checkpoint.write_text("".join(f"{i}\n" for i in range(n_cells)))
+        size = records.stat().st_size
+        assert size >= 4_000_000
+        tracemalloc.start()
+        try:
+            sweep.CsvSink(records, checkpoint, per_cell).open()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records.stat().st_size == size - 20
+        assert peak < size / 50
 
 
 def _threads(builds):
