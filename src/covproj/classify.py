@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .blas import solve_triangular
 from .core import (
     ConfigError,
     DimensionMismatchError,

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .blas import solve_triangular
 from .core import (
     ConfigError,
     DegreesOfFreedomError,

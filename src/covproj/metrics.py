@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .blas import solve_triangular
 from .core import (
     DimensionMismatchError,
     NonPositiveEigenvalueError,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from .blas import solve_triangular
 from .core import (
     ConfigError,
     DimensionMismatchError,

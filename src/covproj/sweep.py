@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -726,6 +727,13 @@ def _run_sweep(
             "rows_per_cell": rows_per_cell(config),
             "started_at": started,
             "blas": blas,
+            # what ran the sweep; a resume compares only the config echo
+            "host": {
+                "node": platform.node(),
+                "cpu_count": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
         }
         _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 

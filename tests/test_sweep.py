@@ -605,6 +605,20 @@ class TestResume:
             run_sweep(TINY, out_dir=tmp_path)
             assert _read_files(tmp_path, OUTPUTS) == want, cut
 
+    def test_resume_across_hosts(self, tmp_path, tiny_run):
+        """The manifest's host entry is a record of the run, not compared on resume."""
+        manifest = json.loads(tiny_run["manifest.json"])
+        here = manifest["host"]
+        assert set(here) == {"node", "cpu_count", "python", "numpy"}
+        manifest["host"] = {"node": "elsewhere", "cpu_count": 512, "python": "3.10.0", "numpy": "1.24.0"}
+        _write_files(
+            tmp_path,
+            {**tiny_run, "manifest.json": json.dumps(manifest).encode(), "checkpoint.txt": b"0\n1\n"},
+        )
+        run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, OUTPUTS) == {name: tiny_run[name] for name in OUTPUTS}
+        assert json.loads((tmp_path / "manifest.json").read_text())["host"] == here
+
     def test_records_cut_below_the_checkpoint_is_refused(self, tmp_path, tiny_run):
         records = tiny_run["records.csv"]
         checkpoint = b"".join(b"%d\n" % i for i in range(9))
