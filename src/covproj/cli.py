@@ -124,7 +124,7 @@ def cmd_sweep(args) -> int:
         return 3
     n_failed = sum(1 for r in records if not r.ok)
     print(f"wrote {Path(args.out) / 'records.csv'} ({len(records)} new records, "
-          f"{n_failed} failed cells recorded in-band)")
+          f"{n_failed} failed records recorded in-band)")
     return 0
 
 

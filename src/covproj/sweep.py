@@ -31,10 +31,11 @@ import math
 import os
 import platform
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -403,32 +404,38 @@ _COLUMNS = tuple((f.name, _CODECS[f.type]) for f in fields(SweepRecord))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
-def read_records_csv(path: str | Path) -> list[SweepRecord]:
-    """Parse a records file; a malformed row raises ``ConfigError`` naming its line."""
+def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
+    """Yield the records of a records file, reading it one line at a time.
+
+    Nothing is read until the first record is asked for. An unreadable file,
+    a wrong header or a malformed row raises ``ConfigError``; a row's error
+    names its line.
+    """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError("records", f"{path} does not carry the sweep record header")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != len(_COLUMNS):
-            raise ConfigError(
-                "records",
-                f"{path} line {lineno}: expected {len(_COLUMNS)} fields, found {len(tokens)}",
-            )
-        values = {}
-        for (name, (parse, _)), tok in zip(_COLUMNS, tokens):
-            try:
-                values[name] = parse(tok)
-            except ValueError:
-                raise ConfigError("records", f"{path} line {lineno}: bad {name} value {tok!r}")
-        records.append(SweepRecord(**values))
-    return records
+    with fh:
+        # a line ends at any of str.splitlines' breaks, not only at a newline
+        lines = (text for line in fh for text in line.splitlines())
+        if next(lines, None) != CSV_HEADER:
+            raise ConfigError("records", f"{path} does not carry the sweep record header")
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            tokens = line.split(",")
+            if len(tokens) != len(_COLUMNS):
+                raise ConfigError(
+                    "records",
+                    f"{path} line {lineno}: expected {len(_COLUMNS)} fields, found {len(tokens)}",
+                )
+            values = {}
+            for (name, (parse, _)), tok in zip(_COLUMNS, tokens):
+                try:
+                    values[name] = parse(tok)
+                except ValueError:
+                    raise ConfigError("records", f"{path} line {lineno}: bad {name} value {tok!r}")
+            yield SweepRecord(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +549,23 @@ def _eval_point(
     return records
 
 
+def _points(config: SweepConfig) -> tuple[int | None, ...]:
+    """Per-class sample size of each point of a cell: the curve's grid, else
+    one point at ``n_per_class`` (None)."""
+    return config.sample_grid if config.mode == "finite_sample_curve" else (None,)
+
+
 def _eval_cell(config: SweepConfig, cell: Cell, source) -> list[SweepRecord]:
     records = []
     for rep in range(config.n_simu):
         base = derive_stream(config.master_seed, (cell.index, rep))
-        if config.mode == "finite_sample_curve":
-            for idx, n_pc in enumerate(config.sample_grid):
-                records.extend(_eval_point(config, cell, rep, base, idx, n_pc, source))
-        else:
-            records.extend(_eval_point(config, cell, rep, base, 0, None, source))
+        for idx, n_pc in enumerate(_points(config)):
+            records.extend(_eval_point(config, cell, rep, base, idx, n_pc, source))
     return records
 
 
 def rows_per_cell(config: SweepConfig) -> int:
-    points = len(config.sample_grid) if config.mode == "finite_sample_curve" else 1
-    return config.n_simu * points * len(config.projections)
+    return config.n_simu * len(_points(config)) * len(config.projections)
 
 
 # ---------------------------------------------------------------------------
@@ -697,75 +706,67 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
 
     The whole run uses one BLAS thread (see ``covproj.blas``); the worker
     pool is its only parallelism, and the caller's BLAS thread counts are
-    restored when it returns or raises.
+    restored when it returns or raises. One worker evaluates the cells in
+    this thread; more evaluate them in a thread pool, and cells are still
+    written in index order. A failure in a cell, in the sink or in the
+    caller (Ctrl-C) cancels the cells not yet started and propagates once
+    the running ones finish.
     """
-    with single_thread() as blas:
-        return _run_sweep(config, out_dir, blas)
-
-
-def _run_sweep(
-    config: SweepConfig, out_dir: str | Path | None, blas: list[dict] | str
-) -> list[SweepRecord]:
     cells = expand_grid(config)
-    source = _load_source(config)
-    started = datetime.now(timezone.utc).isoformat()
-    t_start = time.perf_counter()
+    with single_thread() as blas, ThreadPoolExecutor(config.n_workers) as pool:
+        source = _load_source(config)
+        started = datetime.now(timezone.utc).isoformat()
+        t_start = time.perf_counter()
 
-    sink = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sink = CsvSink(
-            out_dir / "records.csv", out_dir / "checkpoint.txt", rows_per_cell(config)
-        )
-        _check_resume(config, sink, out_dir)
-        sink.open()
-        run_info = {
-            "records_csv": str(out_dir / "records.csv"),
-            "checkpoint": str(out_dir / "checkpoint.txt"),
-            "n_cells": len(cells),
-            "rows_per_cell": rows_per_cell(config),
-            "started_at": started,
-            "blas": blas,
-            # what ran the sweep; a resume compares only the config echo
-            "host": {
-                "node": platform.node(),
-                "cpu_count": os.cpu_count(),
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
-        }
-        _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
+        sink = None
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            sink = CsvSink(
+                out_dir / "records.csv", out_dir / "checkpoint.txt", rows_per_cell(config)
+            )
+            _check_resume(config, sink, out_dir)
+            sink.open()
+            run_info = {
+                "records_csv": str(out_dir / "records.csv"),
+                "checkpoint": str(out_dir / "checkpoint.txt"),
+                "n_cells": len(cells),
+                "rows_per_cell": rows_per_cell(config),
+                "started_at": started,
+                "blas": blas,
+                # what ran the sweep; a resume compares only the config echo
+                "host": {
+                    "node": platform.node(),
+                    "cpu_count": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                },
+            }
+            _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 
-    done = set(sink.completed) if sink else set()
-    todo = [cell for cell in cells if cell.index not in done]
-    collected: list[SweepRecord] = []
+        # the checkpoint is a contiguous prefix of the cells (see CsvSink)
+        todo = cells[len(sink.completed):] if sink else cells
+        # a one-thread pool would move every allocation into a second malloc arena
+        evaluate = pool.map if config.n_workers > 1 else map
+        collected: list[SweepRecord] = []
+        # the map's results live only in this zip: when an exception leaves the
+        # loop it is closed, which cancels the cells not yet started
+        for cell, records in zip(todo, evaluate(_eval_cell, repeat(config), todo, repeat(source))):
+            if sink:
+                sink.write_cell(cell.index, [r.to_csv_row() for r in records])
+            collected.extend(records)
 
-    def consume(cell: Cell, records: list[SweepRecord]):
         if sink:
-            sink.write_cell(cell.index, [r.to_csv_row() for r in records])
-        collected.extend(records)
-
-    if config.n_workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            futures = [(cell, pool.submit(_eval_cell, config, cell, source)) for cell in todo]
-            for cell, future in futures:
-                consume(cell, future.result())
-    else:
-        for cell in todo:
-            consume(cell, _eval_cell(config, cell, source))
-
-    if sink:
-        _write_manifest(
-            out_dir / "manifest.json",
-            config,
-            {
-                **run_info,
-                "finished_at": datetime.now(timezone.utc).isoformat(),
-                "total_ms": int(round((time.perf_counter() - t_start) * 1000)),
-                "status": "complete",
-            },
-        )
+            _write_manifest(
+                out_dir / "manifest.json",
+                config,
+                {
+                    **run_info,
+                    "finished_at": datetime.now(timezone.utc).isoformat(),
+                    "total_ms": int(round((time.perf_counter() - t_start) * 1000)),
+                    "status": "complete",
+                },
+            )
     return collected
 
 
@@ -818,7 +819,7 @@ def _sort_key(value):
 
 
 def summarize(
-    records: list[SweepRecord], group_by: list[str], baseline: str
+    records: Iterable[SweepRecord], group_by: list[str], baseline: str
 ) -> SummaryTable:
     """Per-group projection means, regrets against a baseline, and sign rates.
 
@@ -828,61 +829,38 @@ def summarize(
     not-positive. Failed records are excluded from every average but counted
     in the ``n_failed`` column, so silent exclusion cannot bias sign rates
     unnoticed.
+
+    ``records`` is iterated once, so a ``read_records_csv`` generator is
+    summarized without holding its records; only each pair's metric values
+    are kept, for the means.
     """
     for name in group_by:
         if name not in GROUPABLE_FIELDS:
             raise ConfigError("group_by", f"unknown column {name!r}")
     metric_field = None
+    # insertion-ordered: projections by first appearance, groups by first record
+    projections: dict[str, None] = {}
+    groups: dict[tuple, dict[tuple, dict[str, float | None]]] = {}
+    failed_by_group: dict[tuple, int] = {}
     for record in records:
-        if not record.ok:
-            continue
-        this = _record_metric_field(record)
-        if this is None:
-            continue
-        if metric_field is None:
-            metric_field = this
-        elif metric_field != this:
-            raise MixedModesError(
-                f"records mix metrics {metric_field} and {this}; summarize one mode at a time"
-            )
-    projections: list[str] = []
-    for record in records:
-        if record.projection not in projections:
-            projections.append(record.projection)
+        gkey = tuple(getattr(record, f) for f in group_by)
+        value = None
+        if record.ok:
+            this = _record_metric_field(record)
+            if metric_field is None:
+                metric_field = this
+            elif this not in (None, metric_field):
+                raise MixedModesError(
+                    f"records mix metrics {metric_field} and {this}; summarize one mode at a time"
+                )
+            value = getattr(record, this) if this else None
+        else:
+            failed_by_group[gkey] = failed_by_group.get(gkey, 0) + 1
+        projections[record.projection] = None
+        identity = tuple(getattr(record, f) for f in _IDENTITY_FIELDS)
+        groups.setdefault(gkey, {}).setdefault(identity, {})[record.projection] = value
     if baseline not in projections:
         raise ConfigError("baseline", f"projection {baseline!r} absent from records")
-
-    pairs: dict[tuple, dict[str, float | None]] = {}
-    failed_by_group: dict[tuple, int] = {}
-    group_of_pair: dict[tuple, tuple] = {}
-    for record in records:
-        identity = tuple(getattr(record, f) for f in _IDENTITY_FIELDS)
-        gkey = tuple(getattr(record, f) for f in group_by)
-        group_of_pair[identity] = gkey
-        value = getattr(record, metric_field) if (record.ok and metric_field) else None
-        pairs.setdefault(identity, {})[record.projection] = value
-        if not record.ok:
-            failed_by_group[gkey] = failed_by_group.get(gkey, 0) + 1
-
-    by_group: dict[tuple, dict] = {}
-    for identity, proj_values in pairs.items():
-        gkey = group_of_pair[identity]
-        acc = by_group.setdefault(
-            gkey,
-            {
-                "n_pairs": 0,
-                "values": {name: [] for name in projections},
-                "regrets": {name: [] for name in projections},
-            },
-        )
-        acc["n_pairs"] += 1
-        base_value = proj_values.get(baseline)
-        for name in projections:
-            value = proj_values.get(name)
-            if value is not None:
-                acc["values"][name].append(value)
-                if base_value is not None:
-                    acc["regrets"][name].append(value - base_value)
 
     columns = list(group_by) + ["n_pairs", "n_failed", f"mean_{baseline}"]
     others = [name for name in projections if name != baseline]
@@ -890,16 +868,18 @@ def summarize(
         columns += [f"mean_{name}", f"regret_{name}", f"freq_positive_{name}"]
 
     rows = []
-    for gkey in sorted(by_group, key=lambda k: tuple(_sort_key(v) for v in k)):
-        acc = by_group[gkey]
-        row: list = list(gkey)
-        row.append(acc["n_pairs"])
-        row.append(failed_by_group.get(gkey, 0))
-        base_values = acc["values"][baseline]
+    for gkey in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):
+        pairs = groups[gkey].values()
+        row: list = [*gkey, len(pairs), failed_by_group.get(gkey, 0)]
+        base_values = [pair[baseline] for pair in pairs if pair.get(baseline) is not None]
         row.append(float(np.mean(base_values)) if base_values else "")
         for name in others:
-            values = acc["values"][name]
-            regrets = acc["regrets"][name]
+            values = [pair[name] for pair in pairs if pair.get(name) is not None]
+            regrets = [
+                pair[name] - pair[baseline]
+                for pair in pairs
+                if pair.get(name) is not None and pair.get(baseline) is not None
+            ]
             row.append(float(np.mean(values)) if values else "")
             row.append(float(np.mean(regrets)) if regrets else "")
             row.append(float(np.mean([r > 0 for r in regrets])) if regrets else "")

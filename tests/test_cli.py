@@ -73,6 +73,18 @@ class TestSweepCommand:
         main(["sweep", "--config", str(iw_cfg), "--out", str(out_b), "--seed", "99"])
         assert (out_a / "records.csv").read_bytes() != (out_b / "records.csv").read_bytes()
 
+    def test_counts_failed_records(self, tmp_path, capsys):
+        """One cell whose two replicates both fail for both projections:
+        q above the training class size."""
+        cfg = tmp_path / "oos.cfg"
+        cfg.write_text(
+            "family = inverse_wishart\nmode = oos_loss\np = 10\nq = 6\ndf1_over_p = 2\n"
+            "df2_over_p = 2\nn_simu = 2\nn_per_class = 6\nridge = 0\nprojections = pca,rp\n"
+            "seed = 5\n"
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert "(4 new records, 4 failed records recorded in-band)" in capsys.readouterr().out
+
     def test_malformed_df_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("family = inverse_wishart\np = 20\nq = 2\ndf1_over_p = 0.5\n")

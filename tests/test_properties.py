@@ -65,7 +65,7 @@ def test_records_survive_the_csv_round_trip(written):
         path = Path(tmp) / "records.csv"
         text = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.to_csv_row() for r in written)])
         path.write_text(text, encoding="utf-8", newline="")
-        assert read_records_csv(path) == written
+        assert list(read_records_csv(path)) == written
 
 
 def _grid(elements):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import shutil
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from covproj import (
     summarize,
 )
 from covproj import blas, projections, sweep
+from covproj.cli import main
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
 
@@ -551,6 +553,86 @@ class TestRunSweep:
         assert eig_calls == []
 
 
+# 48 cells, evaluated by two workers
+POOLED = SweepConfig(
+    family="inverse_wishart",
+    p_grid=(6, 8),
+    q_grid=(1, 2),
+    df1_over_p=(1.0, 2.0, 3.0),
+    df2_over_p=(1.0, 2.0, 3.0, 5.0),
+    projections=("pca", "rp"),
+    n_workers=2,
+)
+
+
+class TestFailureStopsPool:
+    """With several workers a failure cancels the cells not yet started, as
+    one worker stops at the failing cell."""
+
+    FAILING = 1
+    # the cells before and at the failure, those running, and two of slack
+    BOUND = FAILING + 2 * POOLED.n_workers + 2
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Indices of the cells evaluated; each cell first sleeps, so that the
+        consumer outpaces the workers whatever the thread scheduling."""
+        seen = []
+        original = sweep._eval_cell
+
+        def counted(config, cell, source):
+            seen.append(cell.index)
+            time.sleep(0.02)
+            return original(config, cell, source)
+
+        monkeypatch.setattr(sweep, "_eval_cell", counted)
+        assert len(expand_grid(POOLED)) >= 40
+        return seen
+
+    def _fail_sink(self, monkeypatch, exc):
+        original = sweep.CsvSink.write_cell
+
+        def write_cell(sink, cell_index, rows):
+            if cell_index == self.FAILING:
+                raise exc
+            original(sink, cell_index, rows)
+
+        monkeypatch.setattr(sweep.CsvSink, "write_cell", write_cell)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [OSError(28, "No space left on device"), KeyboardInterrupt()],
+        ids=["sink_oserror", "sink_interrupt"],
+    )
+    def test_sink_failure(self, tmp_path, monkeypatch, started, exc):
+        self._fail_sink(monkeypatch, exc)
+        with pytest.raises(type(exc)):
+            run_sweep(POOLED, out_dir=tmp_path / "run")
+        assert len(started) <= self.BOUND
+
+    def test_cell_failure(self, monkeypatch, started):
+        counted = sweep._eval_cell
+
+        def failing(config, cell, source):
+            records = counted(config, cell, source)
+            if cell.index == self.FAILING:
+                raise RuntimeError("cell failed")
+            return records
+
+        monkeypatch.setattr(sweep, "_eval_cell", failing)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_sweep(POOLED)
+        assert len(started) <= self.BOUND
+
+    def test_sink_error_exits_3(self, tmp_path, monkeypatch, capsys, started):
+        self._fail_sink(monkeypatch, OSError(28, "No space left on device"))
+        config = tmp_path / "pooled.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in POOLED.to_mapping().items()))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(started) <= self.BOUND
+
+
 # a 12-cell grid of two rows per cell that runs in milliseconds: small enough
 # to resume from every byte cut of its files
 TINY = SweepConfig(
@@ -898,3 +980,30 @@ class TestSummarize:
         lines = text.strip().split("\n")
         assert lines[0].startswith("q,n_pairs,n_failed,mean_pca,mean_rp")
         assert "0.25" in lines[1] and "0.125" in lines[1]
+
+    def test_one_pass_over_an_iterator(self):
+        records = run_sweep(dataclasses.replace(SMALL_IW, n_simu=3))
+        for group_by in (["q"], ["p", "q"], list(sweep.GROUPABLE_FIELDS)):
+            want = summarize(records, group_by, "pca").to_csv_text()
+            assert summarize(iter(records), group_by, "pca").to_csv_text() == want
+
+    def test_summarizes_a_records_file_in_bounded_memory(self, tmp_path):
+        """Reading and summarizing 50k rows keeps each pair's values, not the
+        rows or the records parsed from them."""
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(sweep.CSV_HEADER + "\n")
+            for i in range(17_000):
+                for j, name in enumerate(("pca", "rp", "sparse_rp")):
+                    record = _toy_record(name, (i * 7919 + j) % 1009 / 1009, replicate=i)
+                    fh.write(record.to_csv_row() + "\n")
+        size = path.stat().st_size
+        assert size >= 3_000_000
+        tracemalloc.start()
+        try:
+            table = summarize(read_records_csv(path), ["q"], "pca")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row[:2] for row in table.rows] == [[2, 17_000]]
+        assert peak < 5 * size
