@@ -20,6 +20,7 @@ from .core import (
     InsufficientRowsError,
     LabeledDataset,
     MixedModesError,
+    NonFiniteProjectionError,
     NonPositiveEigenvalueError,
     NotPositiveDefiniteError,
     NotSquareError,
@@ -42,6 +43,7 @@ from .metrics import (
     bhattacharyya_report,
     chernoff_distance,
     embedded_overlap,
+    embedded_overlaps,
     optimal_overlap_closed_form,
     project_model,
 )

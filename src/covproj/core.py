@@ -43,6 +43,10 @@ class RankDeficientError(CovProjError):
     """Projection matrix does not have full column rank."""
 
 
+class NonFiniteProjectionError(CovProjError):
+    """Projection matrix has a NaN or infinite entry."""
+
+
 class RankDeficientAfterRetriesError(CovProjError):
     """Random projection stayed rank deficient after the retry cap."""
 
@@ -224,8 +228,9 @@ def _derived_spd(a: np.ndarray) -> SpdMatrix:
 class ProjectionMatrix:
     """A p x q full-column-rank linear map used as x -> W^T x.
 
-    ``orthonormal_columns`` asserts W^T W = I_q to within ORTHONORMAL_TOL;
-    rank is validated through the singular value ratio on construction.
+    Entries must be finite. ``orthonormal_columns`` asserts W^T W = I_q to
+    within ORTHONORMAL_TOL, which implies full rank; without it, rank is
+    validated through the singular value ratio on construction.
     """
 
     entries: np.ndarray
@@ -240,18 +245,22 @@ class ProjectionMatrix:
             raise DimensionMismatchError(
                 f"embedding dimension q={q} must satisfy 1 <= q <= p={p}"
             )
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= RANK_RTOL * s[0]:
-            ratio = s[-1] / s[0] if s[0] > 0 else 0.0
-            raise RankDeficientError(
-                f"projection {p}x{q} is rank deficient "
-                f"(singular value ratio {ratio:.3e})"
-            )
+        if not np.isfinite(a).all():
+            raise NonFiniteProjectionError(f"projection {p}x{q} has non-finite entries")
         if self.orthonormal_columns:
+            # W^T W within ORTHONORMAL_TOL of I_q implies full column rank
             gram = a.T @ a
             if np.max(np.abs(gram - np.eye(q))) > ORTHONORMAL_TOL:
                 raise NotPositiveDefiniteError(
                     "columns flagged orthonormal are not orthonormal"
+                )
+        else:
+            s = np.linalg.svd(a, compute_uv=False)
+            if s[-1] <= RANK_RTOL * s[0]:
+                ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+                raise RankDeficientError(
+                    f"projection {p}x{q} is rank deficient "
+                    f"(singular value ratio {ratio:.3e})"
                 )
         object.__setattr__(self, "entries", a)
 

@@ -15,6 +15,7 @@ Every sampler owns an RngStream fork, so parallel cells never share state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,16 @@ def _check_df(dim: int, df: float) -> None:
         )
 
 
+@functools.cache
+def _bartlett_indices(dim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Read-only diagonal and strict lower-triangle indices of order ``dim``."""
+    indices = (np.diag_indices(dim), np.tril_indices(dim, -1))
+    for index in indices:
+        for axis in index:
+            axis.setflags(write=False)
+    return indices
+
+
 def _bartlett_factor(dim: int, df: float, g: np.random.Generator) -> np.ndarray:
     """Lower-triangular Bartlett factor A with A A^T ~ Wishart(I_dim, df).
 
@@ -65,10 +76,10 @@ def _bartlett_factor(dim: int, df: float, g: np.random.Generator) -> np.ndarray:
     freedom (fractional df is handled natively by the gamma-based chi-square
     sampler); strict subdiagonal entries are standard normal.
     """
+    diag, lower = _bartlett_indices(dim)
     a = np.zeros((dim, dim))
     dof = df - np.arange(dim, dtype=np.float64)
-    a[np.diag_indices(dim)] = np.sqrt(g.chisquare(dof))
-    lower = np.tril_indices(dim, -1)
+    a[diag] = np.sqrt(g.chisquare(dof))
     a[lower] = g.standard_normal(lower[0].size)
     return a
 

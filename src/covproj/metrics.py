@@ -11,12 +11,15 @@ separability inside an embedding space directly from projected parameters,
 which is what makes large enumeration sweeps affordable.
 
 All log-determinants go through Cholesky factors (sum of log diagonal), never
-through raw determinants, so the formulas stay finite at p = 1000.
+through raw determinants, so the formulas stay finite at p = 1000. One kernel
+evaluates the formula over a stack of items; the ambient distance and a single
+embedding are its one-item case, so every caller gets the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,42 @@ def _logdet(chol_factor: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
 
 
+_FACTORS = ("covariance blend", "class-1 covariance", "class-2 covariance")
+
+
+def _chernoff_distances(
+    covs_1: np.ndarray, covs_2: np.ndarray, gaps: np.ndarray, s: float
+) -> list[float]:
+    """delta(s) of each item of a stack: covariances (k, q, q), mean gaps (k, q).
+
+    One Cholesky call factors the (blend, C1, C2) triple of every item. If it
+    fails, the matrices are factored one at a time in that order, so the
+    SingularBlendError names the first singular factor. The quadratic term is
+    solved only for a non-zero gap; a zero gap gives exactly 0.0 either way.
+    Each value is the one the formula gives for its item alone, bit for bit.
+    """
+    blends = s * covs_1 + (1.0 - s) * covs_2
+    triples = np.stack((blends, covs_1, covs_2), axis=1)
+    try:
+        factors = np.linalg.cholesky(triples)
+    except np.linalg.LinAlgError:
+        factors = np.array(
+            [[_chol(m, what) for what, m in zip(_FACTORS, triple)] for triple in triples]
+        )
+    logdets = 2.0 * np.log(np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
+    distances = []
+    for factor, gap, nonzero, (ld_blend, ld_1, ld_2) in zip(
+        factors, gaps, gaps.any(axis=1).tolist(), logdets.tolist()
+    ):
+        quad = 0.0
+        if nonzero:
+            u = solve_triangular(factor[0], gap, lower=True)
+            quad = float(u @ u)
+        logdet_term = ld_blend - s * ld_1 - (1.0 - s) * ld_2
+        distances.append(max(0.0, s * (1.0 - s) / 2.0 * quad + 0.5 * logdet_term))
+    return distances
+
+
 def chernoff_distance(model: TwoClassGaussian, s: float) -> float:
     """Chernoff distance delta(s) between the two class densities.
 
@@ -67,17 +106,12 @@ def chernoff_distance(model: TwoClassGaussian, s: float) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    c1 = model.cov_1.entries
-    c2 = model.cov_2.entries
-    blend = s * c1 + (1.0 - s) * c2
-    l_blend = _chol(blend, "covariance blend")
-    l1 = _chol(c1, "class-1 covariance")
-    l2 = _chol(c2, "class-2 covariance")
-    d = model.mean_2 - model.mean_1
-    u = solve_triangular(l_blend, d, lower=True)
-    quad = float(u @ u)
-    logdet_term = _logdet(l_blend) - s * _logdet(l1) - (1.0 - s) * _logdet(l2)
-    return max(0.0, s * (1.0 - s) / 2.0 * quad + 0.5 * logdet_term)
+    return _chernoff_distances(
+        model.cov_1.entries[None],
+        model.cov_2.entries[None],
+        (model.mean_2 - model.mean_1)[None],
+        s,
+    )[0]
 
 
 def bhattacharyya_distance(model: TwoClassGaussian) -> float:
@@ -112,6 +146,38 @@ def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGauss
     )
 
 
+def embedded_overlaps(
+    model: TwoClassGaussian, ws: Sequence[ProjectionMatrix]
+) -> list[float]:
+    """Bhattacharyya overlap of the model seen through each embedding of ws.
+
+    The projections must share one shape; they are scored as one stack (one
+    product W^T C_k W per class, one Cholesky call), and each value equals
+    ``embedded_overlap`` of that projection alone, bit for bit. A singular
+    embedded covariance raises SingularBlendError for the first projection
+    that has one.
+    """
+    if not ws:
+        return []
+    for w in ws:
+        if w.ambient_dim != model.dim:
+            raise DimensionMismatchError(
+                f"projection ambient dim {w.ambient_dim} != model dim {model.dim}"
+            )
+    if len({w.embed_dim for w in ws}) > 1:
+        raise DimensionMismatchError("stacked projections must share one embedding dim")
+    # C order whatever each frame's layout: the products' last bits follow it
+    stack = np.array([w.entries for w in ws], order="C")
+    stack_t = np.swapaxes(stack, 1, 2)
+    covs = []
+    for cov in (model.cov_1, model.cov_2):
+        a = stack_t @ cov.entries @ stack
+        covs.append((a + np.swapaxes(a, 1, 2)) / 2.0)
+    gaps = stack_t @ model.mean_2 - stack_t @ model.mean_1
+    scale = math.sqrt(model.weight_1 * model.weight_2)
+    return [scale * math.exp(-delta) for delta in _chernoff_distances(*covs, gaps, 0.5)]
+
+
 def embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:
     """Bhattacharyya overlap of the model seen through the embedding W.
 
@@ -119,7 +185,7 @@ def embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:
     determinant factors of R cancel; in particular random projections need
     not be orthonormalized before scoring.
     """
-    return bhattacharyya_overlap(project_model(model, w))
+    return embedded_overlaps(model, [w])[0]
 
 
 def optimal_overlap_closed_form(

@@ -5,7 +5,8 @@ dimension p, embedding dimension q, and family parameters), generates
 ``n_simu`` covariance pairs per cell, builds the requested projections for
 each pair, and evaluates one metric mode:
 
-* ``overlap``             closed-form embedded overlap per projection;
+* ``overlap``             closed-form embedded overlap per projection, all
+                          projections of a replicate scored as one stack;
 * ``risk_mc``             Monte Carlo Bayes risk in the embedding;
 * ``oos_loss``            0-1 loss of a trained embedded classifier on a
                           held-out split of sampled Gaussian data;
@@ -64,7 +65,7 @@ from .generators import (
     pca_favorable_pair,
     sample_two_class,
 )
-from .metrics import embedded_overlap
+from .metrics import embedded_overlap, embedded_overlaps
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 
 FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", "example1", "example2")
@@ -404,6 +405,23 @@ _COLUMNS = tuple((f.name, _CODECS[f.type]) for f in fields(SweepRecord))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
+def _text_lines(fh, path) -> Iterator[str]:
+    """The UTF-8 text lines of a binary file. A line ends at any of
+    str.splitlines' breaks, not only at a newline; bytes that are not UTF-8
+    raise ``ConfigError`` naming their line."""
+    lineno = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                "records", f"{path} line {lineno + 1}: not UTF-8 text ({exc.reason})"
+            )
+        for line in text.splitlines():
+            lineno += 1
+            yield line
+
+
 def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
     """Yield the records of a records file, reading it one line at a time.
 
@@ -412,12 +430,11 @@ def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
     names its line.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}")
     with fh:
-        # a line ends at any of str.splitlines' breaks, not only at a newline
-        lines = (text for line in fh for text in line.splitlines())
+        lines = _text_lines(fh, path)
         if next(lines, None) != CSV_HEADER:
             raise ConfigError("records", f"{path} does not carry the sweep record header")
         for lineno, line in enumerate(lines, start=2):
@@ -503,6 +520,23 @@ def _failed(exc: CovProjError) -> str:
     return f"failed:{type(exc).__name__}"
 
 
+def _score_overlaps(model, built) -> None:
+    """Score every built projection of a point in one stacked call; a stack
+    that raises is scored one projection at a time, so each failure stays on
+    its own record."""
+    try:
+        values = embedded_overlaps(model, [w for _, _, w in built])
+    except CovProjError:
+        for _, record, w in built:
+            try:
+                record.metric_overlap = embedded_overlap(model, w)
+            except CovProjError as exc:
+                record.status = _failed(exc)
+        return
+    for (_, record, _), value in zip(built, values):
+        record.metric_overlap = value
+
+
 def _eval_point(
     config: SweepConfig, cell: Cell, rep: int, base: RngStream, idx: int, n_pc: int | None, source
 ) -> list[SweepRecord]:
@@ -518,6 +552,8 @@ def _eval_point(
     except CovProjError as exc:
         return _point_records(config, cell, rep, n_pc, _failed(exc))
     records = _point_records(config, cell, rep, n_pc)
+    seconds = [0.0] * len(records)
+    built = []  # (index, record, projection) of every projection that built
     for j, record in enumerate(records):
         started = time.perf_counter()
         try:
@@ -529,23 +565,38 @@ def _eval_point(
                 w = build_projection(
                     base_name, cell.q, est.cov_1, est.cov_2, stream, config.ridge, train.X
                 )
-            if config.mode == "overlap":
-                record.metric_overlap = embedded_overlap(model, w)
-            elif config.mode == "risk_mc":
-                risk = mc_bayes_risk(model, w, config.mc_samples, base.child(_CTX_MC, idx, j))
-                record.metric_mc = risk.estimate
-                record.metric_mc_se = risk.std_error
-            else:
-                qda = fit_embedded_qda(est, w, ridge=config.ridge)
-                record.metric_oos = oos_error(qda, val)
-                if config.mode == "finite_sample_curve":
-                    record.metric_recon = reconstruction_error(
-                        w, est.cov_1, est.cov_2, cov_1, cov_2
-                    )
+            built.append((j, record, w))
         except CovProjError as exc:
             record.status = _failed(exc)
-        if config.record_timings:
-            record.ms = int(round((time.perf_counter() - started) * 1000))
+        seconds[j] = time.perf_counter() - started
+    if config.mode != "overlap":
+        for j, record, w in built:
+            started = time.perf_counter()
+            try:
+                if config.mode == "risk_mc":
+                    risk = mc_bayes_risk(model, w, config.mc_samples, base.child(_CTX_MC, idx, j))
+                    record.metric_mc = risk.estimate
+                    record.metric_mc_se = risk.std_error
+                else:
+                    qda = fit_embedded_qda(est, w, ridge=config.ridge)
+                    record.metric_oos = oos_error(qda, val)
+                    if config.mode == "finite_sample_curve":
+                        record.metric_recon = reconstruction_error(
+                            w, est.cov_1, est.cov_2, cov_1, cov_2
+                        )
+            except CovProjError as exc:
+                record.status = _failed(exc)
+            seconds[j] += time.perf_counter() - started
+    elif built:
+        # one stacked pass; each record's ms takes an equal share of it
+        started = time.perf_counter()
+        _score_overlaps(model, built)
+        share = (time.perf_counter() - started) / len(built)
+        for j, _, _ in built:
+            seconds[j] += share
+    if config.record_timings:
+        for record, spent in zip(records, seconds):
+            record.ms = int(round(spent * 1000))
     return records
 
 

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
-from covproj import SpdMatrix, make_spd
-from covproj.blas import single_thread
+from covproj import ProjectionMatrix, SpdMatrix, TwoClassGaussian, make_spd, project_model
+from covproj.blas import single_thread, solve_triangular
 
 
 def rand_spd(g: np.random.Generator, p: int, jitter: float = 0.1) -> SpdMatrix:
@@ -17,6 +19,26 @@ def rand_orthonormal(g: np.random.Generator, p: int, q: int) -> np.ndarray:
     """Random p x q frame with orthonormal columns (Haar via QR)."""
     qmat, rmat = np.linalg.qr(g.standard_normal((p, q)))
     return qmat * np.sign(np.diag(rmat))
+
+
+def reference_chernoff_distance(model: TwoClassGaussian, s: float) -> float:
+    """The Chernoff distance of one model, factor by factor: three Cholesky
+    factorizations, their log-dets and one triangular solve of d, even when
+    d = 0. The reference the stacked kernel is held to, bit for bit."""
+    c1, c2 = model.cov_1.entries, model.cov_2.entries
+    l_blend, l1, l2 = (np.linalg.cholesky(m) for m in (s * c1 + (1.0 - s) * c2, c1, c2))
+    u = solve_triangular(l_blend, model.mean_2 - model.mean_1, lower=True)
+    quad = float(u @ u)
+    ld_blend, ld_1, ld_2 = (2.0 * float(np.sum(np.log(np.diag(f)))) for f in (l_blend, l1, l2))
+    logdet_term = ld_blend - s * ld_1 - (1.0 - s) * ld_2
+    return max(0.0, s * (1.0 - s) / 2.0 * quad + 0.5 * logdet_term)
+
+
+def reference_embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:
+    """The embedded overlap one projection at a time: project the model, then
+    apply the formula at s = 1/2."""
+    delta = reference_chernoff_distance(project_model(model, w), 0.5)
+    return math.sqrt(model.weight_1 * model.weight_2) * math.exp(-delta)
 
 
 @pytest.fixture(scope="session", autouse=True)

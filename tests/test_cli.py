@@ -217,6 +217,20 @@ class TestSummarizeCommand:
         assert f"line {2 + index % len(rows)}:" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
+    def test_non_utf8_records_exit_2_naming_the_line(self, iw_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["sweep", "--config", str(iw_cfg), "--out", str(out)])
+        path = out / "records.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        tokens = lines[3].split(b",")
+        tokens[7] += b"\xe9"  # the projection name
+        lines[3] = b",".join(tokens)
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["summarize", str(path)]) == 2
+        assert "line 4: not UTF-8 text" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
 
 class TestEvalCommand:
     def test_strong_covariance_signal_gives_low_pca_loss(self, separable_csv, capsys):

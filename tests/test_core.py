@@ -9,6 +9,7 @@ from covproj import (
     DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
+    NonFiniteProjectionError,
     NotPositiveDefiniteError,
     NotSquareError,
     ProjectionMatrix,
@@ -100,6 +101,31 @@ class TestProjectionMatrix:
             ProjectionMatrix(2.0 * np.eye(4)[:, :2], orthonormal_columns=True)
         w = ProjectionMatrix(np.eye(4)[:, :2], orthonormal_columns=True)
         assert w.orthonormal_columns
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("orthonormal", [False, True])
+    def test_non_finite_rejected(self, bad, orthonormal):
+        frame = np.eye(4)[:, :2].copy()
+        frame[3, 1] = bad
+        with pytest.raises(NonFiniteProjectionError):
+            ProjectionMatrix(frame, orthonormal_columns=orthonormal)
+
+    def test_rank_deficient_frame_flagged_orthonormal_rejected(self):
+        col = np.eye(4)[:, :1]
+        with pytest.raises(NotPositiveDefiniteError):
+            ProjectionMatrix(np.hstack([col, col]), orthonormal_columns=True)
+
+    def test_orthonormal_frame_needs_no_svd(self, g, monkeypatch):
+        """The Gram check alone implies full rank for an orthonormal frame."""
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        qmat, _ = np.linalg.qr(g.standard_normal((6, 3)))
+        assert ProjectionMatrix(qmat, orthonormal_columns=True).embed_dim == 3
+        with pytest.raises(AssertionError, match="svd called"):
+            ProjectionMatrix(g.standard_normal((6, 3)))
 
 
 class TestTwoClassGaussian:

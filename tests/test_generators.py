@@ -27,7 +27,7 @@ from covproj import (
     sample_scaled_inverse_wishart,
     sample_wishart,
 )
-from covproj.generators import _mixing_matrix
+from covproj.generators import _bartlett_factor, _bartlett_indices, _mixing_matrix
 
 
 class TestWishart:
@@ -58,6 +58,20 @@ class TestWishart:
     def test_df_too_small(self):
         with pytest.raises(DegreesOfFreedomError):
             sample_wishart(20, 10, derive_stream(105))
+
+    def test_bartlett_factor_from_cached_indices(self):
+        """The index tables are built once per order and read-only; the
+        factor equals one filled through freshly built tables."""
+        diag, lower = _bartlett_indices(7)
+        assert _bartlett_indices(7) is _bartlett_indices(7)
+        assert not any(axis.flags.writeable for axis in (*diag, *lower))
+        a = _bartlett_factor(7, 9.5, derive_stream(106).generator())
+        g = derive_stream(106).generator()
+        expected = np.zeros((7, 7))
+        expected[np.diag_indices(7)] = np.sqrt(g.chisquare(9.5 - np.arange(7.0)))
+        fresh = np.tril_indices(7, -1)
+        expected[fresh] = g.standard_normal(fresh[0].size)
+        assert np.array_equal(a, expected)
 
 
 class TestScaledInverseWishart:

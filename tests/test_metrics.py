@@ -17,12 +17,18 @@ from covproj import (
     bhattacharyya_report,
     chernoff_distance,
     embedded_overlap,
+    embedded_overlaps,
     make_spd,
     mc_bayes_risk,
     derive_stream,
     optimal_overlap_closed_form,
 )
-from conftest import rand_spd, rand_orthonormal
+from conftest import (
+    rand_orthonormal,
+    rand_spd,
+    reference_chernoff_distance,
+    reference_embedded_overlap,
+)
 
 
 def scalar_model(var_1, var_2, mean_gap=0.0, weight_1=0.5):
@@ -161,6 +167,77 @@ class TestEmbeddedOverlap:
             bound = embedded_overlap(m, w)
             risk = mc_bayes_risk(m, w, 20_000, derive_stream(100 + k))
             assert risk.estimate <= bound + 3.0 * risk.std_error
+
+
+class TestStackedKernel:
+    """The stacked scorer gives the per-projection formula's bits."""
+
+    @pytest.mark.parametrize("with_means", [False, True], ids=["zero_means", "means"])
+    @pytest.mark.parametrize("p", [2, 5, 20, 50, 200])
+    def test_stack_matches_per_projection_reference(self, g, p, with_means):
+        for q in range(1, min(10, p - 1) + 1):
+            m = random_model(g, p, with_means=with_means)
+            frames = [g.standard_normal((p, q)) for _ in range(3)]
+            frames.append(rand_orthonormal(g, p, q))
+            ws = [ProjectionMatrix(f) for f in frames]
+            expected = [reference_embedded_overlap(m, w) for w in ws]
+            assert embedded_overlaps(m, ws) == expected
+            assert [embedded_overlap(m, w) for w in ws] == expected
+
+    @pytest.mark.parametrize("with_means", [False, True], ids=["zero_means", "means"])
+    @pytest.mark.parametrize("p", [2, 5, 20, 50, 200])
+    def test_chernoff_matches_reference(self, g, p, with_means):
+        m = random_model(g, p, with_means=with_means)
+        for s in (0.1, 0.5, 0.9):
+            assert chernoff_distance(m, s) == reference_chernoff_distance(m, s)
+
+    def test_empty_stack(self, g):
+        assert embedded_overlaps(random_model(g, 4), []) == []
+
+    def test_shapes_checked(self, g):
+        m = random_model(g, 4)
+        w = ProjectionMatrix(np.eye(4)[:, :2])
+        for other in (np.eye(5)[:, :2], np.eye(4)[:, :3]):
+            with pytest.raises(DimensionMismatchError):
+                embedded_overlaps(m, [w, ProjectionMatrix(other)])
+
+    def test_memory_layout_does_not_matter(self, g):
+        """A Fortran-ordered frame scores as its C-ordered copy, alone or in a
+        stack with C-ordered frames."""
+        for p in (5, 20, 50):
+            for q in range(1, min(10, p - 1) + 1):
+                m = random_model(g, p, with_means=bool(q % 2))
+                frame = g.standard_normal((p, q))
+                w_c = ProjectionMatrix(frame)
+                w_f = ProjectionMatrix(np.asfortranarray(frame))
+                other = ProjectionMatrix(g.standard_normal((p, q)))
+                expected = embedded_overlap(m, w_c)
+                assert embedded_overlap(m, w_f) == expected
+                assert embedded_overlaps(m, [other, w_f])[1] == expected
+
+    def test_singular_item_fails_the_stack_naming_its_factor(self):
+        """W = [e1, e1 + 1e-9 e2] passes the rank check, but W^T C W rounds to
+        an exactly singular matrix for a diagonal C."""
+        m = TwoClassGaussian.zero_mean(
+            make_spd(np.diag([4.0, 4.0, 1.0, 1.0])), make_spd(np.eye(4))
+        )
+        degenerate = np.zeros((4, 2))
+        degenerate[0] = 1.0
+        degenerate[1, 1] = 1e-9
+        ws = [ProjectionMatrix(np.eye(4)[:, :2]), ProjectionMatrix(degenerate)]
+        with pytest.raises(SingularBlendError, match="^covariance blend of order 2"):
+            embedded_overlaps(m, ws)
+        with pytest.raises(SingularBlendError, match="^covariance blend of order 2"):
+            embedded_overlap(m, ws[1])
+        assert embedded_overlap(m, ws[0]) == reference_embedded_overlap(m, ws[0])
+
+    def test_singular_class_factor_named(self, g):
+        """A blend that factors and a singular class-1 covariance: the error
+        names the class-1 factor, as factoring in formula order would."""
+        v = g.standard_normal(4)
+        m = TwoClassGaussian.zero_mean(make_spd(np.outer(v, v)), make_spd(np.eye(4)))
+        with pytest.raises(SingularBlendError, match="^class-1 covariance of order 4"):
+            chernoff_distance(m, 0.5)
 
 
 class TestOptimalOverlapClosedForm:

@@ -1,5 +1,5 @@
 """Property-based invariants of the record and config formats, the row
-parser, and the overlap of an embedding.
+parser, and the overlap of an embedding and of a stack of embeddings.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -23,6 +23,7 @@ from covproj import (
     bhattacharyya_optimal_projection,
     config_from_mapping,
     embedded_overlap,
+    embedded_overlaps,
     make_spd,
     optimal_overlap_closed_form,
     read_records_csv,
@@ -30,6 +31,7 @@ from covproj import (
 from covproj.datasets import _parse_row
 from covproj.projections import PROJECTIONS
 from covproj.sweep import CSV_HEADER, DATA_MODES, EMPIRICAL, FAMILIES, MODES
+from conftest import reference_embedded_overlap
 
 FIXED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -144,6 +146,32 @@ def test_embedded_overlap_invariant_under_right_factor(case):
     a = embedded_overlap(model, ProjectionMatrix(w))
     b = embedded_overlap(model, ProjectionMatrix(w @ r))
     assert b == pytest.approx(a, rel=1e-9)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A two-class model, with equal or distinct means, and one to six p x q
+    frames of one shape."""
+    p = draw(st.integers(2, 60))
+    q = draw(st.integers(1, min(10, p - 1)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = []
+    for _ in range(2):
+        a = g.standard_normal((p, p))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+    if draw(st.booleans()):
+        model = TwoClassGaussian(0.5, g.standard_normal(p), g.standard_normal(p), *covs)
+    else:
+        model = TwoClassGaussian.zero_mean(*covs)
+    ws = [ProjectionMatrix(g.standard_normal((p, q))) for _ in range(draw(st.integers(1, 6)))]
+    return model, ws
+
+
+@FIXED
+@given(stacked_cases())
+def test_stacked_overlaps_equal_the_per_projection_formula(case):
+    model, ws = case
+    assert embedded_overlaps(model, ws) == [reference_embedded_overlap(model, w) for w in ws]
 
 
 @st.composite

@@ -15,11 +15,16 @@ from covproj import (
     ConfigError,
     EmptyGridError,
     MixedModesError,
+    ProjectionMatrix,
+    SingularBlendError,
     SweepConfig,
     SweepRecord,
     config_from_mapping,
     expand_grid,
     parse_config_file,
+    TwoClassGaussian,
+    embedded_overlap,
+    pca_favorable_pair,
     read_records_csv,
     run_sweep,
     summarize,
@@ -292,6 +297,43 @@ class TestRunSweep:
         assert len(records) == 4
         assert all(not r.ok for r in records)
         assert all(r.status == "failed:SingularEmbeddedCovarianceError" for r in records)
+
+    def test_singular_projection_fails_alone(self, monkeypatch):
+        """One projection whose embedded blend is singular fails the stacked
+        scoring of its replicate; its record gets the status the
+        per-projection path gives, and the other records keep the values of a
+        run without it."""
+        # W^T C W rounds to an exactly singular matrix for the diagonal pair
+        degenerate = np.zeros((8, 2))
+        degenerate[0] = 1.0
+        degenerate[1, 1] = 1e-9
+        cfg = SweepConfig(
+            family="example1",
+            p_grid=(8,),
+            q_grid=(2,),
+            projections=PROJECTIONS,
+            n_simu=2,
+            master_seed=3,
+        )
+        clean = run_sweep(cfg)
+        real = sweep.build_projection
+
+        def build(name, *args, **kwargs):
+            if name == "rp":
+                return ProjectionMatrix(degenerate)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "build_projection", build)
+        records = run_sweep(cfg)
+        model = TwoClassGaussian.zero_mean(*pca_favorable_pair(8, 2, cfg.alpha, cfg.delta))
+        with pytest.raises(SingularBlendError) as err:
+            embedded_overlap(model, ProjectionMatrix(degenerate))
+        for before, after in zip(clean, records):
+            if after.projection == "rp":
+                assert after.status == f"failed:{type(err.value).__name__}"
+                assert after.metric_overlap is None
+            else:
+                assert after == before and after.ok
 
     def test_worker_count_invariance(self):
         rows_1 = [r.to_csv_row() for r in run_sweep(SMALL_IW)]
