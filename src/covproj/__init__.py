@@ -37,10 +37,7 @@ from .core import (
     make_spd,
 )
 from .metrics import (
-    OverlapReport,
-    bhattacharyya_distance,
     bhattacharyya_overlap,
-    bhattacharyya_report,
     chernoff_distance,
     embedded_overlap,
     embedded_overlaps,

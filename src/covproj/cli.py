@@ -149,8 +149,8 @@ def cmd_eval(args) -> int:
     x_1, x_2 = data.class_rows(1), data.class_rows(2)
 
     if args.p is not None:
-        if args.p > data.dim:
-            raise ConfigError("p", f"dataset has only {data.dim} feature columns")
+        if not 1 <= args.p <= data.dim:
+            raise ConfigError("p", f"must lie in [1, {data.dim}], the dataset's feature columns")
         cols = stream.child(0).generator().permutation(data.dim)[: args.p]
         x_1, x_2 = x_1[:, cols], x_2[:, cols]
     x_1, x_2 = column_overlap(x_1, x_2, args.gamma, stream.child(1))

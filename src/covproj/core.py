@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 RANK_RTOL = 1e-10
 ORTHONORMAL_TOL = 1e-10

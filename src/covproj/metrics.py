@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,6 @@ from .core import (
     TwoClassGaussian,
     _derived_spd,
 )
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Distance / overlap pair at a given Chernoff exponent s."""
-
-    distance: float
-    overlap: float
-    s: float
 
 
 def _chol(entries: np.ndarray, what: str) -> np.ndarray:
@@ -114,20 +104,9 @@ def chernoff_distance(model: TwoClassGaussian, s: float) -> float:
     )[0]
 
 
-def bhattacharyya_distance(model: TwoClassGaussian) -> float:
-    """Bhattacharyya distance, i.e. the Chernoff distance at s = 1/2."""
-    return chernoff_distance(model, 0.5)
-
-
 def bhattacharyya_overlap(model: TwoClassGaussian) -> float:
     """Overlap sqrt(pi1*pi2) * exp(-delta(1/2)); in (0, 0.5] when balanced."""
-    return bhattacharyya_report(model).overlap
-
-
-def bhattacharyya_report(model: TwoClassGaussian) -> OverlapReport:
-    delta = bhattacharyya_distance(model)
-    overlap = math.sqrt(model.weight_1 * model.weight_2) * math.exp(-delta)
-    return OverlapReport(distance=delta, overlap=overlap, s=0.5)
+    return math.sqrt(model.weight_1 * model.weight_2) * math.exp(-chernoff_distance(model, 0.5))
 
 
 def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGaussian:

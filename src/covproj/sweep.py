@@ -19,10 +19,11 @@ runs on one thread (``covproj.blas``), so results are identical for any
 worker count, across runs and across hosts with the same BLAS build. Records
 stream to a CSV sink with resume-from-checkpoint at cell granularity; rows
 are written in cell order, which makes the file byte-stable. The per-record
-``ms`` column is 0 unless timing capture is enabled, because wall times
-would break that byte stability; aggregate timing lives in the run manifest
-instead. The columns of ``records.csv`` are the fields of ``SweepRecord``, in
-order.
+``ms`` column is always 0 and is kept for format compatibility, because wall
+times would break that byte stability; aggregate timing lives in the run
+manifest instead. The columns of ``records.csv`` are the fields of
+``SweepRecord``, in order, and the keys of a config file are the fields of
+``SweepConfig``: one codec per annotation reads and writes both.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ _CTX_PAIR, _CTX_PROJ, _CTX_DATA, _CTX_SPLIT, _CTX_MC = 0, 1, 2, 3, 4
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -125,7 +124,6 @@ class SweepConfig:
     ridge: float = 1e-6
     n_per_class: int = 100
     sample_grid: tuple[int, ...] = (20, 40, 80, 160, 320)
-    record_timings: bool = False
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -179,37 +177,12 @@ class SweepConfig:
         if self.mode == "finite_sample_curve":
             if not self.sample_grid or any(n < 2 for n in self.sample_grid):
                 raise ConfigError("sample_grid", "per-class sizes must all be >= 2")
-        if self.master_seed < 0:
-            raise ConfigError("seed", "must be non-negative")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("seed", "must be a 64-bit unsigned integer")
 
     def to_mapping(self) -> dict[str, str]:
         """Flat key=value echo of every field, suitable for a manifest."""
         return {key: fmt(getattr(self, name)) for key, name, (_, fmt) in _FIELDS}
-
-
-def _scalar(parse, fmt=_fmt):
-    """(parse, format) pair of a single value."""
-
-    def read(key: str, text: str):
-        try:
-            return parse(text.strip())
-        except ValueError:
-            raise ConfigError(key, f"cannot parse value {text!r}")
-
-    return read, fmt
-
-
-def _listed(parse, fmt=_fmt):
-    """(parse, format) pair of a comma-separated list."""
-
-    def read(key: str, text: str):
-        items = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-        try:
-            return tuple(parse(tok) for tok in items)
-        except ValueError:
-            raise ConfigError(key, f"cannot parse list value {text!r}")
-
-    return read, lambda xs: ",".join(fmt(x) for x in xs)
 
 
 def _finite(text: str) -> float:
@@ -219,64 +192,59 @@ def _finite(text: str) -> float:
     return value
 
 
-def _boolean(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(text)
+# (parse, format) of each field annotation, shared by config files, the
+# manifest echo and records.csv; parse raises ValueError on a bad token, and
+# a missing value is an empty token
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (_finite, _fmt),
+    "str | None": (lambda tok: tok or None, lambda v: v or ""),
+    "float | None": (lambda tok: float(tok) if tok else None, _fmt),
+}
 
 
-_STR = _scalar(str, str)
-_OPTIONAL = _scalar(lambda v: v or None, lambda v: v or "")
-_INT = _scalar(int, str)
-_FLOAT = _scalar(_finite)
-_INTS = _listed(int)
-_FLOATS = _listed(_finite)
-_STRS = _listed(str, str)
+def _codec(annotation: str):
+    """(parse, format) of an annotation; ``tuple[T, ...]`` is a comma list of T."""
+    item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+    if item == annotation:
+        return _CODECS[annotation]
+    parse, fmt = _CODECS[item]
+    return (
+        lambda text: tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip()),
+        lambda xs: ",".join(fmt(x) for x in xs),
+    )
 
-# (config key, SweepConfig field, kind): the one spelling of every field in
+
+# config key of each SweepConfig field not spelled as its name
+_KEYS = {
+    "p_grid": "p",
+    "q_grid": "q",
+    "master_seed": "seed",
+    "n_workers": "workers",
+    "share_modes": "share",
+    "q_densities": "q_density",
+    "gamma_grid": "gamma",
+}
+# (config key, SweepConfig field, codec): the one spelling of every field in
 # config files and in the manifest echo
-_FIELDS = (
-    ("family", "family", _STR),
-    ("mode", "mode", _STR),
-    ("p", "p_grid", _INTS),
-    ("q", "q_grid", _INTS),
-    ("projections", "projections", _STRS),
-    ("n_simu", "n_simu", _INT),
-    ("seed", "master_seed", _INT),
-    ("workers", "n_workers", _INT),
-    ("df1_over_p", "df1_over_p", _FLOATS),
-    ("df2_over_p", "df2_over_p", _FLOATS),
-    ("share", "share_modes", _STRS),
-    ("q_density", "q_densities", _STRS),
-    ("sparse_q_density", "sparse_q_density", _FLOAT),
-    ("gamma", "gamma_grid", _FLOATS),
-    ("dataset", "dataset", _OPTIONAL),
-    ("label_column", "label_column", _OPTIONAL),
-    ("alpha", "alpha", _FLOAT),
-    ("delta", "delta", _FLOAT),
-    ("train_frac", "train_frac", _FLOAT),
-    ("mc_samples", "mc_samples", _INT),
-    ("ridge", "ridge", _FLOAT),
-    ("n_per_class", "n_per_class", _INT),
-    ("sample_grid", "sample_grid", _INTS),
-    ("record_timings", "record_timings", _scalar(_boolean)),
-)
+_FIELDS = tuple((_KEYS.get(f.name, f.name), f.name, _codec(f.type)) for f in fields(SweepConfig))
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     """Build a config from flat string key=value pairs, validating each field."""
     if "family" not in mapping:
         raise ConfigError("family", "missing required key")
-    known = {key: (name, read) for key, name, (read, _) in _FIELDS}
+    known = {key: (name, parse) for key, name, (parse, _) in _FIELDS}
     kwargs = {}
     for key, value in mapping.items():
         if key not in known:
             raise ConfigError(key, "unknown configuration key")
-        name, read = known[key]
-        kwargs[name] = read(key, value)
+        name, parse = known[key]
+        try:
+            kwargs[name] = parse(value.strip())
+        except ValueError:
+            raise ConfigError(key, f"cannot parse value {value!r}")
     config = SweepConfig(**kwargs)
     config.validate()
     return config
@@ -395,13 +363,7 @@ class SweepRecord:
         return ",".join(fmt(getattr(self, name)) for name, (_, fmt) in _COLUMNS)
 
 
-# (parse, format) of each record field type; a missing metric is an empty cell
-_CODECS = {
-    "str": (str, str),
-    "int": (int, str),
-    "float | None": (lambda tok: float(tok) if tok else None, _fmt),
-}
-_COLUMNS = tuple((f.name, _CODECS[f.type]) for f in fields(SweepRecord))
+_COLUMNS = tuple((f.name, _codec(f.type)) for f in fields(SweepRecord))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
@@ -552,10 +514,8 @@ def _eval_point(
     except CovProjError as exc:
         return _point_records(config, cell, rep, n_pc, _failed(exc))
     records = _point_records(config, cell, rep, n_pc)
-    seconds = [0.0] * len(records)
     built = []  # (index, record, projection) of every projection that built
     for j, record in enumerate(records):
-        started = time.perf_counter()
         try:
             stream = base.child(_CTX_PROJ, idx, j)
             base_name = record.projection.removeprefix(EMPIRICAL)
@@ -568,35 +528,25 @@ def _eval_point(
             built.append((j, record, w))
         except CovProjError as exc:
             record.status = _failed(exc)
-        seconds[j] = time.perf_counter() - started
-    if config.mode != "overlap":
-        for j, record, w in built:
-            started = time.perf_counter()
-            try:
-                if config.mode == "risk_mc":
-                    risk = mc_bayes_risk(model, w, config.mc_samples, base.child(_CTX_MC, idx, j))
-                    record.metric_mc = risk.estimate
-                    record.metric_mc_se = risk.std_error
-                else:
-                    qda = fit_embedded_qda(est, w, ridge=config.ridge)
-                    record.metric_oos = oos_error(qda, val)
-                    if config.mode == "finite_sample_curve":
-                        record.metric_recon = reconstruction_error(
-                            w, est.cov_1, est.cov_2, cov_1, cov_2
-                        )
-            except CovProjError as exc:
-                record.status = _failed(exc)
-            seconds[j] += time.perf_counter() - started
-    elif built:
-        # one stacked pass; each record's ms takes an equal share of it
-        started = time.perf_counter()
-        _score_overlaps(model, built)
-        share = (time.perf_counter() - started) / len(built)
-        for j, _, _ in built:
-            seconds[j] += share
-    if config.record_timings:
-        for record, spent in zip(records, seconds):
-            record.ms = int(round(spent * 1000))
+    if config.mode == "overlap":
+        if built:
+            _score_overlaps(model, built)
+        return records
+    for j, record, w in built:
+        try:
+            if config.mode == "risk_mc":
+                risk = mc_bayes_risk(model, w, config.mc_samples, base.child(_CTX_MC, idx, j))
+                record.metric_mc = risk.estimate
+                record.metric_mc_se = risk.std_error
+            else:
+                qda = fit_embedded_qda(est, w, ridge=config.ridge)
+                record.metric_oos = oos_error(qda, val)
+                if config.mode == "finite_sample_curve":
+                    record.metric_recon = reconstruction_error(
+                        w, est.cov_1, est.cov_2, cov_1, cov_2
+                    )
+        except CovProjError as exc:
+            record.status = _failed(exc)
     return records
 
 

@@ -101,6 +101,19 @@ class TestSweepCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["config", "override"])
+    def test_seed_beyond_64_bits_exits_2_before_any_output(self, iw_cfg, tmp_path, capsys, via):
+        seed = str(2**64)
+        argv = ["sweep", "--config", str(iw_cfg), "--out", str(tmp_path / "run")]
+        if via == "config":
+            iw_cfg.write_text(IW_CFG.replace("seed = 13", f"seed = {seed}"))
+        else:
+            argv += ["--seed", seed]
+        assert main(argv) == 2
+        assert "seed: must be a 64-bit unsigned integer" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "records.csv").exists()
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -307,6 +320,15 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bogus" in captured.err
+
+    @pytest.mark.parametrize("p", ["0", "-3", "31"])
+    def test_p_outside_the_columns_exits_2_before_any_output(self, separable_csv, capsys, p):
+        path, _ = separable_csv
+        argv = ["eval", str(path), "--label-column", "label", "--q", "2", "--p", p]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p: must lie in [1, 30]" in captured.err
 
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_invalid_ridge_exits_2_before_any_output(self, separable_csv, capsys, ridge):

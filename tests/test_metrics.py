@@ -12,9 +12,7 @@ from covproj import (
     ProjectionMatrix,
     SingularBlendError,
     TwoClassGaussian,
-    bhattacharyya_distance,
     bhattacharyya_overlap,
-    bhattacharyya_report,
     chernoff_distance,
     embedded_overlap,
     embedded_overlaps,
@@ -86,13 +84,6 @@ class TestChernoffDistance:
 
 
 class TestBhattacharyya:
-    def test_matches_chernoff_at_half(self, g):
-        for _ in range(20):
-            m = random_model(g, int(g.integers(1, 7)))
-            assert_allclose(
-                bhattacharyya_distance(m), chernoff_distance(m, 0.5), rtol=1e-12
-            )
-
     def test_identical_balanced_overlap_is_half(self):
         c = make_spd(np.eye(3))
         assert bhattacharyya_overlap(TwoClassGaussian.zero_mean(c, c)) == 0.5
@@ -106,17 +97,6 @@ class TestBhattacharyya:
         c = make_spd(np.eye(2))
         m = TwoClassGaussian.zero_mean(c, c, weight_1=0.9)
         assert_allclose(bhattacharyya_overlap(m), 0.3, rtol=1e-14)
-
-    def test_report_consistency(self, g):
-        m = random_model(g, 3)
-        rep = bhattacharyya_report(m)
-        assert rep.s == 0.5
-        assert rep.distance >= 0.0
-        assert_allclose(
-            rep.overlap,
-            math.sqrt(m.weight_1 * m.weight_2) * math.exp(-rep.distance),
-            rtol=1e-14,
-        )
 
     def test_joint_rotation_invariance(self, g):
         """Conjugating everything by an orthogonal U leaves the overlap alone."""

@@ -109,7 +109,6 @@ def configs(draw):
         ridge=draw(st.floats(0.0, 1.0)),
         n_per_class=draw(st.integers(2, 10**5)),
         sample_grid=draw(_grid(st.integers(2, 10**5))),
-        record_timings=draw(st.booleans()),
     )
 
 

@@ -178,7 +178,6 @@ class TestConfig:
             ridge=1e-4,
             n_per_class=50,
             sample_grid=(10, 30),
-            record_timings=True,
         )
         assert cfg.to_mapping() == {
             "family": "latent_low_dim",
@@ -204,7 +203,6 @@ class TestConfig:
             "ridge": "0.0001",
             "n_per_class": "50",
             "sample_grid": "10,30",
-            "record_timings": "true",
         }
         assert config_from_mapping(cfg.to_mapping()) == cfg
 
@@ -242,17 +240,6 @@ class TestConfig:
         cfg = dataclasses.replace(SMALL_IW, projections=("pca", "empirical_pca"))
         with pytest.raises(ConfigError):
             cfg.validate()
-
-    def test_record_timings_accepts_only_boolean_words(self):
-        base = {"family": "inverse_wishart", "p": "10", "q": "2"}
-        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
-                            ("0", False), ("false", False), ("NO", False)):
-            cfg = config_from_mapping({**base, "record_timings": text})
-            assert cfg.record_timings is value
-        for text in ("ture", "", "2", "on"):
-            with pytest.raises(ConfigError) as err:
-                config_from_mapping({**base, "record_timings": text})
-            assert "record_timings" in str(err.value)
 
     def test_projection_names_are_the_registry(self):
         data_mode = dataclasses.replace(SMALL_IW, mode="oos_loss")
@@ -479,12 +466,6 @@ class TestRunSweep:
         assert pca == [0.5, 0.5]
         expected = 0.5 * ((2.0 + 0.5) / 2.0) ** -1.0
         assert all(abs(v - expected) <= 1e-9 for v in opt)
-
-    def test_record_timings_flag(self, tmp_path):
-        cfg = dataclasses.replace(SMALL_IW, record_timings=True)
-        run_sweep(cfg, out_dir=tmp_path / "timed")
-        records = read_records_csv(tmp_path / "timed" / "records.csv")
-        assert all(r.ms >= 0 for r in records)
 
     def test_finite_sample_records_carry_n(self):
         cfg = SweepConfig(
