@@ -31,6 +31,7 @@ from .generators import column_overlap, pca_adversarial_pair, pca_favorable_pair
 from .metrics import bhattacharyya_overlap, embedded_overlap
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 from .sweep import (
+    check_projections,
     parse_config_file,
     read_records_csv,
     run_sweep,
@@ -144,6 +145,8 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
+    check_projections(names)
     data, _ = load_dataset(args.dataset, args.label_column)
     stream = derive_stream(args.seed)
     x_1, x_2 = data.class_rows(1), data.class_rows(2)
@@ -160,10 +163,9 @@ def cmd_eval(args) -> int:
     train, val = balanced.split(args.train_frac, stream.child(2))
     est = empirical_covariances(train)
 
-    names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
     # every projection is built and fitted before the first line is printed,
-    # so a bad name, a failed build or a rejected ridge leaves no partial
-    # table behind; a singular fit is reported in its row
+    # so a failed build or a rejected ridge leaves no partial table behind; a
+    # singular fit is reported in its row
     fits = []
     for j, name in enumerate(names):
         w = build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)

@@ -17,8 +17,9 @@ each pair, and evaluates one metric mode:
 Randomness is keyed on (master seed, cell index, replicate, context) and BLAS
 runs on one thread (``covproj.blas``), so results are identical for any
 worker count, across runs and across hosts with the same BLAS build. Records
-stream to a CSV sink with resume-from-checkpoint at cell granularity; rows
-are written in cell order, which makes the file byte-stable. The per-record
+stream to a CSV sink in cell order, which makes the file byte-stable, and
+every cell writes the same number of rows, so the file's complete lines are
+its own checkpoint: a rerun resumes after the last complete cell. The per-record
 ``ms`` column is always 0 and is kept for format compatibility, because wall
 times would break that byte stability; aggregate timing lives in the run
 manifest instead. The columns of ``records.csv`` are the fields of
@@ -37,7 +38,7 @@ from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,28 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def _refuse_repeats(key: str, values) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(key, f"lists {value!r} more than once")
+
+
+def check_projections(names, mode: str | None = None) -> None:
+    """The one rule for a list of projection names, in sweep configs and in
+    ``covproj eval``: at least one, none repeated, each in ``PROJECTIONS``;
+    ``empirical_<name>`` only in a data ``mode``."""
+    if not names:
+        raise ConfigError("projections", "need at least one projection")
+    _refuse_repeats("projections", names)
+    for name in names:
+        if name.removeprefix(EMPIRICAL) not in PROJECTIONS:
+            raise ConfigError("projections", f"unknown projection {name!r}")
+        if name.startswith(EMPIRICAL) and mode not in DATA_MODES:
+            raise ConfigError(
+                "projections", f"{name!r} is valid only in the sweep modes {DATA_MODES}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +161,12 @@ class SweepConfig:
             raise ConfigError("n_simu", "must be at least 1")
         if self.n_workers < 1:
             raise ConfigError("workers", "must be at least 1")
-        if not self.projections:
-            raise ConfigError("projections", "need at least one projection")
-        for name in self.projections:
-            if name.removeprefix(EMPIRICAL) not in PROJECTIONS:
-                raise ConfigError("projections", f"unknown projection {name!r}")
-            if name.startswith(EMPIRICAL) and self.mode not in DATA_MODES:
-                raise ConfigError(
-                    "projections",
-                    f"{name!r} needs sampled data; valid only in modes {DATA_MODES}",
-                )
+        check_projections(self.projections, self.mode)
+        # a repeated value would give two cells, or two projections, one
+        # record identity, and the summary would keep only one of them
+        for f in fields(self):
+            if f.type.startswith("tuple["):
+                _refuse_repeats(_KEYS.get(f.name, f.name), getattr(self, f.name))
         if self.family == "inverse_wishart":
             for key, grid in (("df1_over_p", self.df1_over_p), ("df2_over_p", self.df2_over_p)):
                 if not grid or not all(1.0 <= m < math.inf for m in grid):
@@ -277,8 +296,10 @@ def parse_config_file(path: str | Path) -> SweepConfig:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {line!r}")
-        key, value = body.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (tok.strip() for tok in body.split("=", 1))
+        if key in mapping:
+            raise ConfigError(f"line {lineno}", f"repeats key {key!r}")
+        mapping[key] = value
     return config_from_mapping(mapping)
 
 
@@ -570,73 +591,55 @@ def rows_per_cell(config: SweepConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sink, checkpoint, manifest
+# Sink and manifest
 # ---------------------------------------------------------------------------
 
 
 class CsvSink:
-    """Cell-ordered append sink with a completed-cell checkpoint.
+    """Cell-ordered append sink whose complete rows are its own checkpoint.
 
-    Rows are appended strictly in cell-index order and the checkpoint lists
-    every fully written cell, so an interrupted run resumes by truncating the
-    records file after the checkpointed cells' rows and continuing with the
-    next cell. The constructor reads the records file one line at a time and
-    keeps only the byte length to truncate to. Nothing is written before
-    ``open``, so a resume can be refused first.
+    Every cell appends exactly ``rows_per_cell`` rows, in cell-index order,
+    so the complete lines after the header count the cells already done. The
+    constructor reads the records file one line at a time and keeps only that
+    count, ``n_done``, and the byte offset where the last complete cell ends;
+    ``open`` cuts the file there, dropping a partial cell and a torn line. A
+    missing or empty file, or a header cut short, starts fresh; a first line
+    that is not (a prefix of) the record header is refused. Nothing is
+    written before ``open``, so a resume can be refused first.
     """
 
-    def __init__(self, records_path: Path, checkpoint_path: Path, expected_rows: int):
+    def __init__(self, records_path: Path, rows_per_cell: int):
         self.records_path = Path(records_path)
-        self.checkpoint_path = Path(checkpoint_path)
-        self.expected_rows = expected_rows
-        self.completed, self._torn = self._load_checkpoint()
-        self._keep_bytes = self._checkpointed_bytes()
-
-    def _load_checkpoint(self) -> tuple[list[int], bool]:
-        if not self.checkpoint_path.exists():
-            return [], False
-        # undecodable bytes become U+FFFD, which no cell index matches
-        text = self.checkpoint_path.read_text(encoding="utf-8", errors="replace")
-        # a last line without its newline is a write cut short by a kill
-        done = [ln.strip() for ln in text.split("\n")[:-1] if ln.strip()]
-        if done != [str(i) for i in range(len(done))]:
-            raise ConfigError(
-                "checkpoint", f"{self.checkpoint_path} is not a contiguous cell prefix"
-            )
-        return list(range(len(done))), not text.endswith("\n")
-
-    def _checkpointed_bytes(self) -> int | None:
-        """Byte length of the header and the checkpointed rows; None starts fresh."""
-        if not self.completed or not self.records_path.exists():
-            return None
-        rows = len(self.completed) * self.expected_rows
+        self.n_done = self._keep_bytes = 0
+        if not self.records_path.exists():
+            return
         with open(self.records_path, "rb") as fh:
-            header = fh.readline() == (CSV_HEADER + "\n").encode()
-            # only the last line read can lack its newline
-            if header and sum(line.endswith(b"\n") for line in islice(fh, rows)) == rows:
-                return fh.tell()
-        raise ConfigError("records", f"{self.records_path} inconsistent with its checkpoint")
+            header = fh.readline()
+            if not (CSV_HEADER + "\n").encode().startswith(header):
+                raise ConfigError(
+                    "records", f"{self.records_path} does not carry the sweep record header"
+                )
+            # after a header cut short nothing is left to read; only the last
+            # line read can lack its newline
+            end, lines = len(header), 0
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                end += len(line)
+                lines += 1
+                if lines % rows_per_cell == 0:
+                    self.n_done, self._keep_bytes = lines // rows_per_cell, end
 
     def open(self):
-        """Start fresh files, or trim them to the checkpointed cells."""
-        if self._keep_bytes is None:
+        """Cut the records file after its complete cells, or start it fresh."""
+        if self.n_done:
+            os.truncate(self.records_path, self._keep_bytes)
+        else:
             self.records_path.write_text(CSV_HEADER + "\n", encoding="utf-8", newline="")
-            self.completed = []
-            if self.checkpoint_path.exists():
-                self.checkpoint_path.unlink()
-            return
-        os.truncate(self.records_path, self._keep_bytes)
-        if self._torn:
-            self.checkpoint_path.write_text(
-                "".join(f"{i}\n" for i in self.completed), encoding="utf-8", newline=""
-            )
 
-    def write_cell(self, cell_index: int, rows: list[str]):
+    def write_cell(self, rows: list[str]):
         with open(self.records_path, "a", encoding="utf-8", newline="") as fh:
             fh.write("".join(row + "\n" for row in rows))
-        with open(self.checkpoint_path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(f"{cell_index}\n")
-        self.completed.append(cell_index)
 
 
 def _write_manifest(path: Path, config: SweepConfig, payload_extra: dict):
@@ -670,13 +673,11 @@ def _load_source(config: SweepConfig):
     return x_1, x_2
 
 
-def _check_resume(config: SweepConfig, sink: CsvSink, out_dir: Path):
+def _check_resume(config: SweepConfig, out_dir: Path):
     """Refuse to extend a partial run unless its manifest echoes this config.
 
     The worker count is left out of the comparison: records do not depend on it.
     """
-    if not sink.completed:
-        return
     try:
         manifest = json.loads((out_dir / "manifest.json").read_bytes())
     except (OSError, ValueError) as exc:
@@ -698,12 +699,13 @@ def _check_resume(config: SweepConfig, sink: CsvSink, out_dir: Path):
 def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[SweepRecord]:
     """Run every cell of the sweep; optionally stream records to ``out_dir``.
 
-    With an output directory, writes ``records.csv``, ``checkpoint.txt`` and
-    ``manifest.json`` there and returns the records computed by this call.
-    A directory with a non-empty checkpoint is resumed after its last
-    checkpointed cell, provided its manifest echoes this configuration (the
-    worker count may differ); otherwise ``ConfigError`` is raised and nothing
-    is written. Without a directory, returns all records in memory.
+    With an output directory, writes ``records.csv`` and ``manifest.json``
+    there and returns the records computed by this call. A directory whose
+    records file holds complete cells is resumed after the last of them (see
+    ``CsvSink``), provided its manifest echoes this configuration (the worker
+    count may differ) and the grid has that many cells; otherwise
+    ``ConfigError`` is raised and nothing is written. Without a directory,
+    returns all records in memory.
 
     The whole run uses one BLAS thread (see ``covproj.blas``); the worker
     pool is its only parallelism, and the caller's BLAS thread counts are
@@ -723,14 +725,18 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            sink = CsvSink(
-                out_dir / "records.csv", out_dir / "checkpoint.txt", rows_per_cell(config)
-            )
-            _check_resume(config, sink, out_dir)
+            sink = CsvSink(out_dir / "records.csv", rows_per_cell(config))
+            if sink.n_done > len(cells):
+                raise ConfigError(
+                    "records",
+                    f"{sink.records_path} holds {sink.n_done} complete cells; "
+                    f"the grid has {len(cells)}",
+                )
+            if sink.n_done:
+                _check_resume(config, out_dir)
             sink.open()
             run_info = {
                 "records_csv": str(out_dir / "records.csv"),
-                "checkpoint": str(out_dir / "checkpoint.txt"),
                 "n_cells": len(cells),
                 "rows_per_cell": rows_per_cell(config),
                 "started_at": started,
@@ -745,16 +751,15 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
             }
             _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 
-        # the checkpoint is a contiguous prefix of the cells (see CsvSink)
-        todo = cells[len(sink.completed):] if sink else cells
+        todo = cells[sink.n_done:] if sink else cells
         # a one-thread pool would move every allocation into a second malloc arena
         evaluate = pool.map if config.n_workers > 1 else map
         collected: list[SweepRecord] = []
-        # the map's results live only in this zip: when an exception leaves the
-        # loop it is closed, which cancels the cells not yet started
-        for cell, records in zip(todo, evaluate(_eval_cell, repeat(config), todo, repeat(source))):
+        # the map's iterator lives only in this loop: an exception that leaves
+        # the loop closes it, which cancels the cells not yet started
+        for records in evaluate(_eval_cell, repeat(config), todo, repeat(source)):
             if sink:
-                sink.write_cell(cell.index, [r.to_csv_row() for r in records])
+                sink.write_cell([r.to_csv_row() for r in records])
             collected.extend(records)
 
         if sink:

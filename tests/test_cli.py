@@ -132,14 +132,15 @@ class TestSweepCommand:
             lambda out: (out / "manifest.json").write_bytes(
                 (out / "manifest.json").read_bytes()[:50]
             ),
-            lambda out: (out / "checkpoint.txt").write_text("0\nx\n"),
+            lambda out: (out / "records.csv").write_bytes(
+                b"x" + (out / "records.csv").read_bytes()
+            ),
         ],
-        ids=["missing_manifest", "torn_manifest", "bad_checkpoint_line"],
+        ids=["missing_manifest", "torn_manifest", "foreign_header"],
     )
     def test_unresumable_directory_exits_2_untouched(self, iw_cfg, tmp_path, capsys, defect):
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 0
-        (out / "checkpoint.txt").write_text("0\n")
         defect(out)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert main(["sweep", "--config", str(iw_cfg), "--out", str(out)]) == 2
@@ -320,6 +321,17 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bogus" in captured.err
+
+    @pytest.mark.parametrize("names", ["", " , ", "pca,pca", "pca,rp,pca"])
+    def test_empty_or_repeated_projections_exit_2_before_any_output(
+        self, separable_csv, capsys, names
+    ):
+        path, _ = separable_csv
+        argv = ["eval", str(path), "--label-column", "label", "--q", "2"]
+        assert main(argv + ["--projections", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "projections:" in captured.err
 
     @pytest.mark.parametrize("p", ["0", "-3", "31"])
     def test_p_outside_the_columns_exits_2_before_any_output(self, separable_csv, capsys, p):

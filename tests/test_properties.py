@@ -71,7 +71,8 @@ def test_records_survive_the_csv_round_trip(written):
 
 
 def _grid(elements):
-    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+    # a config list names each value once (SweepConfig.validate)
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(tuple)
 
 
 def _unit(**bounds):

@@ -1,4 +1,4 @@
-"""Sweep engine: grid arithmetic, determinism, checkpointing, summaries."""
+"""Sweep engine: grid arithmetic, determinism, resume, summaries."""
 
 import dataclasses
 import json
@@ -225,6 +225,39 @@ class TestConfig:
         assert cfg.df1_over_p == (1.0, 2.0)
         assert cfg.master_seed == 9
 
+    def test_repeated_key_in_file_rejected(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text("family = inverse_wishart\np = 20\nq = 2\n# later\np = 30\n")
+        with pytest.raises(ConfigError, match="repeats key 'p'") as err:
+            parse_config_file(path)
+        assert err.value.field == "line 5"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p", "20,20"),
+            ("q", "1, 2, 1"),
+            ("df1_over_p", "1,1.0"),
+            ("df2_over_p", "2,2"),
+            ("share", "q,q"),
+            ("q_density", "dense,dense"),
+            ("gamma", "0,0.0"),
+            ("sample_grid", "20,20"),
+            ("projections", "pca,rp,rp"),
+        ],
+    )
+    def test_repeated_list_value_rejected(self, key, value):
+        """Two equal values give two cells, or two projections, one record
+        identity, so a summary would keep only one of them."""
+        with pytest.raises(ConfigError, match="more than once") as err:
+            config_from_mapping({"family": "inverse_wishart", "p": "20", "q": "2", key: value})
+        assert err.value.field == key
+
+    def test_repeated_grid_value_rejected_before_any_cell(self):
+        config = SweepConfig(family="inverse_wishart", p_grid=(20, 20), q_grid=(2,), n_simu=3)
+        with pytest.raises(ConfigError, match="p: lists 20 more than once"):
+            run_sweep(config)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"family": "inverse_wishart", "p": "10", "q": "2", "frobnicate": "1"})
@@ -342,6 +375,7 @@ class TestRunSweep:
         ]
 
     def test_resume_from_checkpoint(self, tmp_path):
+        """The complete cells of the records file are its checkpoint."""
         full_dir, part_dir = tmp_path / "full", tmp_path / "part"
         run_sweep(SMALL_IW, out_dir=full_dir)
         full_lines = (full_dir / "records.csv").read_text().splitlines()
@@ -352,9 +386,6 @@ class TestRunSweep:
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + keep_cells * per_cell]) + "\n"
         )
-        (part_dir / "checkpoint.txt").write_text(
-            "".join(f"{i}\n" for i in range(keep_cells))
-        )
         new_records = run_sweep(SMALL_IW, out_dir=part_dir)
         n_cells = len(expand_grid(SMALL_IW))
         assert len(new_records) == (n_cells - keep_cells) * per_cell
@@ -363,7 +394,7 @@ class TestRunSweep:
         ).read_bytes()
 
     def test_resume_trims_partial_cell(self, tmp_path):
-        """Rows written after the last checkpointed cell are discarded."""
+        """Rows written after the last complete cell are discarded."""
         full_dir, part_dir = tmp_path / "full", tmp_path / "part"
         run_sweep(SMALL_IW, out_dir=full_dir)
         full_lines = (full_dir / "records.csv").read_text().splitlines()
@@ -373,35 +404,10 @@ class TestRunSweep:
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + 2 * per_cell + 1]) + "\n"
         )
-        (part_dir / "checkpoint.txt").write_text("0\n1\n")
         run_sweep(SMALL_IW, out_dir=part_dir)
         assert (part_dir / "records.csv").read_bytes() == (
             full_dir / "records.csv"
         ).read_bytes()
-
-    def test_resume_after_torn_checkpoint_line(self, tmp_path):
-        """A checkpoint line cut short by a kill is dropped, not refused."""
-        cfg = dataclasses.replace(SMALL_IW, df1_over_p=(1.0, 2.0, 3.0), n_simu=1)
-        n_cells = len(expand_grid(cfg))
-        assert n_cells >= 12
-        full_dir, part_dir = tmp_path / "full", tmp_path / "part"
-        run_sweep(cfg, out_dir=full_dir)
-        full_lines = (full_dir / "records.csv").read_text().splitlines()
-        part_dir.mkdir()
-        shutil.copy(full_dir / "manifest.json", part_dir)
-        (part_dir / "records.csv").write_text(
-            "\n".join(full_lines[: 1 + 11 * rows_per_cell(cfg)]) + "\n"
-        )
-        (part_dir / "checkpoint.txt").write_text(
-            "".join(f"{i}\n" for i in range(11)) + "1"
-        )
-        run_sweep(cfg, out_dir=part_dir)
-        assert (part_dir / "records.csv").read_bytes() == (
-            full_dir / "records.csv"
-        ).read_bytes()
-        assert (part_dir / "checkpoint.txt").read_text() == "".join(
-            f"{i}\n" for i in range(n_cells)
-        )
 
     def test_resume_without_manifest_rejects_other_seed(self, tmp_path):
         """A partial run without a manifest is refused before any row is
@@ -412,7 +418,6 @@ class TestRunSweep:
         out = tmp_path / "run"
         run_sweep(cfg, out_dir=out)
         blob = (out / "records.csv").read_bytes()
-        (out / "checkpoint.txt").write_text("0\n")
         (out / "manifest.json").unlink()
         with pytest.raises(ConfigError):
             run_sweep(dataclasses.replace(cfg, master_seed=2), out_dir=out)
@@ -424,7 +429,6 @@ class TestRunSweep:
         per_cell = rows_per_cell(SMALL_IW)
         lines = (out / "records.csv").read_text().splitlines()
         (out / "records.csv").write_text("\n".join(lines[: 1 + 2 * per_cell]) + "\n")
-        (out / "checkpoint.txt").write_text("0\n1\n")
         other = dataclasses.replace(SMALL_IW, master_seed=123)
         with pytest.raises(ConfigError):
             run_sweep(other, out_dir=out)
@@ -614,11 +618,14 @@ class TestFailureStopsPool:
 
     def _fail_sink(self, monkeypatch, exc):
         original = sweep.CsvSink.write_cell
+        written = []
 
-        def write_cell(sink, cell_index, rows):
-            if cell_index == self.FAILING:
+        # a fresh run writes cell i on the sink's call i
+        def write_cell(sink, rows):
+            if len(written) == self.FAILING:
                 raise exc
-            original(sink, cell_index, rows)
+            written.append(rows)
+            original(sink, rows)
 
         monkeypatch.setattr(sweep.CsvSink, "write_cell", write_cell)
 
@@ -657,16 +664,16 @@ class TestFailureStopsPool:
 
 
 # a 12-cell grid of two rows per cell that runs in milliseconds: small enough
-# to resume from every byte cut of its files
+# to resume from hundreds of byte cuts of its records file
 TINY = SweepConfig(
     family="example1", p_grid=(3, 4, 5, 6, 7, 8), q_grid=(1, 2), projections=("pca", "rp")
 )
-OUTPUTS = ("records.csv", "checkpoint.txt")
+OUTPUTS = ("records.csv",)
 
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """The bytes of a complete ``TINY`` run's three files."""
+    """The bytes of a complete ``TINY`` run's two files."""
     out = tmp_path_factory.mktemp("tiny")
     run_sweep(TINY, out_dir=out)
     return {name: (out / name).read_bytes() for name in (*OUTPUTS, "manifest.json")}
@@ -682,33 +689,31 @@ def _read_files(out, names):
     return {name: (out / name).read_bytes() for name in names}
 
 
+def _cells_prefix(records, n_cells, per_cell):
+    """Byte length of the header and the first ``n_cells`` cells' rows."""
+    lines = records.splitlines(keepends=True)
+    return len(b"".join(lines[: 1 + n_cells * per_cell]))
+
+
 class TestResume:
-    """Resume is judged on the manifest and reproduces the full run's bytes."""
+    """Resume is judged on the manifest, counts the complete cells of the
+    records file, and reproduces the full run's bytes."""
 
-    def _checkpointed_prefix(self, records, n_cells, per_cell):
-        lines = records.splitlines(keepends=True)
-        return len(b"".join(lines[: 1 + n_cells * per_cell]))
-
-    def test_every_checkpoint_cut_resumes_to_the_full_bytes(self, tmp_path, tiny_run):
-        checkpoint = tiny_run["checkpoint.txt"]
-        assert checkpoint.count(b"\n") == len(expand_grid(TINY)) >= 11
-        want = {name: tiny_run[name] for name in OUTPUTS}
-        for cut in range(len(checkpoint) + 1):
-            _write_files(tmp_path, {**tiny_run, "checkpoint.txt": checkpoint[:cut]})
-            run_sweep(TINY, out_dir=tmp_path)
-            assert _read_files(tmp_path, OUTPUTS) == want, cut
-
-    def test_every_records_cut_past_the_checkpoint_resumes(self, tmp_path, tiny_run):
+    def test_every_records_cut_resumes_to_the_full_bytes(self, tmp_path, tiny_run):
+        """Cuts at every byte of the header, of the first cell and of the last
+        cell, and at every line boundary and one byte either side of it."""
         records = tiny_run["records.csv"]
-        checkpoint = b"".join(b"%d\n" % i for i in range(9))
-        keep = self._checkpointed_prefix(records, 9, rows_per_cell(TINY))
-        want = {name: tiny_run[name] for name in OUTPUTS}
-        for cut in range(keep, len(records) + 1):
-            _write_files(
-                tmp_path, {**tiny_run, "records.csv": records[:cut], "checkpoint.txt": checkpoint}
-            )
+        per_cell = rows_per_cell(TINY)
+        n_cells = len(expand_grid(TINY))
+        assert records.count(b"\n") == 1 + n_cells * per_cell and n_cells >= 12
+        ends = np.cumsum([len(line) for line in records.splitlines(keepends=True)])
+        cuts = {*range(_cells_prefix(records, 1, per_cell) + 1)}
+        cuts |= {*range(_cells_prefix(records, n_cells - 1, per_cell), len(records) + 1)}
+        cuts |= {int(end) + d for end in ends for d in (-1, 0, 1) if end + d <= len(records)}
+        for cut in sorted(cuts):
+            _write_files(tmp_path, {**tiny_run, "records.csv": records[:cut]})
             run_sweep(TINY, out_dir=tmp_path)
-            assert _read_files(tmp_path, OUTPUTS) == want, cut
+            assert _read_files(tmp_path, OUTPUTS) == {"records.csv": records}, cut
 
     def test_resume_across_hosts(self, tmp_path, tiny_run):
         """The manifest's host entry is a record of the run, not compared on resume."""
@@ -716,24 +721,52 @@ class TestResume:
         here = manifest["host"]
         assert set(here) == {"node", "cpu_count", "python", "numpy"}
         manifest["host"] = {"node": "elsewhere", "cpu_count": 512, "python": "3.10.0", "numpy": "1.24.0"}
+        records = tiny_run["records.csv"]
         _write_files(
             tmp_path,
-            {**tiny_run, "manifest.json": json.dumps(manifest).encode(), "checkpoint.txt": b"0\n1\n"},
+            {
+                "manifest.json": json.dumps(manifest).encode(),
+                "records.csv": records[: _cells_prefix(records, 2, rows_per_cell(TINY))],
+            },
         )
         run_sweep(TINY, out_dir=tmp_path)
         assert _read_files(tmp_path, OUTPUTS) == {name: tiny_run[name] for name in OUTPUTS}
         assert json.loads((tmp_path / "manifest.json").read_text())["host"] == here
 
-    def test_records_cut_below_the_checkpoint_is_refused(self, tmp_path, tiny_run):
+    @pytest.mark.parametrize(
+        "first_line",
+        [b"\n", sweep.CSV_HEADER.encode()[:-3] + b"\n", sweep.CSV_HEADER.encode() + b"\r\n",
+         b"x,y\n", b"x,y"],
+        ids=["blank", "short_header", "crlf_header", "foreign", "foreign_torn"],
+    )
+    def test_foreign_first_line_is_refused(self, tmp_path, tiny_run, first_line):
+        """A file that does not start with the record header, or a prefix of
+        it, is not a sweep's records file: it is refused, not overwritten."""
+        rows = tiny_run["records.csv"].split(b"\n", 1)[1]
+        files = {**tiny_run, "records.csv": first_line + rows}
+        _write_files(tmp_path, files)
+        with pytest.raises(ConfigError, match="sweep record header"):
+            run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, files) == files
+
+    def test_more_cells_than_the_grid_is_refused(self, tmp_path, tiny_run):
         records = tiny_run["records.csv"]
-        checkpoint = b"".join(b"%d\n" % i for i in range(9))
-        keep = self._checkpointed_prefix(records, 9, rows_per_cell(TINY))
-        for cut in range(keep):
-            files = {**tiny_run, "records.csv": records[:cut], "checkpoint.txt": checkpoint}
-            _write_files(tmp_path, files)
-            with pytest.raises(ConfigError):
-                run_sweep(TINY, out_dir=tmp_path)
-            assert _read_files(tmp_path, files) == files, cut
+        per_cell = rows_per_cell(TINY)
+        last_cell = records[_cells_prefix(records, len(expand_grid(TINY)) - 1, per_cell):]
+        files = {**tiny_run, "records.csv": records + last_cell}
+        _write_files(tmp_path, files)
+        with pytest.raises(ConfigError, match="13 complete cells; the grid has 12"):
+            run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, files) == files
+
+    def test_stale_checkpoint_file_is_ignored(self, tmp_path, tiny_run):
+        """A ``checkpoint.txt`` left by an earlier version is neither read nor
+        removed."""
+        records = tiny_run["records.csv"]
+        stale = {"checkpoint.txt": b"0\n1\n2\n3\n4\n5\n6\n"}
+        _write_files(tmp_path, {**tiny_run, **stale, "records.csv": records[:300]})
+        run_sweep(TINY, out_dir=tmp_path)
+        assert _read_files(tmp_path, ["records.csv", *stale]) == {"records.csv": records, **stale}
 
     def test_resume_with_other_worker_count(self, tmp_path):
         """Records do not depend on the worker count, so neither does resume."""
@@ -742,9 +775,8 @@ class TestResume:
         run_sweep(SMALL_IW, out_dir=part_dir)
         assert SMALL_IW.n_workers == 1
         records = (part_dir / "records.csv").read_bytes()
-        keep = self._checkpointed_prefix(records, 2, rows_per_cell(SMALL_IW))
+        keep = _cells_prefix(records, 2, rows_per_cell(SMALL_IW))
         (part_dir / "records.csv").write_bytes(records[: keep + 30])
-        (part_dir / "checkpoint.txt").write_text("0\n1\n")
         run_sweep(dataclasses.replace(SMALL_IW, n_workers=2), out_dir=part_dir)
         assert _read_files(part_dir, OUTPUTS) == _read_files(full_dir, OUTPUTS)
 
@@ -759,9 +791,9 @@ class TestResume:
         ids=["torn", "not_an_object", "config_not_a_mapping", "config_empty"],
     )
     def test_unusable_manifest_is_refused(self, tmp_path, tiny_run, manifest):
+        records = tiny_run["records.csv"]
         files = {
-            **tiny_run,
-            "checkpoint.txt": b"0\n1\n",
+            "records.csv": records[: _cells_prefix(records, 2, rows_per_cell(TINY)) + 7],
             "manifest.json": manifest(tiny_run["manifest.json"]),
         }
         _write_files(tmp_path, files)
@@ -769,18 +801,9 @@ class TestResume:
             run_sweep(TINY, out_dir=tmp_path)
         assert _read_files(tmp_path, files) == files
 
-    @pytest.mark.parametrize("line", [b"x", b"1.0", b"-1", b"0x1", b"\xff"])
-    def test_non_integer_checkpoint_line_is_refused(self, tmp_path, tiny_run, line):
-        files = {**tiny_run, "checkpoint.txt": b"0\n" + line + b"\n"}
-        _write_files(tmp_path, files)
-        with pytest.raises(ConfigError, match="contiguous cell prefix"):
-            run_sweep(TINY, out_dir=tmp_path)
-        assert _read_files(tmp_path, files) == files
-
     def test_run_leaves_no_staged_manifest(self, tmp_path):
         run_sweep(TINY, out_dir=tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "checkpoint.txt",
             "manifest.json",
             "records.csv",
         ]
@@ -789,20 +812,21 @@ class TestResume:
         """Trimming a records file of several MB traces a small fraction of it."""
         per_cell, n_cells = 300, 200
         row = _toy_record("bhatt_optimal", 0.12345678901234567).to_csv_row() + "\n"
-        records, checkpoint = tmp_path / "records.csv", tmp_path / "checkpoint.txt"
+        records = tmp_path / "records.csv"
         with open(records, "w", encoding="utf-8", newline="") as fh:
             fh.write(sweep.CSV_HEADER + "\n")
             fh.writelines(row for _ in range(n_cells * per_cell))
             fh.write(row[:20])
-        checkpoint.write_text("".join(f"{i}\n" for i in range(n_cells)))
         size = records.stat().st_size
         assert size >= 4_000_000
         tracemalloc.start()
         try:
-            sweep.CsvSink(records, checkpoint, per_cell).open()
+            sink = sweep.CsvSink(records, per_cell)
+            sink.open()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert sink.n_done == n_cells
         assert records.stat().st_size == size - 20
         assert peak < size / 50
 
