@@ -8,6 +8,13 @@ through ctypes. It is ILP64: integers are 64-bit and symbols end in ``64_``.
   parallelism from its worker pool. ``single_thread`` pins numpy's build,
   and scipy's too (LP64, its own thread pool) when scipy is already
   imported. Another BLAS is left alone and reported as unmanaged.
+- **Start-up.** OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when numpy
+  loads it; unset, it starts a second thread that spin-waits through the
+  rest of the imports. The ``covproj`` command sets the variable to 1
+  (unless it is already set) before numpy loads, so its OpenBLAS starts on
+  one thread and its child processes inherit that. ``import covproj``
+  leaves the variable alone: a library caller keeps its own threading until
+  ``single_thread`` pins it.
 - **Solves.** ``solve_triangular`` calls LAPACK ``dtrtrs`` in numpy's build,
   with scipy's memory layout, so its results equal
   ``scipy.linalg.solve_triangular``'s bit for bit and the runtime needs no

@@ -1,5 +1,9 @@
 """Command-line surface: sweep driver, summaries, dataset evaluation, oracle.
 
+Every command runs with BLAS on one thread (``blas.single_thread``), and
+numpy's OpenBLAS starts on one thread unless ``OPENBLAS_NUM_THREADS`` is
+already set.
+
 Exit codes: 0 success, 2 configuration or input errors, 3 sink (output
 write) failures, 4 a projection hit a singular embedded covariance during
 evaluation (remaining projections are still reported).
@@ -10,12 +14,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
+
+# numpy's bundled OpenBLAS reads this once, when numpy loads. Unset, it
+# starts a second thread that spin-waits through the rest of the imports,
+# and every command then pins BLAS to one thread anyway (``single_thread``).
+# A value the caller set wins; child processes inherit the variable.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import __version__
+from .blas import single_thread
 from .classify import fit_embedded_qda, mc_bayes_risk, oos_error
 from .core import (
     ConfigError,
@@ -224,7 +236,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_thread():
+            return args.func(args)
     except (ConfigError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

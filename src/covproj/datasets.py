@@ -4,6 +4,12 @@ Rows are observations, columns are features. The delimiter (comma or tab) and
 the presence of a header line are detected automatically; a label column can
 be selected by name, which requires a header. Non-numeric or non-finite
 values are rejected with the offending 1-based line number.
+
+The numbers are parsed by numpy's C reader (``np.loadtxt``), which rounds
+as Python's ``float`` does. A file it cannot take whole (a ragged row, a
+token such as ``1_0`` or an empty field, a non-finite value) is parsed
+again by the row loop, which ``float`` drives and which finds and reports
+the first defect; both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -46,10 +52,11 @@ class _Table(NamedTuple):
 def _read_table(
     path: str | Path, delimiter: str | None, label_column: str | None = None
 ) -> _Table:
-    """Read a delimited file in one pass into a preallocated float64 array.
+    """Read a delimited file into a float64 array.
 
     The delimiter and the header are detected from the first non-blank line.
-    Each data row is parsed straight into its row of the array, so beyond the
+    The content lines go to ``_parse_fast`` first. When it declines, each data
+    row is parsed straight into its row of a preallocated array, so beyond the
     file's text only the result and the label tokens are held. Errors keep a
     fixed precedence: a ragged row anywhere, then a header of the wrong
     width, then a missing label column; the first bad value token is returned
@@ -76,6 +83,9 @@ def _read_table(
     label_idx = header.index(label_column) if header and label_column in header else None
     # a file that fails the header or label checks is only scanned for ragged rows
     parse = fits and (label_column is None or label_idx is not None)
+    fast = _parse_fast([lines[i] for i in content], delimiter, width, label_idx) if parse else None
+    if fast is not None:
+        return _Table(header, *fast, [i + 1 for i in content], None)
     values = np.empty((len(content), width - (label_idx is not None)))
     labels: list[str] = []
     error = None
@@ -108,6 +118,34 @@ def _read_table(
                 "label_column", f"{label_column!r} not found in header {header}"
             )
     return _Table(header, values, labels, [i + 1 for i in content], error)
+
+
+def _parse_fast(
+    rows: list[str], delimiter: str, width: int, label_idx: int | None
+) -> tuple[np.ndarray, list[str]] | None:
+    """Parse clean content lines with numpy's C reader.
+
+    Returns the values and the label tokens, or None when any line needs the
+    row loop: a ragged row, a delimiter or a token ``np.loadtxt`` rejects (an
+    empty token, ``1_0``), or a value that is not finite. The row loop then
+    parses every line again and reports the first defect.
+    """
+    # np.loadtxt drops the fields of a row beyond ``usecols``, so a long row
+    # is caught here
+    if any(row.count(delimiter) != width - 1 for row in rows):
+        return None
+    cols = [j for j in range(width) if j != label_idx]
+    try:
+        values = np.loadtxt(
+            rows, delimiter=delimiter, usecols=cols, comments=None, dtype=np.float64, ndmin=2
+        )
+    except (TypeError, ValueError):
+        return None
+    if values.shape != (len(rows), len(cols)) or not np.isfinite(values).all():
+        return None
+    if label_idx is None:
+        return values, []
+    return values, [row.split(delimiter, label_idx + 1)[label_idx].strip() for row in rows]
 
 
 def _checked(table: _Table) -> np.ndarray:

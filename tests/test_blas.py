@@ -1,5 +1,5 @@
-"""numpy's bundled OpenBLAS: the triangular solve, the scipy fallback and
-the import footprint.
+"""numpy's bundled OpenBLAS: the triangular solve, the scipy fallback, the
+import footprint and the thread count the command starts OpenBLAS with.
 
 scipy is the reference here: ``blas.solve_triangular`` must return
 ``scipy.linalg.solve_triangular``'s bits, which is what keeps the records
@@ -100,8 +100,11 @@ class TestSolveTriangular:
         assert x.shape == (4, 0) and x.dtype == np.float64
 
 
-def _run_python(code: str) -> list[str]:
+def _run_python(code: str, **overrides: str | None) -> list[str]:
+    """Run ``code`` in a fresh interpreter; an override of None unsets the variable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.update(overrides)
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -207,3 +210,67 @@ def test_manifest_names_the_host(tmp_path):
         "numpy": np.__version__,
     }
     assert "host" not in manifest["config"]
+
+
+# every public name of the package, eager or lazy
+PUBLIC_NAMES = """
+Cell ConfigError CovProjError DatasetFormatError DegreesOfFreedomError
+DimensionMismatchError EigPair EmbeddedQda EmptyClassError EmptyGridError
+InsufficientRowsError LabeledDataset LatentConfig MixedModesError
+NonFiniteProjectionError NonPositiveEigenvalueError NotPositiveDefiniteError
+NotSquareError OptimalProjection PROJECTIONS ProjectionMatrix
+RankDeficientAfterRetriesError RankDeficientError RiskEstimate RngStream
+SingularAfterRidgeError SingularBlendError SingularEmbeddedCovarianceError
+SpdMatrix SummaryTable SweepConfig SweepRecord TwoClassGaussian
+bhattacharyya_optimal_projection bhattacharyya_overlap blas build_projection
+chernoff_distance classify column_overlap config_from_mapping core datasets
+derive_stream embedded_overlap embedded_overlaps empirical_cov_pair
+empirical_covariances expand_grid fit_embedded_qda gen_iw_pair gen_latent_pair
+generalized_eigenpairs generators latent_rank load_dataset load_matrix
+load_vector make_spd mc_bayes_risk metrics mixture_covariance oos_error
+optimal_overlap_closed_form optimal_projection_auto_ridge parse_config_file
+pca_adversarial_pair pca_favorable_pair pca_projection project_model
+projections random_projection read_records_csv reconstruction_error run_sweep
+sample_gaussian sample_inverse_wishart sample_scaled_inverse_wishart
+sample_two_class sample_wishart sparse_random_projection summarize sweep
+""".split()
+
+LIBRARY_IMPORT = """
+import os, sys
+import covproj
+print("numpy" in sys.modules, "OPENBLAS_NUM_THREADS" in os.environ)
+print(" ".join(covproj.__all__))
+print(" ".join(dir(covproj)))
+"""
+
+
+def test_library_import_loads_no_numpy_and_lists_every_name():
+    loaded, exported, listed = _run_python(LIBRARY_IMPORT, OPENBLAS_NUM_THREADS=None)
+    assert loaded == "False False"
+    assert sorted(exported.split()) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(listed.split())
+
+
+def test_every_public_name_resolves():
+    import covproj
+
+    namespace = {}
+    exec("from covproj import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        covproj.nonexistent
+
+
+COMMAND_START = """
+from covproj import cli
+from covproj import blas
+print([build.get_threads() for build in blas.find_openblas()])
+"""
+
+
+@pytest.mark.skipif(blas._numpy_openblas() is None, reason="numpy bundles no OpenBLAS here")
+@pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
+def test_command_starts_openblas_on_one_thread_unless_set(preset, threads):
+    """Importing ``covproj.cli`` before numpy sets the variable numpy's
+    OpenBLAS reads when it loads; a value already set wins."""
+    assert _run_python(COMMAND_START, OPENBLAS_NUM_THREADS=preset) == [f"[{threads}]"]

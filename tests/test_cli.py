@@ -13,8 +13,10 @@ from covproj import (
     pca_favorable_pair,
     sample_two_class,
 )
+from covproj import cli
 from covproj.cli import build_parser, main
 from covproj.projections import PROJECTIONS
+from conftest import blas_threads
 
 IW_CFG = """
 family = inverse_wishart
@@ -451,3 +453,30 @@ class TestOracleCommand:
         without a spectral test, so both must be finite."""
         assert main(["oracle", fixture, "--q", "1", "--alpha", "inf"]) == 2
         assert "alpha/delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, scored_by",
+    [
+        (["eval", "{csv}", "--label-column", "label", "--q", "2"], "oos_error"),
+        (["oracle", "example1", "--q", "2", "--mc-samples", "1000"], "mc_bayes_risk"),
+    ],
+    ids=["eval", "oracle"],
+)
+def test_command_runs_on_one_blas_thread(
+    openblas_at_two, separable_csv, monkeypatch, capsys, argv, scored_by
+):
+    """As a sweep does, so that the printed numbers do not follow the
+    caller's thread count; the caller's count is restored afterwards."""
+    seen = []
+    score = getattr(cli, scored_by)
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads(openblas_at_two))
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, scored_by, spy)
+    path, _ = separable_csv
+    assert main([arg.format(csv=path) for arg in argv]) == 0
+    assert seen and all(threads == [1] * len(openblas_at_two) for threads in seen)
+    assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covproj import ConfigError, DatasetFormatError, load_dataset, load_matrix, load_vector
+from covproj import (
+    ConfigError,
+    DatasetFormatError,
+    datasets,
+    load_dataset,
+    load_matrix,
+    load_vector,
+)
 
 
 class TestLoadDataset:
@@ -107,6 +114,28 @@ def test_load_peak_memory_follows_the_result(tmp_path):
         tracemalloc.stop()
     assert data.X.shape == (2000, 300)
     assert peak < 20 * 2**20
+
+
+def test_clean_files_never_reach_the_row_parser(tmp_path, monkeypatch):
+    """numpy's C reader parses a clean file whole, so a regression that
+    sends every file down the row loop fails here rather than only slowing."""
+
+    def row_parser(tokens, lineno):
+        raise AssertionError(f"line {lineno} reached the row parser")
+
+    monkeypatch.setattr(datasets, "_parse_row", row_parser)
+    files = {
+        "d.csv": "a,label,b\r\n 1.5 ,x,-2e3\r\n\r\n+3,y,4\r\n",
+        "m.tsv": "2\t0.5\n \n0.5\t1\n",
+        "v.csv": "1\n2\n3\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode())
+    data, names = load_dataset(tmp_path / "d.csv", "label")
+    assert names == ["a", "b"] and data.z.tolist() == [1, 2]
+    assert data.X.tolist() == [[1.5, -2000.0], [3.0, 4.0]]
+    assert load_matrix(tmp_path / "m.tsv").entries.tolist() == [[2.0, 0.5], [0.5, 1.0]]
+    assert load_vector(tmp_path / "v.csv").tolist() == [1.0, 2.0, 3.0]
 
 
 class TestLoadMatrixAndVector:

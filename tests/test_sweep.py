@@ -33,6 +33,7 @@ from covproj import blas, projections, sweep
 from covproj.cli import main
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
+from conftest import blas_threads
 
 PAPER_IW = SweepConfig(
     family="inverse_wishart",
@@ -831,24 +832,6 @@ class TestResume:
         assert peak < size / 50
 
 
-def _threads(builds):
-    return [build.get_threads() for build in builds]
-
-
-@pytest.fixture
-def openblas_at_two():
-    """The bundled OpenBLAS builds, set to two threads for the test."""
-    builds = blas.find_openblas()
-    if not builds:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
-    before = _threads(builds)
-    for build in builds:
-        build.set_threads(2)
-    yield builds
-    for build, threads in zip(builds, before):
-        build.set_threads(threads)
-
-
 IW_P100 = SweepConfig(
     family="inverse_wishart",
     p_grid=(100,),
@@ -864,20 +847,20 @@ IW_P100 = SweepConfig(
 class TestBlasPolicy:
     def test_thread_counts_restored_after_sweep(self, openblas_at_two):
         run_sweep(SMALL_IW)
-        assert _threads(openblas_at_two) == [2] * len(openblas_at_two)
+        assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
 
     def test_thread_counts_restored_when_sweep_raises(self, openblas_at_two, monkeypatch):
         seen = []
 
         def failing_cell(*args):
-            seen.append(_threads(openblas_at_two))
+            seen.append(blas_threads(openblas_at_two))
             raise RuntimeError("cell failed")
 
         monkeypatch.setattr(sweep, "_eval_cell", failing_cell)
         with pytest.raises(RuntimeError):
             run_sweep(SMALL_IW)
         assert seen == [[1] * len(openblas_at_two)]
-        assert _threads(openblas_at_two) == [2] * len(openblas_at_two)
+        assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
 
     def test_manifest_records_one_thread_during_sweep(self, openblas_at_two, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "run")
