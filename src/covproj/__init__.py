@@ -54,8 +54,6 @@ _EXPORTS = {
     ),
     "projections": (
         "PROJECTIONS",
-        "EigPair",
-        "OptimalProjection",
         "bhattacharyya_optimal_projection",
         "build_projection",
         "empirical_covariances",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "sparse_random_projection",
     ),
     "generators": (
-        "LatentConfig",
         "column_overlap",
         "empirical_cov_pair",
         "gen_iw_pair",

@@ -50,16 +50,14 @@ class EmbeddedQda:
     """Gaussian likelihood-ratio classifier in the image of a projection.
 
     Decides argmax_k [ ln(pi_k) - 1/2 ln det(C_k) - 1/2 |L_k^{-1}(y - m_k)|^2 ]
-    for y = W^T x, with the prior term dropped when ``use_priors`` is False.
-    Cholesky factors and log-determinants are precomputed once; the object is
-    immutable and safe to share.
+    for y = W^T x. Cholesky factors and log-determinants are precomputed
+    once; the object is immutable and safe to share.
     """
 
     w: ProjectionMatrix | None
     model: TwoClassGaussian
     chol_factors: tuple[np.ndarray, np.ndarray]
     log_dets: tuple[float, float]
-    use_priors: bool = True
 
     @property
     def embed_dim(self) -> int:
@@ -76,25 +74,16 @@ class EmbeddedQda:
             )
         return x @ self.w.entries
 
-    def _scores(self, y: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predicted labels in {1, 2}; exact ties resolve to class 1."""
+        y = self.embed(x)
         m = self.model
         scores = np.empty((y.shape[0], 2))
         for k, (mean, weight) in enumerate(((m.mean_1, m.weight_1), (m.mean_2, m.weight_2))):
             centered = y - mean
             u = solve_triangular(self.chol_factors[k], centered.T, lower=True)
             quad = np.einsum("ij,ij->j", u, u)
-            prior = math.log(weight) if self.use_priors else 0.0
-            scores[:, k] = prior - 0.5 * self.log_dets[k] - 0.5 * quad
-        return scores
-
-    def log_ratio(self, x: np.ndarray) -> np.ndarray:
-        """-2 ln( p_1(y) / p_2(y) ), the class-2-favoring decision statistic."""
-        scores = self._scores(self.embed(x))
-        return -2.0 * (scores[:, 0] - scores[:, 1])
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted labels in {1, 2}; exact ties resolve to class 1."""
-        scores = self._scores(self.embed(x))
+            scores[:, k] = math.log(weight) - 0.5 * self.log_dets[k] - 0.5 * quad
         return np.where(scores[:, 1] > scores[:, 0], 2, 1)
 
 
@@ -102,7 +91,6 @@ def fit_embedded_qda(
     model: TwoClassGaussian,
     w: ProjectionMatrix | None = None,
     ridge: float = 0.0,
-    use_priors: bool = True,
 ) -> EmbeddedQda:
     """The embedded classifier of a two-class model seen through W.
 
@@ -150,7 +138,6 @@ def fit_embedded_qda(
         model=replace(emb, cov_1=covs[0], cov_2=covs[1]),
         chol_factors=(chols[0], chols[1]),
         log_dets=(_logdet(chols[0]), _logdet(chols[1])),
-        use_priors=use_priors,
     )
 
 

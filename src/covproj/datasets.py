@@ -1,9 +1,10 @@
 """Delimited-text ingestion for labeled tabular data and square matrices.
 
-Rows are observations, columns are features. The delimiter (comma or tab) and
-the presence of a header line are detected automatically; a label column can
-be selected by name, which requires a header. Non-numeric or non-finite
-values are rejected with the offending 1-based line number.
+Rows are observations, columns are features. The delimiter is always
+detected: tab if the first non-blank line holds one, else comma. Whether that
+line is a header is detected too; a label column can be selected by name,
+which requires a header. Non-numeric or non-finite values are rejected with
+the offending 1-based line number.
 
 The numbers are parsed by numpy's C reader (``np.loadtxt``), which rounds
 as Python's ``float`` does. A file it cannot take whole (a ragged row, a
@@ -27,10 +28,6 @@ def _split_line(line: str, delimiter: str) -> list[str]:
     return list(map(str.strip, line.rstrip("\n").rstrip("\r").split(delimiter)))
 
 
-def _detect_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -49,9 +46,7 @@ class _Table(NamedTuple):
     error: DatasetFormatError | None  # the first bad value token, in file order
 
 
-def _read_table(
-    path: str | Path, delimiter: str | None, label_column: str | None = None
-) -> _Table:
+def _read_table(path: str | Path, label_column: str | None = None) -> _Table:
     """Read a delimited file into a float64 array.
 
     The delimiter and the header are detected from the first non-blank line.
@@ -69,8 +64,7 @@ def _read_table(
     content = [i for i, ln in enumerate(lines) if ln.strip() != ""]
     if not content:
         raise DatasetFormatError("file contains no data")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[content[0]])
+    delimiter = "\t" if "\t" in lines[content[0]] else ","
     first_tokens = _split_line(lines[content[0]], delimiter)
     header = None
     if not all(_is_float(tok) for tok in first_tokens):
@@ -179,24 +173,20 @@ def _parse_row(tokens: list[str], lineno: int) -> list[float]:
     return [_parse_float(tok, lineno) for tok in tokens]
 
 
-def load_matrix(path: str | Path, delimiter: str | None = None) -> SpdMatrix:
+def load_matrix(path: str | Path) -> SpdMatrix:
     """Load a square matrix file and validate it as symmetric PSD."""
-    return make_spd(_checked(_read_table(path, delimiter)))
+    return make_spd(_checked(_read_table(path)))
 
 
-def load_vector(path: str | Path, delimiter: str | None = None) -> np.ndarray:
+def load_vector(path: str | Path) -> np.ndarray:
     """Load a one-row or one-column numeric file as a flat vector."""
-    arr = _checked(_read_table(path, delimiter))
+    arr = _checked(_read_table(path))
     if 1 not in arr.shape:
         raise DatasetFormatError(f"expected a vector, got shape {arr.shape}")
     return arr.ravel()
 
 
-def load_dataset(
-    path: str | Path,
-    label_column: str,
-    delimiter: str | None = None,
-) -> tuple[LabeledDataset, list[str]]:
+def load_dataset(path: str | Path, label_column: str) -> tuple[LabeledDataset, list[str]]:
     """Load a labeled dataset; returns it with the feature column names.
 
     The label column must contain exactly two distinct values, which are
@@ -204,7 +194,7 @@ def load_dataset(
     parses as a number, lexicographic otherwise). Numeric labels must be
     finite: a non-finite one is rejected with its line number.
     """
-    table = _read_table(path, delimiter, label_column)
+    table = _read_table(path, label_column)
     label_idx = table.header.index(label_column)
     feature_names = table.header[:label_idx] + table.header[label_idx + 1 :]
     distinct = set(table.labels)

@@ -5,7 +5,9 @@ Three families produce the (C1, C2) pairs that the sweeps enumerate:
 * scaled inverse Wishart, df * InvWishart(I_p, df), whose scaling keeps the
   matrices comparable to the identity across dimensions;
 * a latent low-dimension construction, (r+1) Q^T Theta Q + 0.02 p M, mixing a
-  small inverse Wishart factor into the ambient space plus full-rank noise;
+  small inverse Wishart factor into the ambient space plus full-rank noise,
+  with Q or Theta optionally shared between the classes and Q optionally
+  sparse;
 * empirical covariances of two real (or synthetic) data groups, with a column
   overlap procedure that interpolates between distinct and identical
   populations.
@@ -16,7 +18,6 @@ Every sampler owns an RngStream fork, so parallel cells never share state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +35,6 @@ from .core import (
     make_spd,
 )
 from .projections import mixture_covariance
-
-
-@dataclass(frozen=True)
-class LatentConfig:
-    """Sharing and sparsity switches for the latent low-dimension family.
-
-    ``share_q`` aliases the mixing matrix between classes, ``share_theta``
-    the latent covariance; both at once would make the classes nearly
-    identical and is rejected. Sparse mixing keeps each entry with
-    probability ``sparse_density``.
-    """
-
-    share_q: bool = False
-    share_theta: bool = False
-    sparse_q: bool = False
-    sparse_density: float = 0.1
 
 
 def _check_df(dim: int, df: float) -> None:
@@ -129,42 +114,37 @@ def latent_rank(p: int) -> int:
     return max(2, round(p / 25))
 
 
-def _mixing_matrix(
-    r: int, p: int, sparse: bool, density: float, stream: RngStream
-) -> np.ndarray:
+def _mixing_matrix(r: int, p: int, density: float | None, stream: RngStream) -> np.ndarray:
     g = stream.generator()
     q = g.standard_normal((r, p))
-    if sparse:
+    if density is not None:
         keep = g.random((r, p)) < density
         q = np.where(keep, q, 0.0)
     return q
 
 
 def gen_latent_pair(
-    p: int, config: LatentConfig, stream: RngStream
+    p: int, share: str, sparse_density: float | None, stream: RngStream
 ) -> tuple[SpdMatrix, SpdMatrix]:
     """Latent low-dimension pair C_k = (r+1) Q_k^T Theta_k Q_k + 0.02 p M_k.
 
     Theta_k ~ InvWishart(I_r, r+1) (unscaled; note the heavy tails, its mean
     does not exist), M_k ~ InvWishart(I_p, 2p), Q_k an r x p mixing matrix.
-    Share flags reuse the very same object for both classes.
+    ``share`` is "none", or "q" or "theta" to reuse that very object for both
+    classes. Q_k is dense when ``sparse_density`` is None; otherwise each of
+    its entries is kept with that probability.
     """
-    if config.share_q and config.share_theta:
-        raise ConfigError(
-            "share", "share_q and share_theta cannot both be set; the classes "
-            "would be nearly identical"
-        )
+    if share not in ("none", "q", "theta"):
+        raise ConfigError("share", f"must be none, q or theta, got {share!r}")
     if p < 2:
         raise ConfigError("p", "latent family needs p >= 2")
     r = latent_rank(p)
     theta_1 = sample_inverse_wishart(r, r + 1, stream.child(0))
-    theta_2 = theta_1 if config.share_theta else sample_inverse_wishart(
+    theta_2 = theta_1 if share == "theta" else sample_inverse_wishart(
         r, r + 1, stream.child(1)
     )
-    q_1 = _mixing_matrix(r, p, config.sparse_q, config.sparse_density, stream.child(2))
-    q_2 = q_1 if config.share_q else _mixing_matrix(
-        r, p, config.sparse_q, config.sparse_density, stream.child(3)
-    )
+    q_1 = _mixing_matrix(r, p, sparse_density, stream.child(2))
+    q_2 = q_1 if share == "q" else _mixing_matrix(r, p, sparse_density, stream.child(3))
     m_1 = sample_inverse_wishart(p, 2 * p, stream.child(4))
     m_2 = sample_inverse_wishart(p, 2 * p, stream.child(5))
     covs = []

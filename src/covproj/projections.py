@@ -8,13 +8,13 @@ lam + 1/lam. Each family is built by ``build_projection`` from a class
 covariance pair, which is either the true pair (the parameter-oracle form) or
 the sample estimates (the empirical form).
 
-All constructors are deterministic given their inputs and an RngStream.
+Every constructor returns a ProjectionMatrix and is deterministic given its
+inputs and an RngStream. ``generalized_eigenpairs`` returns plain arrays: the
+eigenvalues and, as columns, the eigenvectors, most extreme first, so the
+pairs for k are the first k of the pairs for any larger k.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +37,6 @@ from .core import (
 PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
 
 _MAX_RANK_RETRIES = 100
-
-
-@dataclass(frozen=True)
-class EigPair:
-    """One generalized eigenpair (lam, phi) with C2 phi = lam C1 phi."""
-
-    value: float
-    vector: np.ndarray
-
-
-class OptimalProjection(NamedTuple):
-    """Overlap-optimal projection plus the eigenpairs it retained, in order."""
-
-    matrix: ProjectionMatrix
-    pairs: list[EigPair]
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -131,9 +116,12 @@ def sparse_random_projection(p: int, q: int, stream: RngStream) -> ProjectionMat
 
 def generalized_eigenpairs(
     cov_1: SpdMatrix, cov_2: SpdMatrix, ridge: float = 0.0, k: int | None = None
-) -> list[EigPair]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The k most extreme eigenpairs of C2 phi = lam (C1 + ridge*I) phi, most
     extreme first; all p of them when k is None.
+
+    Returns the eigenvalues (length k) and the eigenvectors phi as the
+    columns of a p x k array, in the same order.
 
     Solved by whitening: factor C1 + ridge*I = L L^T, take the symmetric
     eigendecomposition of L^{-1} C2 L^{-T}, and back-transform the
@@ -152,6 +140,9 @@ def generalized_eigenpairs(
     p = cov_1.dim
     if cov_2.dim != p:
         raise DimensionMismatchError("covariances must share the same dimension")
+    k = p if k is None else k
+    if k < 1 or k > p:
+        raise DimensionMismatchError(f"cannot keep {k} of {p} eigenpairs; need 1 <= k <= p")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
     a = cov_1.entries + ridge * np.eye(p) if ridge > 0 else cov_1.entries
@@ -171,39 +162,32 @@ def generalized_eigenpairs(
     order = np.argsort(-score, kind="stable")
     # one right-hand side would take BLAS's vector solve, which rounds
     # differently from the blocked solve of several columns
-    chosen = order[: max(2, k or p)]
+    chosen = order[: max(2, k)]
     phi = solve_triangular(ell.T, u[:, chosen], lower=False)
     phi /= np.linalg.norm(phi, axis=0)
-    phi = _fix_column_signs(phi)
-    return [EigPair(float(lam[j]), phi[:, i].copy()) for i, j in enumerate(order[:k])]
+    return lam[order[:k]], _fix_column_signs(phi)[:, :k]
 
 
 def bhattacharyya_optimal_projection(
     cov_1: SpdMatrix, cov_2: SpdMatrix, q: int, ridge: float = 0.0
-) -> OptimalProjection:
+) -> ProjectionMatrix:
     """Overlap-minimizing q-dimensional embedding for a zero-mean class pair.
 
     Retains the q generalized eigenvectors with the largest lam + 1/lam and
     orthonormalizes them among themselves (QR with positive diagonal), which
-    leaves the achieved overlap unchanged. The retained raw eigenpairs are
-    returned alongside so callers can check the eigenvalue bookkeeping.
+    leaves the achieved overlap unchanged. Their eigenvalues are the first q
+    of ``generalized_eigenpairs(cov_1, cov_2, ridge)[0]``.
     """
-    p = cov_1.dim
-    if q < 1 or q > p:
-        raise DimensionMismatchError(f"q={q} must satisfy 1 <= q <= p={p}")
-    pairs = generalized_eigenpairs(cov_1, cov_2, ridge, q)
-    raw = np.column_stack([pair.vector for pair in pairs])
+    _, raw = generalized_eigenpairs(cov_1, cov_2, ridge, q)
     qmat, rmat = np.linalg.qr(raw)
     flip = np.sign(np.diag(rmat))
     flip[flip == 0] = 1.0
-    return OptimalProjection(
-        ProjectionMatrix(qmat * flip, orthonormal_columns=True), pairs
-    )
+    return ProjectionMatrix(qmat * flip, orthonormal_columns=True)
 
 
 def optimal_projection_auto_ridge(
     cov_1: SpdMatrix, cov_2: SpdMatrix, q: int, rel_ridge: float = 1e-6
-) -> OptimalProjection:
+) -> ProjectionMatrix:
     """Optimal projection that falls back to a scaled ridge when needed.
 
     Tries ridge 0 first; if the class-1 covariance is rank deficient (the
@@ -266,5 +250,5 @@ def build_projection(
     if name == "sparse_rp":
         return sparse_random_projection(cov_1.dim, q, stream)
     if name == "bhatt_optimal":
-        return optimal_projection_auto_ridge(cov_1, cov_2, q, rel_ridge).matrix
+        return optimal_projection_auto_ridge(cov_1, cov_2, q, rel_ridge)
     raise ConfigError("projections", f"unknown projection {name!r}")

@@ -58,7 +58,6 @@ from .core import (
 )
 from .datasets import load_dataset
 from .generators import (
-    LatentConfig,
     column_overlap,
     empirical_cov_pair,
     gen_iw_pair,
@@ -460,13 +459,8 @@ def _generate_pair(
         return gen_iw_pair(cell.p, d1 * cell.p, d2 * cell.p, stream)
     if config.family == "latent_low_dim":
         share, density = cell.params
-        latent = LatentConfig(
-            share_q=share == "q",
-            share_theta=share == "theta",
-            sparse_q=density == "sparse",
-            sparse_density=config.sparse_q_density,
-        )
-        return gen_latent_pair(cell.p, latent, stream)
+        sparse_density = config.sparse_q_density if density == "sparse" else None
+        return gen_latent_pair(cell.p, share, sparse_density, stream)
     if config.family == "empirical_cov":
         x_1, x_2 = source
         gamma = cell.params[0]

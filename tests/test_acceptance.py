@@ -72,7 +72,7 @@ def test_criterion_1_closed_form_fixtures():
             c1, c2 = pca_favorable_pair(p, q, alpha, delta)
             model = TwoClassGaussian.zero_mean(c1, c2)
             w_pca = pca_projection(make_spd(c1.entries + c2.entries), q)
-            w_opt = bhattacharyya_optimal_projection(c1, c2, q).matrix
+            w_opt = bhattacharyya_optimal_projection(c1, c2, q)
             gap = np.max(
                 np.abs(
                     w_pca.entries @ w_pca.entries.T - w_opt.entries @ w_opt.entries.T
@@ -89,7 +89,7 @@ def test_criterion_1_closed_form_fixtures():
         model = TwoClassGaussian.zero_mean(c1, c2)
         w_pca = pca_projection(make_spd(c1.entries + c2.entries), 2)
         assert embedded_overlap(model, w_pca) == 0.5, "adversarial PCA overlap not exactly 0.5"
-        w_opt = bhattacharyya_optimal_projection(c1, c2, 2).matrix
+        w_opt = bhattacharyya_optimal_projection(c1, c2, 2)
         expected = spike_overlap(4.0, 1.0, 2)
         got = embedded_overlap(model, w_opt)
         assert abs(got - expected) <= 1e-9 * expected
@@ -186,7 +186,7 @@ def test_criterion_5_monotone_in_q():
         stream = derive_stream(9005)
         for i in range(50):
             c1, c2 = gen_iw_pair(30, 60, 60, stream.child(i))
-            values = np.array([p.value for p in generalized_eigenpairs(c1, c2)])
+            values = generalized_eigenpairs(c1, c2)[0]
             overlaps = [
                 optimal_overlap_closed_form(values[:q]) for q in range(1, 11)
             ]

@@ -215,10 +215,10 @@ def test_manifest_names_the_host(tmp_path):
 # every public name of the package, eager or lazy
 PUBLIC_NAMES = """
 Cell ConfigError CovProjError DatasetFormatError DegreesOfFreedomError
-DimensionMismatchError EigPair EmbeddedQda EmptyClassError EmptyGridError
-InsufficientRowsError LabeledDataset LatentConfig MixedModesError
+DimensionMismatchError EmbeddedQda EmptyClassError EmptyGridError
+InsufficientRowsError LabeledDataset MixedModesError
 NonFiniteProjectionError NonPositiveEigenvalueError NotPositiveDefiniteError
-NotSquareError OptimalProjection PROJECTIONS ProjectionMatrix
+NotSquareError PROJECTIONS ProjectionMatrix
 RankDeficientAfterRetriesError RankDeficientError RiskEstimate RngStream
 SingularAfterRidgeError SingularBlendError SingularEmbeddedCovarianceError
 SpdMatrix SummaryTable SweepConfig SweepRecord TwoClassGaussian

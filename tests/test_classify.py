@@ -118,28 +118,6 @@ class TestDecisionGeometry:
         rule = fit_embedded_qda(TwoClassGaussian.zero_mean(c, c, weight_1=0.5))
         assert np.all(rule.predict(g.standard_normal((50, 2))) == 1)
 
-    def test_log_ratio_identity_without_priors(self, g):
-        """-2 ln(p1/p2) = x^T (S1^{-1} - S2^{-1}) x + ln(det S1 / det S2)."""
-        q = 4
-        s1, s2 = rand_spd(g, q), rand_spd(g, q)
-        rule = fit_embedded_qda(TwoClassGaussian.zero_mean(s1, s2), use_priors=False)
-        x = g.standard_normal((20, q))
-        inv1, inv2 = np.linalg.inv(s1.entries), np.linalg.inv(s2.entries)
-        _, ld1 = np.linalg.slogdet(s1.entries)
-        _, ld2 = np.linalg.slogdet(s2.entries)
-        direct = np.einsum("ij,jk,ik->i", x, inv1 - inv2, x) + (ld1 - ld2)
-        assert_allclose(rule.log_ratio(x), direct, rtol=1e-9)
-
-    def test_prior_term_shifts_log_ratio(self, g):
-        q = 3
-        s1, s2 = rand_spd(g, q), rand_spd(g, q)
-        model = TwoClassGaussian.zero_mean(s1, s2, weight_1=0.7)
-        with_priors = fit_embedded_qda(model)
-        without = fit_embedded_qda(model, use_priors=False)
-        x = g.standard_normal((10, q))
-        shift = with_priors.log_ratio(x) - without.log_ratio(x)
-        assert_allclose(shift, -2.0 * math.log(0.7 / 0.3), rtol=1e-12)
-
     def test_prediction_invariant_under_right_factor(self, g):
         """Fitting on W and W R produces identical labels for invertible R."""
         p, q = 8, 3

@@ -47,7 +47,7 @@ class TestPcaProjection:
         and the overlap-optimal selection span the same block."""
         c1, c2 = pca_favorable_pair(8, 3, 4.0, 1.0)
         w_pca = pca_projection(make_spd(c1.entries + c2.entries), 3)
-        w_opt = bhattacharyya_optimal_projection(c1, c2, 3).matrix
+        w_opt = bhattacharyya_optimal_projection(c1, c2, 3)
         assert_allclose(span_projector(w_pca), span_projector(w_opt), atol=1e-9)
 
     def test_tie_break_deterministic(self):
@@ -173,37 +173,36 @@ class TestOptimalProjection:
         """Every pair satisfies C2 phi = lam C1 phi to the stated residual."""
         c1, c2 = rand_spd(g, 7), rand_spd(g, 7)
         norm2 = np.linalg.norm(c2.entries)
-        for pair in generalized_eigenpairs(c1, c2):
-            resid = np.linalg.norm(
-                c2.entries @ pair.vector - pair.value * (c1.entries @ pair.vector)
-            )
-            assert resid <= 1e-8 * norm2 * np.linalg.norm(pair.vector)
+        values, vectors = generalized_eigenpairs(c1, c2)
+        for value, vector in zip(values, vectors.T):
+            resid = np.linalg.norm(c2.entries @ vector - value * (c1.entries @ vector))
+            assert resid <= 1e-8 * norm2 * np.linalg.norm(vector)
 
     def test_identical_classes_give_half_overlap(self, g):
         c = rand_spd(g, 5)
-        proj = bhattacharyya_optimal_projection(c, c, 2)
-        assert_allclose([p.value for p in proj.pairs], [1.0, 1.0], rtol=1e-8)
+        w = bhattacharyya_optimal_projection(c, c, 2)
+        assert_allclose(generalized_eigenpairs(c, c, k=2)[0], [1.0, 1.0], rtol=1e-8)
         model = TwoClassGaussian.zero_mean(c, c)
-        assert_allclose(embedded_overlap(model, proj.matrix), 0.5, rtol=1e-10)
+        assert_allclose(embedded_overlap(model, w), 0.5, rtol=1e-10)
 
     def test_adversarial_pair_selects_trailing_block(self):
         """Discriminating directions live outside the leading block, so the
         selected frame must be orthogonal to the first q coordinates."""
         c1, c2 = pca_adversarial_pair(10, 3, 4.0, 1.0)
-        proj = bhattacharyya_optimal_projection(c1, c2, 3)
-        assert np.max(np.abs(proj.matrix.entries[:3, :])) < 1e-9
+        w = bhattacharyya_optimal_projection(c1, c2, 3)
+        assert np.max(np.abs(w.entries[:3, :])) < 1e-9
         model = TwoClassGaussian.zero_mean(c1, c2)
         expected = optimal_overlap_closed_form([4.0, 4.0, 4.0])
-        assert_allclose(embedded_overlap(model, proj.matrix), expected, rtol=1e-9)
+        assert_allclose(embedded_overlap(model, w), expected, rtol=1e-9)
 
     def test_matches_closed_form(self, g):
         for _ in range(10):
             c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
-            proj = bhattacharyya_optimal_projection(c1, c2, 3)
+            w = bhattacharyya_optimal_projection(c1, c2, 3)
             model = TwoClassGaussian.zero_mean(c1, c2)
             assert_allclose(
-                embedded_overlap(model, proj.matrix),
-                optimal_overlap_closed_form([p.value for p in proj.pairs]),
+                embedded_overlap(model, w),
+                optimal_overlap_closed_form(generalized_eigenpairs(c1, c2, k=3)[0]),
                 rtol=1e-9,
             )
 
@@ -211,8 +210,7 @@ class TestOptimalProjection:
         """100k random orthonormal frames cannot undercut the closed form."""
         c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
         model = TwoClassGaussian.zero_mean(c1, c2)
-        proj = bhattacharyya_optimal_projection(c1, c2, 2)
-        best = embedded_overlap(model, proj.matrix)
+        best = embedded_overlap(model, bhattacharyya_optimal_projection(c1, c2, 2))
         frames = np.linalg.qr(g.standard_normal((100_000, 6, 2)))[0]
         e1 = np.einsum("npq,pr,nrs->nqs", frames, c1.entries, frames)
         e2 = np.einsum("npq,pr,nrs->nqs", frames, c2.entries, frames)
@@ -225,8 +223,7 @@ class TestOptimalProjection:
     def test_selection_maximizes_over_subsets(self, g):
         """The retained set wins exhaustive q-subset enumeration at p = 8."""
         c1, c2 = rand_spd(g, 8), rand_spd(g, 8)
-        pairs = generalized_eigenpairs(c1, c2)
-        values = np.array([p.value for p in pairs])
+        values = generalized_eigenpairs(c1, c2)[0]
         gain = lambda lam: float(np.sum(np.log((np.sqrt(lam) + 1 / np.sqrt(lam)) / 2)))
         best_subset = max(
             itertools.combinations(range(8), 3), key=lambda idx: gain(values[list(idx)])
@@ -240,8 +237,7 @@ class TestOptimalProjection:
         x = g.standard_normal((4, 10))
         s1 = make_spd(x.T @ x / 4)
         s2 = rand_spd(g, 10)
-        proj = optimal_projection_auto_ridge(s1, s2, 3)
-        assert proj.matrix.embed_dim == 3
+        assert optimal_projection_auto_ridge(s1, s2, 3).embed_dim == 3
 
     @pytest.mark.parametrize("p", [20, 100, 200])
     @pytest.mark.parametrize("k", [1, 5, "p"])
@@ -250,17 +246,26 @@ class TestOptimalProjection:
         back-transforming all p and keeping the first k."""
         k = p if k == "p" else k
         c1, c2 = rand_spd(g, p), rand_spd(g, p)
-        full = generalized_eigenpairs(c1, c2)
-        kept = generalized_eigenpairs(c1, c2, k=k)
-        assert len(kept) == k
-        for a, b in zip(kept, full):
-            assert a.value == b.value
-            assert a.vector.tobytes() == b.vector.tobytes()
+        full_values, full_vectors = generalized_eigenpairs(c1, c2)
+        values, vectors = generalized_eigenpairs(c1, c2, k=k)
+        assert values.shape == (k,) and vectors.shape == (p, k)
+        assert values.tobytes() == full_values[:k].tobytes()
+        assert vectors.tobytes() == full_vectors[:, :k].tobytes()
+
+    @pytest.mark.parametrize("k", [0, -1, "p+1"])
+    def test_k_outside_one_to_p_rejected(self, g, k):
+        """Rejected before factoring: a singular C1 would raise otherwise."""
+        c1, c2 = make_spd(np.zeros((6, 6))), rand_spd(g, 6)
+        k = 7 if k == "p+1" else k
+        with pytest.raises(DimensionMismatchError):
+            generalized_eigenpairs(c1, c2, k=k)
+        with pytest.raises(DimensionMismatchError):
+            bhattacharyya_optimal_projection(c1, c2, k)
 
     def test_deterministic(self, g):
         c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
-        a = bhattacharyya_optimal_projection(c1, c2, 2).matrix
-        b = bhattacharyya_optimal_projection(c1, c2, 2).matrix
+        a = bhattacharyya_optimal_projection(c1, c2, 2)
+        b = bhattacharyya_optimal_projection(c1, c2, 2)
         assert a.entries.tobytes() == b.entries.tobytes()
 
 

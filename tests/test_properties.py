@@ -27,6 +27,7 @@ from covproj import (
     datasets,
     embedded_overlap,
     embedded_overlaps,
+    generalized_eigenpairs,
     make_spd,
     optimal_overlap_closed_form,
     read_records_csv,
@@ -195,8 +196,9 @@ def optimal_cases(draw):
 def test_optimal_projection_attains_its_closed_form_and_beats_random_w(case):
     model, q, w = case
     optimal = bhattacharyya_optimal_projection(model.cov_1, model.cov_2, q)
-    achieved = embedded_overlap(model, optimal.matrix)
-    closed_form = optimal_overlap_closed_form([pair.value for pair in optimal.pairs])
+    achieved = embedded_overlap(model, optimal)
+    values = generalized_eigenpairs(model.cov_1, model.cov_2, k=q)[0]
+    closed_form = optimal_overlap_closed_form(values)
     assert achieved == pytest.approx(closed_form, rel=1e-9)
     assert achieved <= embedded_overlap(model, w) * (1 + 1e-9)
 
@@ -264,7 +266,7 @@ def delimited_files(draw):
 
 def _read_outcome(path, label_column):
     try:
-        table = datasets._read_table(path, None, label_column)
+        table = datasets._read_table(path, label_column)
     except (ConfigError, DatasetFormatError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     if table.error is not None:
