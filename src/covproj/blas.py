@@ -1,13 +1,15 @@
 """numpy's bundled OpenBLAS: one thread per sweep worker, and the triangular solve.
 
-numpy bundles an OpenBLAS build (``numpy.libs``) that this module drives
-through ctypes. It is ILP64: integers are 64-bit and symbols end in ``64_``.
+numpy's wheels bundle an OpenBLAS build (``numpy.libs``) that this module
+drives through ctypes. It is ILP64: integers are 64-bit and symbols end in
+``64_``. It is the package's only BLAS dependency: a numpy without such a
+build (conda-forge, distro, MKL or Accelerate builds) is refused with
+``ConfigError`` naming ``dtrtrs``, the one LAPACK routine the package calls
+itself.
 
 - **Threads.** On the p x p matrices a sweep factorizes, extra OpenBLAS
   threads mostly spin, so the engine runs BLAS on one thread and takes its
-  parallelism from its worker pool. ``single_thread`` pins numpy's build,
-  and scipy's too (LP64, its own thread pool) when scipy is already
-  imported. Another BLAS is left alone and reported as unmanaged.
+  parallelism from its worker pool. ``single_thread`` pins numpy's build.
 - **Start-up.** OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when numpy
   loads it; unset, it starts a second thread that spin-waits through the
   rest of the imports. The ``covproj`` command sets the variable to 1
@@ -18,15 +20,12 @@ through ctypes. It is ILP64: integers are 64-bit and symbols end in ``64_``.
 - **Solves.** ``solve_triangular`` calls LAPACK ``dtrtrs`` in numpy's build,
   with scipy's memory layout, so its results equal
   ``scipy.linalg.solve_triangular``'s bit for bit and the runtime needs no
-  scipy. When numpy bundles no OpenBLAS exporting ``dtrtrs`` (MKL,
-  Accelerate), the solve falls back to ``scipy.linalg``, imported on first
-  use.
+  scipy.
 """
 
 from __future__ import annotations
 
 import ctypes
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -34,6 +33,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .core import ConfigError
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 # UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO, then the hidden lengths
@@ -44,77 +45,54 @@ _TRTRS_ARGTYPES += [ctypes.c_void_p, _INT, _INT] + [ctypes.c_size_t] * 3
 
 @dataclass(frozen=True)
 class OpenBlas:
-    """A bundled OpenBLAS build: its thread-count entry points and its
-    ILP64 ``dtrtrs``, when it exports one."""
+    """numpy's bundled OpenBLAS: its thread-count entry points and its ILP64
+    ``dtrtrs``."""
 
     library: str
     config: str
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
-    trtrs: Callable | None
+    trtrs: Callable
+
+
+_SYMBOLS = (
+    "openblas_get_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_get_config64_",
+    "dtrtrs_64_",
+)
 
 
 def _bind(lib: ctypes.CDLL, path: Path) -> OpenBlas | None:
+    # numpy 2 wheels prefix every symbol with scipy_ (their build is
+    # scipy-openblas64); older wheels export the bare names
     for prefix in ("scipy_", ""):
-        for suffix in ("64_", ""):
-            try:
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-                config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            trtrs = None
-            # ILP64 only; older numpy wheels export the LAPACK name unprefixed
-            for name in ("scipy_dtrtrs_64_", "dtrtrs_64_") if suffix else ():
-                if hasattr(lib, name):
-                    trtrs = getattr(lib, name)
-                    trtrs.argtypes, trtrs.restype = _TRTRS_ARGTYPES, None
-                    break
-            return OpenBlas(path.name, config().decode(), get, put, trtrs)
-    return None
-
-
-def _bundled(package_file: str, bundle: str) -> OpenBlas | None:
-    libs = Path(package_file).resolve().parent.parent / bundle
-    for path in sorted(libs.glob("*openblas*.so*")):
-        build = _bind(ctypes.CDLL(str(path)), path)
-        if build is not None:
-            return build
+        try:
+            get, put, config, trtrs = (getattr(lib, prefix + name) for name in _SYMBOLS)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        trtrs.argtypes, trtrs.restype = _TRTRS_ARGTYPES, None
+        return OpenBlas(path.name, config().decode(), get, put, trtrs)
     return None
 
 
 @cache
-def _numpy_openblas() -> OpenBlas | None:
-    return _bundled(np.__file__, "numpy.libs")
-
-
-def find_openblas() -> list[OpenBlas]:
-    """numpy's bundled OpenBLAS, and scipy's when scipy is already imported."""
-    found = [_numpy_openblas()]
-    scipy = sys.modules.get("scipy")
-    if scipy is not None:
-        found.append(_bundled(scipy.__file__, "scipy.libs"))
-    return [build for build in found if build is not None]
-
-
-def _dtrtrs() -> Callable | None:
-    build = _numpy_openblas()
-    return None if build is None else build.trtrs
-
-
-def solve_path() -> str:
-    """The path ``solve_triangular`` takes: ``"numpy-openblas"`` or ``"scipy"``."""
-    return "scipy" if _dtrtrs() is None else "numpy-openblas"
-
-
-def _scipy_solve() -> Callable:
-    """scipy's ``solve_triangular``, the fallback, imported on first use."""
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular
+def numpy_openblas() -> OpenBlas:
+    """numpy's bundled OpenBLAS; ``ConfigError`` when numpy bundles no build
+    that exports the ILP64 ``dtrtrs``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        build = _bind(ctypes.CDLL(str(path)), path)
+        if build is not None:
+            return build
+    raise ConfigError(
+        "blas",
+        f"numpy {np.__version__} bundles no OpenBLAS exporting dtrtrs (ILP64), "
+        "which covproj solves with; install numpy's wheel from PyPI",
+    )
 
 
 def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
@@ -122,12 +100,11 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
 
     Only the ``lower`` (or upper) triangle of ``a`` is read. ``b`` is 1-D
     (one right-hand side) or 2-D, and ``x`` has its shape. Raises
-    ``ValueError`` on a non-finite input or mismatched shapes, and
-    ``numpy.linalg.LinAlgError`` when ``a`` has a zero on its diagonal.
+    ``ValueError`` on a non-finite input or mismatched shapes,
+    ``numpy.linalg.LinAlgError`` when ``a`` has a zero on its diagonal, and
+    ``ConfigError`` when numpy bundles no OpenBLAS (see ``numpy_openblas``).
     """
-    trtrs = _dtrtrs()
-    if trtrs is None:
-        return _scipy_solve()(a, b, lower=lower)
+    trtrs = numpy_openblas().trtrs
     a = np.asarray_chkfinite(a, dtype=np.float64)
     b = np.asarray_chkfinite(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -159,34 +136,26 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
 
 @contextmanager
 def single_thread():
-    """Run the block with every managed OpenBLAS on one thread.
+    """Run the block with numpy's OpenBLAS on one thread.
 
-    Yields the manifest entry: per build, its file name, config string,
-    thread counts before and during the block, and the ``solve`` path (see
-    ``solve_path``); or ``"unmanaged"`` when no build was found. On the
-    scipy path scipy is imported first, so that its build is pinned too.
-    The caller's thread counts are restored on exit, whether the block
-    returns or raises. The counts are process-wide, so pins nest but must
-    not overlap from concurrent Python threads.
+    Raises ``ConfigError`` before the block runs when numpy bundles no
+    OpenBLAS (see ``numpy_openblas``). Yields the manifest entry, a list
+    holding the build's file name, config string and thread counts before
+    and during the block. The caller's thread count is restored on exit,
+    whether the block returns or raises. The count is process-wide, so pins
+    nest but must not overlap from concurrent Python threads.
     """
-    solve = solve_path()
-    if solve == "scipy":
-        _scipy_solve()  # loads scipy's OpenBLAS, so that it is pinned below
-    builds = find_openblas()
-    before = [build.get_threads() for build in builds]
+    build = numpy_openblas()
+    before = build.get_threads()
     try:
-        for build in builds:
-            build.set_threads(1)
+        build.set_threads(1)
         yield [
             {
                 "library": build.library,
                 "config": build.config,
-                "threads_before": threads,
+                "threads_before": before,
                 "threads_during": build.get_threads(),
-                "solve": solve,
             }
-            for build, threads in zip(builds, before)
-        ] or "unmanaged"
+        ]
     finally:
-        for build, threads in zip(builds, before):
-            build.set_threads(threads)
+        build.set_threads(before)

@@ -2,7 +2,8 @@
 
 Every command runs with BLAS on one thread (``blas.single_thread``), and
 numpy's OpenBLAS starts on one thread unless ``OPENBLAS_NUM_THREADS`` is
-already set.
+already set. A numpy without its bundled OpenBLAS is refused before any
+command runs (exit 2).
 
 Exit codes: 0 success, 2 configuration or input errors, 3 sink (output
 write) failures, 4 a projection hit a singular embedded covariance during
@@ -50,12 +51,8 @@ from .sweep import (
     summarize,
 )
 
-_FIXTURES = {
-    "example1": pca_favorable_pair,
-    "pca-favorable": pca_favorable_pair,
-    "example2": pca_adversarial_pair,
-    "pca-adversarial": pca_adversarial_pair,
-}
+# the sweep's fixture families: example1 favours PCA, example2 defeats it
+_FIXTURES = {"example1": pca_favorable_pair, "example2": pca_adversarial_pair}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fixture",
         nargs="?",
         default=None,
-        help="named model: example1/pca-favorable or example2/pca-adversarial",
+        help="named model: example1 (PCA-favorable) or example2 (PCA-adversarial)",
     )
     p_oracle.add_argument("--cov1", default=None, help="matrix file for class-1 covariance")
     p_oracle.add_argument("--cov2", default=None, help="matrix file for class-2 covariance")

@@ -133,18 +133,27 @@ class RngStream:
     def __post_init__(self):
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError("master_seed", "must be a 64-bit unsigned integer")
-        if any((not isinstance(i, (int, np.integer))) or i < 0 for i in self.path):
-            raise ConfigError("path", "entries must be non-negative integers")
-        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
+        object.__setattr__(self, "path", _path_entries(self.path))
 
     def child(self, *indices: int) -> "RngStream":
-        """Fork an independent child stream by appending to the path."""
-        return RngStream(self.master_seed, self.path + tuple(indices))
+        """Fork an independent child stream by appending to the path. Only
+        the appended indices are checked: the parent's seed and path were
+        checked when it was built."""
+        child = object.__new__(type(self))
+        object.__setattr__(child, "master_seed", self.master_seed)
+        object.__setattr__(child, "path", self.path + _path_entries(indices))
+        return child
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; repeated calls restart the draws."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
+
+
+def _path_entries(indices) -> tuple[int, ...]:
+    if any((not isinstance(i, (int, np.integer))) or i < 0 for i in indices):
+        raise ConfigError("path", "entries must be non-negative integers")
+    return tuple(int(i) for i in indices)
 
 
 def derive_stream(master_seed: int, path: tuple[int, ...] | list[int] = ()) -> RngStream:

@@ -8,14 +8,16 @@ each pair, and evaluates one metric mode:
 * ``overlap``             closed-form embedded overlap per projection, all
                           projections of a replicate scored as one stack;
 * ``risk_mc``             Monte Carlo Bayes risk in the embedding;
-* ``oos_loss``            0-1 loss of a trained embedded classifier on a
-                          held-out split of sampled Gaussian data;
-* ``finite_sample_curve`` 0-1 loss and covariance reconstruction error as a
-                          function of the per-class sample size, with both
-                          parameter-oracle and empirical projections.
+* ``finite_sample_curve`` 0-1 loss of an embedded classifier trained on a
+                          split of sampled Gaussian data, and covariance
+                          reconstruction error, at each per-class sample
+                          size of ``sample_grid``, with both parameter-oracle
+                          and empirical projections. A one-value grid is the
+                          loss at one sample size.
 
 Randomness is keyed on (master seed, cell index, replicate, context) and BLAS
-runs on one thread (``covproj.blas``), so results are identical for any
+runs on one thread in numpy's bundled OpenBLAS (``covproj.blas``), which
+the run refuses to start without, so results are identical for any
 worker count, across runs and across hosts with the same BLAS build. Records
 stream to a CSV sink in cell order, which makes the file byte-stable, and
 every cell writes the same number of rows, so the file's complete lines are
@@ -70,10 +72,16 @@ from .metrics import embedded_overlap, embedded_overlaps
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 
 FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", "example1", "example2")
-MODES = ("overlap", "risk_mc", "oos_loss", "finite_sample_curve")
-# "empirical_<name>" is projection <name> fitted to the training split
+MODES = ("overlap", "risk_mc", "finite_sample_curve")
+# the one mode that samples data; "empirical_<name>" is projection <name>
+# fitted to its training split
+DATA_MODE = "finite_sample_curve"
 EMPIRICAL = "empirical_"
-DATA_MODES = ("oos_loss", "finite_sample_curve")
+# the mode and key folded into finite_sample_curve, refused with this hint
+_FOLDED = (
+    "mode oos_loss and its n_per_class are gone: "
+    "use mode = finite_sample_curve with a one-value sample_grid"
+)
 
 # path categories under the (cell index, replicate) stream
 _CTX_PAIR, _CTX_PROJ, _CTX_DATA, _CTX_SPLIT, _CTX_MC = 0, 1, 2, 3, 4
@@ -96,17 +104,15 @@ def _refuse_repeats(key: str, values) -> None:
 def check_projections(names, mode: str | None = None) -> None:
     """The one rule for a list of projection names, in sweep configs and in
     ``covproj eval``: at least one, none repeated, each in ``PROJECTIONS``;
-    ``empirical_<name>`` only in a data ``mode``."""
+    ``empirical_<name>`` only in the data ``mode``."""
     if not names:
         raise ConfigError("projections", "need at least one projection")
     _refuse_repeats("projections", names)
     for name in names:
         if name.removeprefix(EMPIRICAL) not in PROJECTIONS:
             raise ConfigError("projections", f"unknown projection {name!r}")
-        if name.startswith(EMPIRICAL) and mode not in DATA_MODES:
-            raise ConfigError(
-                "projections", f"{name!r} is valid only in the sweep modes {DATA_MODES}"
-            )
+        if name.startswith(EMPIRICAL) and mode != DATA_MODE:
+            raise ConfigError("projections", f"{name!r} is valid only in mode {DATA_MODE}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +150,14 @@ class SweepConfig:
     train_frac: float = 0.7
     mc_samples: int = 20000
     ridge: float = 1e-6
-    n_per_class: int = 100
     sample_grid: tuple[int, ...] = (20, 40, 80, 160, 320)
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError("family", f"must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
-            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
+            hint = f"; {_FOLDED}" if self.mode == "oos_loss" else ""
+            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}{hint}")
         if not self.p_grid or any(p < 1 for p in self.p_grid):
             raise ConfigError("p", "need at least one positive ambient dimension")
         if not self.q_grid or any(q < 1 for q in self.q_grid):
@@ -190,9 +196,7 @@ class SweepConfig:
             raise ConfigError("mc_samples", "must be at least 1")
         if not 0 <= self.ridge < math.inf:
             raise ConfigError("ridge", "must be finite and non-negative")
-        if self.n_per_class < 2:
-            raise ConfigError("n_per_class", "need at least 2 observations per class")
-        if self.mode == "finite_sample_curve":
+        if self.mode == DATA_MODE:
             if not self.sample_grid or any(n < 2 for n in self.sample_grid):
                 raise ConfigError("sample_grid", "per-class sizes must all be >= 2")
         if not 0 <= self.master_seed < 2**64:
@@ -257,7 +261,9 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     kwargs = {}
     for key, value in mapping.items():
         if key not in known:
-            raise ConfigError(key, "unknown configuration key")
+            raise ConfigError(
+                key, _FOLDED if key == "n_per_class" else "unknown configuration key"
+            )
         name, parse = known[key]
         try:
             kwargs[name] = parse(value.strip())
@@ -443,7 +449,7 @@ def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
 
 
 def _param_strings(config: SweepConfig, cell: Cell, n_pc: int | None) -> tuple[str, str, str]:
-    third = str(n_pc) if n_pc is not None else ""
+    third = _fmt(n_pc)
     if config.family == "empirical_cov":
         return _fmt(cell.params[0]), "", third
     if config.family == "latent_low_dim":
@@ -521,9 +527,8 @@ def _eval_point(
     try:
         cov_1, cov_2 = _generate_pair(config, cell, base.child(_CTX_PAIR, idx), source)
         model = TwoClassGaussian.zero_mean(cov_1, cov_2)
-        if config.mode in DATA_MODES:
-            per_class = n_pc if n_pc is not None else config.n_per_class
-            data = sample_two_class(model, per_class, per_class, base.child(_CTX_DATA, idx))
+        if config.mode == DATA_MODE:
+            data = sample_two_class(model, n_pc, n_pc, base.child(_CTX_DATA, idx))
             train, val = data.split(config.train_frac, base.child(_CTX_SPLIT, idx))
             est = empirical_covariances(train)
     except CovProjError as exc:
@@ -556,19 +561,16 @@ def _eval_point(
             else:
                 qda = fit_embedded_qda(est, w, ridge=config.ridge)
                 record.metric_oos = oos_error(qda, val)
-                if config.mode == "finite_sample_curve":
-                    record.metric_recon = reconstruction_error(
-                        w, est.cov_1, est.cov_2, cov_1, cov_2
-                    )
+                record.metric_recon = reconstruction_error(w, est.cov_1, est.cov_2, cov_1, cov_2)
         except CovProjError as exc:
             record.status = _failed(exc)
     return records
 
 
 def _points(config: SweepConfig) -> tuple[int | None, ...]:
-    """Per-class sample size of each point of a cell: the curve's grid, else
-    one point at ``n_per_class`` (None)."""
-    return config.sample_grid if config.mode == "finite_sample_curve" else (None,)
+    """Per-class sample size of each point of a cell: the curve's grid; the
+    other modes sample no data and evaluate one point (None)."""
+    return config.sample_grid if config.mode == DATA_MODE else (None,)
 
 
 def _eval_cell(config: SweepConfig, cell: Cell, source) -> list[SweepRecord]:
@@ -701,13 +703,14 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
     ``ConfigError`` is raised and nothing is written. Without a directory,
     returns all records in memory.
 
-    The whole run uses one BLAS thread (see ``covproj.blas``); the worker
-    pool is its only parallelism, and the caller's BLAS thread counts are
-    restored when it returns or raises. One worker evaluates the cells in
-    this thread; more evaluate them in a thread pool, and cells are still
-    written in index order. A failure in a cell, in the sink or in the
-    caller (Ctrl-C) cancels the cells not yet started and propagates once
-    the running ones finish.
+    The whole run uses one BLAS thread (see ``covproj.blas``); a numpy
+    without its bundled OpenBLAS is refused with ``ConfigError`` before
+    anything is written. The worker pool is its only parallelism, and the
+    caller's BLAS thread count is restored when it returns or raises. One
+    worker evaluates the cells in this thread; more evaluate them in a
+    thread pool, and cells are still written in index order. A failure in
+    a cell, in the sink or in the caller (Ctrl-C) cancels the cells not yet
+    started and propagates once the running ones finish.
     """
     cells = expand_grid(config)
     with single_thread() as blas, ThreadPoolExecutor(config.n_workers) as pool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from covproj import ProjectionMatrix, SpdMatrix, TwoClassGaussian, make_spd, project_model
-from covproj.blas import find_openblas, single_thread, solve_triangular
+from covproj.blas import numpy_openblas, single_thread, solve_triangular
 
 
 def rand_spd(g: np.random.Generator, p: int, jitter: float = 0.1) -> SpdMatrix:
@@ -48,22 +48,14 @@ def one_blas_thread():
         yield
 
 
-def blas_threads(builds):
-    return [build.get_threads() for build in builds]
-
-
 @pytest.fixture
 def openblas_at_two():
-    """The bundled OpenBLAS builds, set to two threads for the test."""
-    builds = find_openblas()
-    if not builds:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
-    before = blas_threads(builds)
-    for build in builds:
-        build.set_threads(2)
-    yield builds
-    for build, threads in zip(builds, before):
-        build.set_threads(threads)
+    """numpy's bundled OpenBLAS, set to two threads for the test."""
+    build = numpy_openblas()
+    before = build.get_threads()
+    build.set_threads(2)
+    yield build
+    build.set_threads(before)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
-"""numpy's bundled OpenBLAS: the triangular solve, the scipy fallback, the
-import footprint and the thread count the command starts OpenBLAS with.
+"""numpy's bundled OpenBLAS: the triangular solve, the refusal of a numpy
+without it, the import footprint and the thread count the command starts
+OpenBLAS with.
 
 scipy is the reference here: ``blas.solve_triangular`` must return
-``scipy.linalg.solve_triangular``'s bits, which is what keeps the records
-of a sweep unchanged whichever path solves.
+``scipy.linalg.solve_triangular``'s bits.
 """
 
 import json
@@ -15,25 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import scipy.linalg
 
 from covproj import SweepConfig, blas, run_sweep
 
-needs_numpy_solve = pytest.mark.skipif(
-    blas.solve_path() != "numpy-openblas", reason="numpy bundles no OpenBLAS dtrtrs here"
-)
-
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture
-def scipy_build():
-    """scipy's bundled OpenBLAS, which the fallback path solves with."""
-    build = blas._bundled(scipy.__file__, "scipy.libs")
-    if build is None:
-        pytest.skip("scipy bundles no OpenBLAS here")
-    return build
 
 
 def _layouts(m: np.ndarray) -> dict[str, np.ndarray]:
@@ -49,7 +35,6 @@ def _triangle(g: np.random.Generator, p: int, lower: bool) -> np.ndarray:
     return ell if lower else ell.T
 
 
-@needs_numpy_solve
 class TestSolveTriangular:
     @pytest.mark.parametrize("p", [5, 20, 50, 200, 1000])
     @pytest.mark.parametrize("lower", [True, False])
@@ -100,14 +85,19 @@ class TestSolveTriangular:
         assert x.shape == (4, 0) and x.dtype == np.float64
 
 
-def _run_python(code: str, **overrides: str | None) -> list[str]:
-    """Run ``code`` in a fresh interpreter; an override of None unsets the variable."""
+def _python(code: str, *argv: str, **overrides: str | None) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a fresh interpreter; an override of None
+    unsets the variable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     env.update(overrides)
     env = {name: value for name, value in env.items() if value is not None}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _run_python(code: str, **overrides: str | None) -> list[str]:
+    done = _python(code, **overrides)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -115,88 +105,51 @@ def _run_python(code: str, **overrides: str | None) -> list[str]:
 GUARD = """
 import sys
 import covproj, covproj.cli
-from covproj import SweepConfig, blas, run_sweep
+from covproj import SweepConfig, run_sweep
 config = SweepConfig(
     family="inverse_wishart", p_grid=(8,), q_grid=(2,), df1_over_p=(2.0,),
-    df2_over_p=(2.0,), projections=("pca", "rp", "bhatt_optimal"), mode="oos_loss",
-    n_per_class=30, n_simu=2, master_seed=5,
+    df2_over_p=(2.0,), projections=("pca", "rp", "bhatt_optimal"),
+    mode="finite_sample_curve", sample_grid=(30,), n_simu=2, master_seed=5,
 )
 records = run_sweep(config)
 assert records and all(r.status == "ok" for r in records), records
-print(blas.solve_path())
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-@needs_numpy_solve
 def test_package_and_sweep_import_no_scipy():
-    assert _run_python(GUARD) == ["numpy-openblas", "[]"]
+    assert _run_python(GUARD) == ["[]"]
 
 
-FRESH_FALLBACK = """
-import json, sys
-from covproj import blas
-blas._dtrtrs = lambda: None
-assert "scipy" not in sys.modules
-with blas.single_thread() as entries:
-    print(json.dumps(entries))
+# the command in a process where numpy bundles no OpenBLAS exporting the
+# ILP64 dtrtrs (as in conda-forge, distro, MKL and Accelerate builds) and
+# scipy is not installed
+WITHOUT_OPENBLAS = """
+import sys
+sys.modules["scipy"] = None
+from covproj import blas, cli
+blas._bind = lambda lib, path: None
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@needs_numpy_solve
-def test_fallback_pins_scipy_in_a_process_without_it(scipy_build):
-    """On the scipy path the pin imports scipy first, so its build is pinned too."""
-    entries = json.loads(_run_python(FRESH_FALLBACK)[0])
-    assert scipy_build.library in [e["library"] for e in entries]
-    assert {(e["threads_during"], e["solve"]) for e in entries} == {(1, "scipy")}
-
-
-SOLVED_EVERYWHERE = (
-    # IW draws, the optimal projection's whitening and the overlap's
-    # distances all solve
-    SweepConfig(
-        family="inverse_wishart", p_grid=(10, 20), q_grid=(1, 3), df1_over_p=(1.0, 2.0),
-        projections=("pca", "rp", "bhatt_optimal"), n_simu=2, master_seed=41,
-    ),
-    # and so does the trained classifier's predict
-    SweepConfig(
-        family="inverse_wishart", p_grid=(12,), q_grid=(2,), df1_over_p=(2.0,),
-        projections=("pca", "bhatt_optimal"), mode="oos_loss", n_per_class=40,
-        n_simu=2, master_seed=42,
-    ),
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "example1", "--p", "6", "--q", "2"],
+        ["sweep", "--config", "{cfg}", "--out", "{out}"],
+    ],
+    ids=["oracle", "sweep"],
 )
-
-
-@needs_numpy_solve
-@pytest.mark.parametrize("config", SOLVED_EVERYWHERE, ids=["overlap", "oos_loss"])
-def test_scipy_fallback_writes_the_same_records(tmp_path, monkeypatch, scipy_build, config):
-    run_sweep(config, out_dir=tmp_path / "numpy")
-
-    scipy_solve = scipy.linalg.solve_triangular
-    threads_at_solve = []
-
-    def spy(*args, **kwargs):
-        threads_at_solve.append(scipy_build.get_threads())
-        return scipy_solve(*args, **kwargs)
-
-    monkeypatch.setattr(blas, "_dtrtrs", lambda: None)
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", spy)
-    before = scipy_build.get_threads()
-    scipy_build.set_threads(2)
-    try:
-        run_sweep(config, out_dir=tmp_path / "scipy")
-        assert scipy_build.get_threads() == 2
-    finally:
-        scipy_build.set_threads(before)
-
-    assert threads_at_solve and set(threads_at_solve) == {1}
-    assert (tmp_path / "scipy" / "records.csv").read_bytes() == (
-        tmp_path / "numpy" / "records.csv"
-    ).read_bytes()
-    for path, solve in (("numpy", "numpy-openblas"), ("scipy", "scipy")):
-        entries = json.loads((tmp_path / path / "manifest.json").read_text())["blas"]
-        assert [e["solve"] for e in entries] == [solve] * len(entries)
-        assert scipy_build.library in [e["library"] for e in entries]
+def test_numpy_without_bundled_openblas_exits_2(tmp_path, argv):
+    """One error line that names dtrtrs, no traceback, and no output directory."""
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
+    cfg.write_text("family = example1\np = 6\nq = 2\n")
+    done = _python(WITHOUT_OPENBLAS, *(arg.format(cfg=cfg, out=out) for arg in argv))
+    assert done.returncode == 2, done.stderr
+    assert (done.stdout, len(done.stderr.splitlines())) == ("", 1), done.stderr
+    assert done.stderr.startswith("error: blas: ") and "dtrtrs" in done.stderr
+    assert not out.exists()
 
 
 def test_manifest_names_the_host(tmp_path):
@@ -264,13 +217,12 @@ def test_every_public_name_resolves():
 COMMAND_START = """
 from covproj import cli
 from covproj import blas
-print([build.get_threads() for build in blas.find_openblas()])
+print(blas.numpy_openblas().get_threads())
 """
 
 
-@pytest.mark.skipif(blas._numpy_openblas() is None, reason="numpy bundles no OpenBLAS here")
 @pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
 def test_command_starts_openblas_on_one_thread_unless_set(preset, threads):
     """Importing ``covproj.cli`` before numpy sets the variable numpy's
     OpenBLAS reads when it loads; a value already set wins."""
-    assert _run_python(COMMAND_START, OPENBLAS_NUM_THREADS=preset) == [f"[{threads}]"]
+    assert _run_python(COMMAND_START, OPENBLAS_NUM_THREADS=preset) == [str(threads)]

@@ -16,7 +16,6 @@ from covproj import (
 from covproj import cli
 from covproj.cli import build_parser, main
 from covproj.projections import PROJECTIONS
-from conftest import blas_threads
 
 IW_CFG = """
 family = inverse_wishart
@@ -80,9 +79,9 @@ class TestSweepCommand:
         q above the training class size."""
         cfg = tmp_path / "oos.cfg"
         cfg.write_text(
-            "family = inverse_wishart\nmode = oos_loss\np = 10\nq = 6\ndf1_over_p = 2\n"
-            "df2_over_p = 2\nn_simu = 2\nn_per_class = 6\nridge = 0\nprojections = pca,rp\n"
-            "seed = 5\n"
+            "family = inverse_wishart\nmode = finite_sample_curve\np = 10\nq = 6\n"
+            "df1_over_p = 2\ndf2_over_p = 2\nn_simu = 2\nsample_grid = 6\nridge = 0\n"
+            "projections = pca,rp\nseed = 5\n"
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert "(4 new records, 4 failed records recorded in-band)" in capsys.readouterr().out
@@ -163,6 +162,23 @@ class TestSweepCommand:
         manifest.write_text(json.dumps(payload))
         assert main(["sweep", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("mode", "oos_loss"), ("n_per_class", "100")])
+    @pytest.mark.parametrize("form", ["config", "manifest"])
+    def test_folded_oos_loss_exits_2_naming_the_curve(self, tmp_path, capsys, key, value, form):
+        """The oos_loss mode became a one-point finite_sample_curve; a config
+        or a manifest echo that still names it is refused with the way over."""
+        mapping = {"family": "inverse_wishart", "p": "10", "q": "2", key: value}
+        cfg, out = tmp_path / "old.cfg", tmp_path / "run"
+        if form == "manifest":
+            cfg.write_text(json.dumps({"config": mapping}))
+        else:
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}: " in err
+        assert "mode = finite_sample_curve with a one-value sample_grid" in err
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self, iw_cfg):
         with pytest.raises(SystemExit) as err:
@@ -439,6 +455,12 @@ class TestOracleCommand:
     def test_unknown_fixture_exits_2(self, capsys):
         assert main(["oracle", "whatever", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("alias", ["pca-favorable", "pca-adversarial"])
+    def test_fixtures_have_one_spelling(self, capsys, alias):
+        """The sweep's family names; the old aliases are unknown."""
+        assert main(["oracle", alias, "--q", "1"]) == 2
+        assert f"unknown fixture {alias!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_invalid_ridge_exits_2_before_printing(self, capsys, ridge):
         code = main(["oracle", "example1", "--q", "1", "--mc-samples", "100", "--ridge", ridge])
@@ -472,11 +494,11 @@ def test_command_runs_on_one_blas_thread(
     score = getattr(cli, scored_by)
 
     def spy(*args, **kwargs):
-        seen.append(blas_threads(openblas_at_two))
+        seen.append(openblas_at_two.get_threads())
         return score(*args, **kwargs)
 
     monkeypatch.setattr(cli, scored_by, spy)
     path, _ = separable_csv
     assert main([arg.format(csv=path) for arg in argv]) == 0
-    assert seen and all(threads == [1] * len(openblas_at_two) for threads in seen)
-    assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
+    assert seen and set(seen) == {1}
+    assert openblas_at_two.get_threads() == 2

@@ -174,6 +174,22 @@ class TestRngStream:
         with pytest.raises(ConfigError):
             derive_stream(7, [-1])
 
+    @pytest.mark.parametrize("bad", [-1, 1.0, "1", None])
+    def test_child_rejects_a_bad_index(self, bad):
+        with pytest.raises(ConfigError, match="path"):
+            derive_stream(7, [2]).child(0, bad)
+
+    def test_child_equals_the_stream_built_whole(self):
+        """Built without revalidating the parent, a child is still the
+        stream of its full path: equal, equally hashed, the same draws."""
+        child = derive_stream(7, [2]).child(np.int64(5), 1)
+        whole = derive_stream(7, [2, 5, 1])
+        assert child == whole and hash(child) == hash(whole)
+        assert all(type(i) is int for i in child.path)
+        assert np.array_equal(
+            child.generator().standard_normal(8), whole.generator().standard_normal(8)
+        )
+
 
 class TestLabeledDataset:
     def _toy(self, n1=10, n2=14):

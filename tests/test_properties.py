@@ -34,7 +34,7 @@ from covproj import (
 )
 from covproj.datasets import _parse_row
 from covproj.projections import PROJECTIONS
-from covproj.sweep import CSV_HEADER, DATA_MODES, EMPIRICAL, FAMILIES, MODES
+from covproj.sweep import CSV_HEADER, DATA_MODE, EMPIRICAL, FAMILIES, MODES
 from conftest import reference_embedded_overlap
 
 FIXED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -87,7 +87,7 @@ def _unit(**bounds):
 def configs(draw):
     mode = draw(st.sampled_from(MODES))
     names = list(PROJECTIONS)
-    if mode in DATA_MODES:
+    if mode == DATA_MODE:
         names += [EMPIRICAL + name for name in PROJECTIONS]
     alpha = draw(st.floats(1e-3, 1e3))
     return SweepConfig(
@@ -112,7 +112,6 @@ def configs(draw):
         train_frac=draw(_unit(exclude_min=True, exclude_max=True)),
         mc_samples=draw(st.integers(1, 10**7)),
         ridge=draw(st.floats(0.0, 1.0)),
-        n_per_class=draw(st.integers(2, 10**5)),
         sample_grid=draw(_grid(st.integers(2, 10**5))),
     )
 

@@ -29,11 +29,10 @@ from covproj import (
     run_sweep,
     summarize,
 )
-from covproj import blas, projections, sweep
+from covproj import projections, sweep
 from covproj.cli import main
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
-from conftest import blas_threads
 
 PAPER_IW = SweepConfig(
     family="inverse_wishart",
@@ -177,7 +176,6 @@ class TestConfig:
             train_frac=0.6,
             mc_samples=500,
             ridge=1e-4,
-            n_per_class=50,
             sample_grid=(10, 30),
         )
         assert cfg.to_mapping() == {
@@ -202,7 +200,6 @@ class TestConfig:
             "train_frac": "0.59999999999999998",
             "mc_samples": "500",
             "ridge": "0.0001",
-            "n_per_class": "50",
             "sample_grid": "10,30",
         }
         assert config_from_mapping(cfg.to_mapping()) == cfg
@@ -276,7 +273,7 @@ class TestConfig:
             cfg.validate()
 
     def test_projection_names_are_the_registry(self):
-        data_mode = dataclasses.replace(SMALL_IW, mode="oos_loss")
+        data_mode = dataclasses.replace(SMALL_IW, mode="finite_sample_curve")
         for name in PROJECTIONS:
             dataclasses.replace(SMALL_IW, projections=(name,)).validate()
             dataclasses.replace(data_mode, projections=(f"empirical_{name}",)).validate()
@@ -299,8 +296,8 @@ class TestRunSweep:
         assert len(records) == expected
 
     def test_failures_recorded_in_band(self):
-        """An oos run with q above the training class size keeps one failed
-        record per projection instead of dropping the cell."""
+        """A one-point curve with q above the training class size keeps one
+        failed record per projection instead of dropping the cell."""
         cfg = SweepConfig(
             family="inverse_wishart",
             p_grid=(10,),
@@ -308,8 +305,8 @@ class TestRunSweep:
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             n_simu=2,
-            mode="oos_loss",
-            n_per_class=6,
+            mode="finite_sample_curve",
+            sample_grid=(6,),
             ridge=0.0,
             projections=("pca", "rp"),
             master_seed=5,
@@ -318,6 +315,33 @@ class TestRunSweep:
         assert len(records) == 4
         assert all(not r.ok for r in records)
         assert all(r.status == "failed:SingularEmbeddedCovarianceError" for r in records)
+
+    def test_one_point_curve_is_the_first_point_of_a_longer_curve(self, tmp_path):
+        """A one-value sample_grid, which replaced the oos_loss mode, draws the
+        pair, the data and the projections of a longer grid's first point."""
+        one = SweepConfig(
+            family="inverse_wishart",
+            p_grid=(10,),
+            q_grid=(2,),
+            df1_over_p=(2.0,),
+            mode="finite_sample_curve",
+            sample_grid=(40,),
+            projections=("pca", "rp", "empirical_pca", "empirical_bhatt_optimal"),
+            n_simu=2,
+            master_seed=8,
+        )
+        two = dataclasses.replace(one, sample_grid=(40, 80))
+        run_sweep(one, out_dir=tmp_path / "one")
+        run_sweep(two, out_dir=tmp_path / "two")
+        one_rows, two_rows = (
+            (tmp_path / name / "records.csv").read_text().splitlines()[1:]
+            for name in ("one", "two")
+        )
+        k = len(one.projections)
+        first_points = two_rows[:k] + two_rows[2 * k : 3 * k]
+        assert one_rows == first_points
+        records = list(read_records_csv(tmp_path / "one" / "records.csv"))
+        assert all(r.ok and r.param3 == "40" and r.metric_oos is not None for r in records)
 
     def test_singular_projection_fails_alone(self, monkeypatch):
         """One projection whose embedded blend is singular fails the stacked
@@ -847,35 +871,32 @@ IW_P100 = SweepConfig(
 class TestBlasPolicy:
     def test_thread_counts_restored_after_sweep(self, openblas_at_two):
         run_sweep(SMALL_IW)
-        assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
+        assert openblas_at_two.get_threads() == 2
 
     def test_thread_counts_restored_when_sweep_raises(self, openblas_at_two, monkeypatch):
         seen = []
 
         def failing_cell(*args):
-            seen.append(blas_threads(openblas_at_two))
+            seen.append(openblas_at_two.get_threads())
             raise RuntimeError("cell failed")
 
         monkeypatch.setattr(sweep, "_eval_cell", failing_cell)
         with pytest.raises(RuntimeError):
             run_sweep(SMALL_IW)
-        assert seen == [[1] * len(openblas_at_two)]
-        assert blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
+        assert seen == [1]
+        assert openblas_at_two.get_threads() == 2
 
     def test_manifest_records_one_thread_during_sweep(self, openblas_at_two, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "run")
         entries = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
-        assert [e["library"] for e in entries] == [b.library for b in openblas_at_two]
-        assert [e["config"] for e in entries] == [b.config for b in openblas_at_two]
-        assert all(e["threads_before"] == 2 and e["threads_during"] == 1 for e in entries)
-
-    def test_unmanaged_blas_still_runs(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(blas, "find_openblas", lambda: [])
-        records = run_sweep(SMALL_IW, out_dir=tmp_path / "run")
-        assert len(records) == len(expand_grid(SMALL_IW)) * rows_per_cell(SMALL_IW)
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["blas"] == "unmanaged"
-        assert manifest["config"] == SMALL_IW.to_mapping()
+        assert entries == [
+            {
+                "library": openblas_at_two.library,
+                "config": openblas_at_two.config,
+                "threads_before": 2,
+                "threads_during": 1,
+            }
+        ]
 
     def test_records_independent_of_workers_and_caller_threads(
         self, openblas_at_two, tmp_path
@@ -883,8 +904,7 @@ class TestBlasPolicy:
         """At p=100 OpenBLAS blocks its kernels, so the records would follow
         the BLAS thread count if the sweep did not fix it."""
         run_sweep(IW_P100, out_dir=tmp_path / "w1")
-        for build in openblas_at_two:
-            build.set_threads(1)
+        openblas_at_two.set_threads(1)
         run_sweep(dataclasses.replace(IW_P100, n_workers=2), out_dir=tmp_path / "w2")
         assert (tmp_path / "w1" / "records.csv").read_bytes() == (
             tmp_path / "w2" / "records.csv"
@@ -978,6 +998,7 @@ class TestSummarize:
         [
             ({"metric_overlap": 0.2}, 0.2),
             ({"metric_mc": 0.3, "metric_mc_se": 0.01}, 0.3),
+            # as the oos_loss mode wrote them before it became a one-point curve
             ({"metric_oos": 0.4}, 0.4),
             ({"metric_oos": 0.5, "metric_recon": 7.0}, 0.5),
         ],
