@@ -41,7 +41,6 @@ _EXPORTS = {
         "SingularEmbeddedCovarianceError",
         "SpdMatrix",
         "TwoClassGaussian",
-        "derive_stream",
         "make_spd",
     ),
     "metrics": (
@@ -76,7 +75,6 @@ _EXPORTS = {
         "sample_inverse_wishart",
         "sample_scaled_inverse_wishart",
         "sample_two_class",
-        "sample_wishart",
     ),
     "classify": (
         "EmbeddedQda",

@@ -9,7 +9,8 @@ itself.
 
 - **Threads.** On the p x p matrices a sweep factorizes, extra OpenBLAS
   threads mostly spin, so the engine runs BLAS on one thread and takes its
-  parallelism from its worker pool. ``single_thread`` pins numpy's build.
+  parallelism from its worker pool. ``single_thread`` pins numpy's build
+  and yields one object describing it, the run manifest's ``blas`` entry.
 - **Start-up.** OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when numpy
   loads it; unset, it starts a second thread that spin-waits through the
   rest of the imports. The ``covproj`` command sets the variable to 1
@@ -139,8 +140,8 @@ def single_thread():
     """Run the block with numpy's OpenBLAS on one thread.
 
     Raises ``ConfigError`` before the block runs when numpy bundles no
-    OpenBLAS (see ``numpy_openblas``). Yields the manifest entry, a list
-    holding the build's file name, config string and thread counts before
+    OpenBLAS (see ``numpy_openblas``). Yields the manifest's ``blas``
+    object: the build's file name, config string and thread counts before
     and during the block. The caller's thread count is restored on exit,
     whether the block returns or raises. The count is process-wide, so pins
     nest but must not overlap from concurrent Python threads.
@@ -149,13 +150,11 @@ def single_thread():
     before = build.get_threads()
     try:
         build.set_threads(1)
-        yield [
-            {
-                "library": build.library,
-                "config": build.config,
-                "threads_before": before,
-                "threads_during": build.get_threads(),
-            }
-        ]
+        yield {
+            "library": build.library,
+            "config": build.config,
+            "threads_before": before,
+            "threads_during": build.get_threads(),
+        }
     finally:
         build.set_threads(before)

@@ -35,12 +35,12 @@ from .core import (
     CovProjError,
     DatasetFormatError,
     LabeledDataset,
+    RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
-    derive_stream,
 )
 from .datasets import load_dataset, load_matrix, load_vector
-from .generators import column_overlap, pca_adversarial_pair, pca_favorable_pair
+from .generators import _FIXTURES, _column_subsample
 from .metrics import bhattacharyya_overlap, embedded_overlap
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 from .sweep import (
@@ -50,9 +50,6 @@ from .sweep import (
     run_sweep,
     summarize,
 )
-
-# the sweep's fixture families: example1 favours PCA, example2 defeats it
-_FIXTURES = {"example1": pca_favorable_pair, "example2": pca_adversarial_pair}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,15 +154,12 @@ def cmd_eval(args) -> int:
     names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
     check_projections(names)
     data, _ = load_dataset(args.dataset, args.label_column)
-    stream = derive_stream(args.seed)
-    x_1, x_2 = data.class_rows(1), data.class_rows(2)
-
-    if args.p is not None:
-        if not 1 <= args.p <= data.dim:
-            raise ConfigError("p", f"must lie in [1, {data.dim}], the dataset's feature columns")
-        cols = stream.child(0).generator().permutation(data.dim)[: args.p]
-        x_1, x_2 = x_1[:, cols], x_2[:, cols]
-    x_1, x_2 = column_overlap(x_1, x_2, args.gamma, stream.child(1))
+    stream = RngStream(args.seed)
+    if args.p is not None and not 1 <= args.p <= data.dim:
+        raise ConfigError("p", f"must lie in [1, {data.dim}], the dataset's feature columns")
+    x_1, x_2 = _column_subsample(
+        data.class_rows(1), data.class_rows(2), args.p, args.gamma, stream
+    )
     m = x_1.shape[0]
     labels = np.concatenate([np.ones(m, dtype=np.int64), np.full(m, 2, dtype=np.int64)])
     balanced = LabeledDataset(np.vstack([x_1, x_2]), labels)
@@ -210,7 +204,7 @@ def cmd_oracle(args) -> int:
     if not 0.0 <= args.ridge < math.inf:
         raise ConfigError("ridge", f"must be finite and non-negative, got {args.ridge!r}")
     model = _oracle_model(args)
-    stream = derive_stream(args.seed)
+    stream = RngStream(args.seed)
     if args.projection == "identity":
         w = None
         overlap = bhattacharyya_overlap(model)

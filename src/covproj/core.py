@@ -1,4 +1,4 @@
-"""Core numeric types, deterministic RNG streams, and the error hierarchy.
+"""Core numeric types, RNG streams, the error hierarchy and the input line reader.
 
 All types are immutable after construction and safe to share across threads.
 Randomness is always routed through :class:`RngStream`, which derives
@@ -8,6 +8,7 @@ so results never depend on thread scheduling or worker count.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,23 @@ class DatasetFormatError(CovProjError):
         self.line = line
 
 
+def _text_lines(fh, path, error: Callable[[str], CovProjError]) -> Iterator[str]:
+    """The UTF-8 text lines of a binary file. A line ends at any of
+    str.splitlines' breaks, not only at a newline; bytes that are not UTF-8
+    raise ``error(message)``, the message naming the file and the line."""
+    lineno = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # breaks other than a newline may precede the bad byte in this chunk
+            lineno += len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+            raise error(f"{path} line {lineno}: not UTF-8 text ({exc.reason})")
+        for line in text.splitlines():
+            lineno += 1
+            yield line
+
+
 # ---------------------------------------------------------------------------
 # RNG streams
 # ---------------------------------------------------------------------------
@@ -122,16 +140,18 @@ class DatasetFormatError(CovProjError):
 class RngStream:
     """Deterministic, splittable random stream keyed by (master_seed, path).
 
-    Two distinct paths yield statistically independent streams; an identical
-    (seed, path) yields bit-identical draws across runs and thread schedules.
-    Forking a child stream never mutates the parent.
+    ``RngStream(seed, path)`` is the one way to name a stream; ``path`` may
+    be a tuple or a list. Two distinct paths yield statistically independent
+    streams; an identical (seed, path) yields bit-identical draws across runs
+    and thread schedules. Forking a child stream never mutates the parent.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.master_seed < 0 or self.master_seed >= 2**64:
+        seed = self.master_seed
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
             raise ConfigError("master_seed", "must be a 64-bit unsigned integer")
         object.__setattr__(self, "path", _path_entries(self.path))
 
@@ -154,11 +174,6 @@ def _path_entries(indices) -> tuple[int, ...]:
     if any((not isinstance(i, (int, np.integer))) or i < 0 for i in indices):
         raise ConfigError("path", "entries must be non-negative integers")
     return tuple(int(i) for i in indices)
-
-
-def derive_stream(master_seed: int, path: tuple[int, ...] | list[int] = ()) -> RngStream:
-    """Build the stream identified by a master seed and a task path."""
-    return RngStream(int(master_seed), tuple(path))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, DatasetFormatError, LabeledDataset, SpdMatrix, make_spd
+from .core import ConfigError, DatasetFormatError, LabeledDataset, SpdMatrix, _text_lines, make_spd
 
 
 def _split_line(line: str, delimiter: str) -> list[str]:
@@ -49,16 +49,19 @@ class _Table(NamedTuple):
 def _read_table(path: str | Path, label_column: str | None = None) -> _Table:
     """Read a delimited file into a float64 array.
 
-    The delimiter and the header are detected from the first non-blank line.
-    The content lines go to ``_parse_fast`` first. When it declines, each data
-    row is parsed straight into its row of a preallocated array, so beyond the
-    file's text only the result and the label tokens are held. Errors keep a
-    fixed precedence: a ragged row anywhere, then a header of the wrong
-    width, then a missing label column; the first bad value token is returned
-    rather than raised, so that a caller can rank its own checks above it.
+    Bytes that are not UTF-8 raise ``DatasetFormatError`` naming the file
+    and the line. The delimiter and the header are detected from the first
+    non-blank line. The content lines go to ``_parse_fast`` first. When it
+    declines, each data row is parsed straight into its row of a
+    preallocated array, so beyond the file's text only the result and the
+    label tokens are held. Errors keep a fixed precedence: a ragged row
+    anywhere, then a header of the wrong width, then a missing label column;
+    the first bad value token is returned rather than raised, so that a
+    caller can rank its own checks above it.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, "rb") as fh:
+            lines = list(_text_lines(fh, path, DatasetFormatError))
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}")
     content = [i for i, ln in enumerate(lines) if ln.strip() != ""]

@@ -12,6 +12,8 @@ Three families produce the (C1, C2) pairs that the sweeps enumerate:
   overlap procedure that interpolates between distinct and identical
   populations.
 
+Sweeps and ``covproj oracle`` look the fixture pairs up in ``_FIXTURES``.
+
 Every sampler owns an RngStream fork, so parallel cells never share state.
 """
 
@@ -35,13 +37,6 @@ from .core import (
     make_spd,
 )
 from .projections import mixture_covariance
-
-
-def _check_df(dim: int, df: float) -> None:
-    if df <= dim - 1:
-        raise DegreesOfFreedomError(
-            f"df={df} too small for dimension {dim} (need df > p - 1)"
-        )
 
 
 @functools.cache
@@ -69,20 +64,14 @@ def _bartlett_factor(dim: int, df: float, g: np.random.Generator) -> np.ndarray:
     return a
 
 
-def sample_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
-    """Wishart(I_dim, df) draw via the Bartlett construction; df > dim - 1."""
-    _check_df(dim, df)
-    a = _bartlett_factor(dim, df, stream.generator())
-    return make_spd(a @ a.T, strict=True)
-
-
 def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
     """InvWishart(I_dim, df) draw, inverted through the Bartlett factor.
 
     With W = A A^T the inverse is B^T B for B = A^{-1}, computed by one
     triangular solve, so no general matrix inversion is ever formed.
     """
-    _check_df(dim, df)
+    if df <= dim - 1:
+        raise DegreesOfFreedomError(f"df={df} too small for dimension {dim} (need df > p - 1)")
     a = _bartlett_factor(dim, df, stream.generator())
     b = solve_triangular(a, np.eye(dim), lower=True)
     return make_spd(b.T @ b, strict=True)
@@ -190,6 +179,19 @@ def column_overlap(
     return x_1_tilde, x_2[keep].copy()
 
 
+def _column_subsample(
+    x_1: np.ndarray, x_2: np.ndarray, p: int | None, gamma: float, stream: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two groups on p feature columns drawn from ``stream.child(0)``
+    (all of them when p is None), then through ``column_overlap`` with
+    ``stream.child(1)``: the empirical family's step from a dataset to a
+    pair of groups, in sweeps and in ``covproj eval``."""
+    if p is not None:
+        cols = stream.child(0).generator().permutation(x_1.shape[1])[:p]
+        x_1, x_2 = x_1[:, cols], x_2[:, cols]
+    return column_overlap(x_1, x_2, gamma, stream.child(1))
+
+
 def empirical_cov_pair(
     x_1: np.ndarray, x_2: np.ndarray
 ) -> tuple[SpdMatrix, SpdMatrix]:
@@ -257,3 +259,7 @@ def _check_spike_params(p: int, block: int, alpha: float, delta: float) -> None:
         raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
     if not 1 <= block < p:
         raise ConfigError("q", f"block size must satisfy 1 <= q < p, got {block}")
+
+
+# fixture family -> pair of (p, q, alpha, delta); example1 favours PCA, example2 defeats it
+_FIXTURES = {"example1": pca_favorable_pair, "example2": pca_adversarial_pair}

@@ -72,6 +72,18 @@ def mixture_covariance(x: np.ndarray) -> SpdMatrix:
     return _derived_spd(centered.T @ centered / x.shape[0])
 
 
+def _full_rank(draw, p: int, q: int, what: str) -> ProjectionMatrix:
+    """The first draw() of rank q, trying at most _MAX_RANK_RETRIES times."""
+    for _ in range(_MAX_RANK_RETRIES):
+        try:
+            return ProjectionMatrix(draw(), orthonormal_columns=False)
+        except RankDeficientError:
+            continue
+    raise RankDeficientAfterRetriesError(
+        f"no rank-{q} {what} in {_MAX_RANK_RETRIES} attempts for p={p}"
+    )
+
+
 def random_projection(p: int, q: int, stream: RngStream) -> ProjectionMatrix:
     """p x q matrix with iid standard normal entries, redrawn until rank q.
 
@@ -80,15 +92,7 @@ def random_projection(p: int, q: int, stream: RngStream) -> ProjectionMatrix:
     invertible matrix, so orthonormalization would be redundant work.
     """
     g = stream.generator()
-    for _ in range(_MAX_RANK_RETRIES):
-        raw = g.standard_normal((p, q))
-        try:
-            return ProjectionMatrix(raw, orthonormal_columns=False)
-        except RankDeficientError:
-            continue
-    raise RankDeficientAfterRetriesError(
-        f"no rank-{q} draw in {_MAX_RANK_RETRIES} attempts for p={p}"
-    )
+    return _full_rank(lambda: g.standard_normal((p, q)), p, q, "draw")
 
 
 def sparse_random_projection(p: int, q: int, stream: RngStream) -> ProjectionMatrix:
@@ -102,16 +106,12 @@ def sparse_random_projection(p: int, q: int, stream: RngStream) -> ProjectionMat
     g = stream.generator()
     magnitude = p**0.25
     half_prob = 1.0 / (2.0 * np.sqrt(p))
-    for _ in range(_MAX_RANK_RETRIES):
+
+    def draw():
         u = g.random((p, q))
-        raw = np.where(u < half_prob, -magnitude, np.where(u < 2 * half_prob, magnitude, 0.0))
-        try:
-            return ProjectionMatrix(raw, orthonormal_columns=False)
-        except RankDeficientError:
-            continue
-    raise RankDeficientAfterRetriesError(
-        f"no rank-{q} sparse draw in {_MAX_RANK_RETRIES} attempts for p={p}"
-    )
+        return np.where(u < half_prob, -magnitude, np.where(u < 2 * half_prob, magnitude, 0.0))
+
+    return _full_rank(draw, p, q, "sparse draw")
 
 
 def generalized_eigenpairs(

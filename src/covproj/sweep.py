@@ -15,13 +15,14 @@ each pair, and evaluates one metric mode:
                           and empirical projections. A one-value grid is the
                           loss at one sample size.
 
-Randomness is keyed on (master seed, cell index, replicate, context) and BLAS
-runs on one thread in numpy's bundled OpenBLAS (``covproj.blas``), which
-the run refuses to start without, so results are identical for any
-worker count, across runs and across hosts with the same BLAS build. Records
-stream to a CSV sink in cell order, which makes the file byte-stable, and
-every cell writes the same number of rows, so the file's complete lines are
-its own checkpoint: a rerun resumes after the last complete cell. The per-record
+Randomness is keyed on ``RngStream(seed, (cell index, replicate))`` and a
+context under it. BLAS runs on one thread in numpy's bundled OpenBLAS
+(``covproj.blas``; the manifest's ``blas`` object), which the run refuses to
+start without, so results are identical for any worker count, across runs
+and across hosts with the same BLAS build. Records stream to a CSV sink in
+cell order, which makes the file byte-stable, and every cell writes the same
+number of rows, so the file's complete lines are its own checkpoint: a rerun
+resumes after the last complete cell. The per-record
 ``ms`` column is always 0 and is kept for format compatibility, because wall
 times would break that byte stability; aggregate timing lives in the run
 manifest instead. The columns of ``records.csv`` are the fields of
@@ -40,6 +41,7 @@ from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -56,22 +58,21 @@ from .core import (
     RngStream,
     SpdMatrix,
     TwoClassGaussian,
-    derive_stream,
+    _text_lines,
 )
 from .datasets import load_dataset
 from .generators import (
-    column_overlap,
+    _FIXTURES,
+    _column_subsample,
     empirical_cov_pair,
     gen_iw_pair,
     gen_latent_pair,
-    pca_adversarial_pair,
-    pca_favorable_pair,
     sample_two_class,
 )
 from .metrics import embedded_overlap, embedded_overlaps
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 
-FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", "example1", "example2")
+FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", *_FIXTURES)
 MODES = ("overlap", "risk_mc", "finite_sample_curve")
 # the one mode that samples data; "empirical_<name>" is projection <name>
 # fitted to its training split
@@ -188,7 +189,7 @@ class SweepConfig:
         if self.family == "empirical_cov":
             if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
                 raise ConfigError("gamma", "overlap fractions must lie in [0, 1]")
-        if self.family in ("example1", "example2") and not 0 < self.delta < self.alpha < math.inf:
+        if self.family in _FIXTURES and not 0 < self.delta < self.alpha < math.inf:
             raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError("train_frac", "must lie strictly between 0 and 1")
@@ -275,13 +276,15 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
 
 
 def parse_config_file(path: str | Path) -> SweepConfig:
-    """Read a key=value config file, or a run manifest (JSON) echoing one."""
+    """Read a key=value config file, or a run manifest (JSON) echoing one.
+    Bytes that are not UTF-8 raise ``ConfigError`` naming their line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            lines = list(_text_lines(fh, path, partial(ConfigError, "config")))
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = "\n".join(lines)
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -295,7 +298,7 @@ def parse_config_file(path: str | Path) -> SweepConfig:
             raise ConfigError("config", "the manifest's 'config' section must map keys to strings")
         return config_from_mapping(section)
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -393,23 +396,6 @@ _COLUMNS = tuple((f.name, _codec(f.type)) for f in fields(SweepRecord))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
-def _text_lines(fh, path) -> Iterator[str]:
-    """The UTF-8 text lines of a binary file. A line ends at any of
-    str.splitlines' breaks, not only at a newline; bytes that are not UTF-8
-    raise ``ConfigError`` naming their line."""
-    lineno = 0
-    for raw in fh:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                "records", f"{path} line {lineno + 1}: not UTF-8 text ({exc.reason})"
-            )
-        for line in text.splitlines():
-            lineno += 1
-            yield line
-
-
 def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
     """Yield the records of a records file, reading it one line at a time.
 
@@ -422,7 +408,7 @@ def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
     except OSError as exc:
         raise ConfigError("records", f"cannot read {path}: {exc}")
     with fh:
-        lines = _text_lines(fh, path)
+        lines = _text_lines(fh, path, partial(ConfigError, "records"))
         if next(lines, None) != CSV_HEADER:
             raise ConfigError("records", f"{path} does not carry the sweep record header")
         for lineno, line in enumerate(lines, start=2):
@@ -468,16 +454,8 @@ def _generate_pair(
         sparse_density = config.sparse_q_density if density == "sparse" else None
         return gen_latent_pair(cell.p, share, sparse_density, stream)
     if config.family == "empirical_cov":
-        x_1, x_2 = source
-        gamma = cell.params[0]
-        cols = stream.child(0).generator().permutation(x_1.shape[1])[: cell.p]
-        x_1_tilde, x_2_tilde = column_overlap(
-            x_1[:, cols], x_2[:, cols], gamma, stream.child(1)
-        )
-        return empirical_cov_pair(x_1_tilde, x_2_tilde)
-    if config.family == "example1":
-        return pca_favorable_pair(cell.p, cell.q, config.alpha, config.delta)
-    return pca_adversarial_pair(cell.p, cell.q, config.alpha, config.delta)
+        return empirical_cov_pair(*_column_subsample(*source, cell.p, cell.params[0], stream))
+    return _FIXTURES[config.family](cell.p, cell.q, config.alpha, config.delta)
 
 
 def _point_records(config, cell, rep, n_pc, status="ok") -> list[SweepRecord]:
@@ -576,7 +554,7 @@ def _points(config: SweepConfig) -> tuple[int | None, ...]:
 def _eval_cell(config: SweepConfig, cell: Cell, source) -> list[SweepRecord]:
     records = []
     for rep in range(config.n_simu):
-        base = derive_stream(config.master_seed, (cell.index, rep))
+        base = RngStream(config.master_seed, (cell.index, rep))
         for idx, n_pc in enumerate(_points(config)):
             records.extend(_eval_point(config, cell, rep, base, idx, n_pc, source))
     return records

@@ -14,10 +14,10 @@ import numpy as np
 
 from covproj import (
     ProjectionMatrix,
+    RngStream,
     SweepConfig,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
-    derive_stream,
     embedded_overlap,
     expand_grid,
     gen_iw_pair,
@@ -93,7 +93,7 @@ def test_criterion_1_closed_form_fixtures():
         expected = spike_overlap(4.0, 1.0, 2)
         got = embedded_overlap(model, w_opt)
         assert abs(got - expected) <= 1e-9 * expected
-        risk = mc_bayes_risk(model, w_pca, 100_000, derive_stream(9001))
+        risk = mc_bayes_risk(model, w_pca, 100_000, RngStream(9001))
         assert abs(risk.estimate - 0.5) <= 3.0 * risk.std_error
 
     check(1, "closed-form fixtures (favorable & adversarial spikes)", body)
@@ -116,7 +116,7 @@ def test_criterion_2_bound_dominance():
             q = int(g.integers(1, p + 1))
             w = ProjectionMatrix(g.standard_normal((p, q)))
             bound = embedded_overlap(model, w)
-            risk = mc_bayes_risk(model, w, 100_000, derive_stream(9002, [k]))
+            risk = mc_bayes_risk(model, w, 100_000, RngStream(9002, [k]))
             assert risk.estimate <= bound + 3.0 * risk.std_error, (
                 f"model {k}: risk {risk.estimate} exceeds bound {bound} + 3se"
             )
@@ -183,7 +183,7 @@ def test_criterion_4_reduced_latent_sweep():
 
 def test_criterion_5_monotone_in_q():
     def body():
-        stream = derive_stream(9005)
+        stream = RngStream(9005)
         for i in range(50):
             c1, c2 = gen_iw_pair(30, 60, 60, stream.child(i))
             values = generalized_eigenpairs(c1, c2)[0]
@@ -196,10 +196,10 @@ def test_criterion_5_monotone_in_q():
                 )
         # oracle Monte Carlo risk along nested PCA directions, shared draws
         for i in range(50):
-            c1, c2 = gen_iw_pair(30, 60, 60, derive_stream(9006, [i]))
+            c1, c2 = gen_iw_pair(30, 60, 60, RngStream(9006, [i]))
             model = TwoClassGaussian.zero_mean(c1, c2)
             base = pca_projection(make_spd(c1.entries + c2.entries), 10)
-            mc_stream = derive_stream(9007, [i])
+            mc_stream = RngStream(9007, [i])
             previous = None
             for q in range(1, 11):
                 w = ProjectionMatrix(base.entries[:, :q], orthonormal_columns=True)
@@ -416,7 +416,7 @@ def test_gamma_one_degenerate_eval(tmp_path, capsys):
     def body():
         c1, c2 = pca_favorable_pair(30, 5, 25.0, 1.0)
         model = TwoClassGaussian.zero_mean(c1, c2)
-        data = sample_two_class(model, 400, 400, derive_stream(9011))
+        data = sample_two_class(model, 400, 400, RngStream(9011))
         path = tmp_path / "data.csv"
         header = ",".join([f"f{i}" for i in range(30)] + ["label"])
         rows = [

@@ -177,7 +177,7 @@ SingularAfterRidgeError SingularBlendError SingularEmbeddedCovarianceError
 SpdMatrix SummaryTable SweepConfig SweepRecord TwoClassGaussian
 bhattacharyya_optimal_projection bhattacharyya_overlap blas build_projection
 chernoff_distance classify column_overlap config_from_mapping core datasets
-derive_stream embedded_overlap embedded_overlaps empirical_cov_pair
+embedded_overlap embedded_overlaps empirical_cov_pair
 empirical_covariances expand_grid fit_embedded_qda gen_iw_pair gen_latent_pair
 generalized_eigenpairs generators latent_rank load_dataset load_matrix
 load_vector make_spd mc_bayes_risk metrics mixture_covariance oos_error
@@ -185,7 +185,7 @@ optimal_overlap_closed_form optimal_projection_auto_ridge parse_config_file
 pca_adversarial_pair pca_favorable_pair pca_projection project_model
 projections random_projection read_records_csv reconstruction_error run_sweep
 sample_gaussian sample_inverse_wishart sample_scaled_inverse_wishart
-sample_two_class sample_wishart sparse_random_projection summarize sweep
+sample_two_class sparse_random_projection summarize sweep
 """.split()
 
 LIBRARY_IMPORT = """

@@ -14,9 +14,9 @@ from covproj import (
     RiskEstimate,
     LabeledDataset,
     ProjectionMatrix,
+    RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
-    derive_stream,
     embedded_overlap,
     empirical_covariances,
     fit_embedded_qda,
@@ -122,18 +122,18 @@ class TestDecisionGeometry:
         """Fitting on W and W R produces identical labels for invertible R."""
         p, q = 8, 3
         model = TwoClassGaussian.zero_mean(rand_spd(g, p), rand_spd(g, p))
-        data = sample_two_class(model, 60, 60, derive_stream(201))
+        data = sample_two_class(model, 60, 60, RngStream(201))
         w = ProjectionMatrix(g.standard_normal((p, q)))
         r = g.standard_normal((q, q)) + 3.0 * np.eye(q)
         wr = ProjectionMatrix(w.entries @ r)
-        val = sample_two_class(model, 50, 50, derive_stream(202))
+        val = sample_two_class(model, 50, 50, RngStream(202))
         pred_a = fit_embedded_qda(empirical_covariances(data), w).predict(val.X)
         pred_b = fit_embedded_qda(empirical_covariances(data), wr).predict(val.X)
         assert np.array_equal(pred_a, pred_b)
 
     def test_fit_deterministic(self, g):
         model = TwoClassGaussian.zero_mean(rand_spd(g, 5), rand_spd(g, 5))
-        data = sample_two_class(model, 30, 30, derive_stream(203))
+        data = sample_two_class(model, 30, 30, RngStream(203))
         w = ProjectionMatrix(np.eye(5)[:, :2], orthonormal_columns=True)
         a = fit_embedded_qda(empirical_covariances(data), w)
         b = fit_embedded_qda(empirical_covariances(data), w)
@@ -195,7 +195,7 @@ class TestOneBuilder:
         model = TwoClassGaussian(
             0.5, g.standard_normal(p), g.standard_normal(p), rand_spd(g, p), rand_spd(g, p)
         )
-        est = empirical_covariances(sample_two_class(model, n_1, n_2, derive_stream(204)))
+        est = empirical_covariances(sample_two_class(model, n_1, n_2, RngStream(204)))
         w = ProjectionMatrix(g.standard_normal((p, q))) if projected else None
         rule = fit_embedded_qda(est, w, ridge=ridge)
         weights, classes = former_embedding(
@@ -237,7 +237,7 @@ class TestOosError:
         c = rand_spd(g, 3)
         model = TwoClassGaussian.zero_mean(c, c)
         rule = fit_embedded_qda(model)
-        val = sample_two_class(model, 2000, 2000, derive_stream(211))
+        val = sample_two_class(model, 2000, 2000, RngStream(211))
         err = oos_error(rule, val)
         assert abs(err - 0.5) <= 3.0 * math.sqrt(0.25 / val.n)
 
@@ -251,7 +251,7 @@ class TestOosError:
             make_spd(np.eye(1)),
         )
         rule = fit_embedded_qda(model)
-        val = sample_two_class(model, 500, 500, derive_stream(212))
+        val = sample_two_class(model, 500, 500, RngStream(212))
         assert oos_error(rule, val) == 0.0
 
 
@@ -259,21 +259,21 @@ class TestMcBayesRisk:
     def test_identical_balanced_near_half(self, g):
         c = rand_spd(g, 3)
         model = TwoClassGaussian.zero_mean(c, c)
-        risk = mc_bayes_risk(model, None, 50_000, derive_stream(221))
+        risk = mc_bayes_risk(model, None, 50_000, RngStream(221))
         assert abs(risk.estimate - 0.5) <= 3.0 * risk.std_error
 
     def test_scalar_case_matches_quadrature(self):
-        risk = mc_bayes_risk(scalar_var_model(), None, 100_000, derive_stream(222))
+        risk = mc_bayes_risk(scalar_var_model(), None, 100_000, RngStream(222))
         assert abs(risk.estimate - analytic_scalar_risk()) <= 3.0 * risk.std_error
 
     def test_dominated_by_overlap_bound(self, g):
         model = TwoClassGaussian.zero_mean(rand_spd(g, 4), rand_spd(g, 4))
         w = ProjectionMatrix(g.standard_normal((4, 2)))
-        risk = mc_bayes_risk(model, w, 50_000, derive_stream(223))
+        risk = mc_bayes_risk(model, w, 50_000, RngStream(223))
         assert risk.estimate <= embedded_overlap(model, w) + 3.0 * risk.std_error
 
     def test_std_error_formula(self):
-        risk = mc_bayes_risk(scalar_var_model(), None, 10_000, derive_stream(224))
+        risk = mc_bayes_risk(scalar_var_model(), None, 10_000, RngStream(224))
         expected = math.sqrt(risk.estimate * (1 - risk.estimate) / risk.n_samples)
         assert risk.std_error == expected
 
@@ -282,7 +282,7 @@ class TestMcBayesRisk:
         model = TwoClassGaussian.zero_mean(rand_spd(g, 10), rand_spd(g, 10))
         mix = make_spd(model.cov_1.entries + model.cov_2.entries)
         base = pca_projection(mix, 5)
-        stream = derive_stream(225)
+        stream = RngStream(225)
         estimates = []
         for q in range(1, 6):
             w = ProjectionMatrix(base.entries[:, :q], orthonormal_columns=True)
@@ -296,24 +296,24 @@ class TestMcBayesRisk:
         Monte Carlo Bayes risk, up to combined sampling noise."""
         model = TwoClassGaussian.zero_mean(rand_spd(g, 4), rand_spd(g, 4))
         rule = fit_embedded_qda(model)
-        val = sample_two_class(model, 1500, 1500, derive_stream(228))
+        val = sample_two_class(model, 1500, 1500, RngStream(228))
         loss = oos_error(rule, val)
-        risk = mc_bayes_risk(model, None, 50_000, derive_stream(229))
+        risk = mc_bayes_risk(model, None, 50_000, RngStream(229))
         slack = 3.0 * math.hypot(risk.std_error, math.sqrt(0.25 / val.n))
         assert loss >= risk.estimate - slack
 
     def test_deterministic_given_stream(self):
         model = scalar_var_model()
-        a = mc_bayes_risk(model, None, 5000, derive_stream(226, [1]))
-        b = mc_bayes_risk(model, None, 5000, derive_stream(226, [1]))
+        a = mc_bayes_risk(model, None, 5000, RngStream(226, [1]))
+        b = mc_bayes_risk(model, None, 5000, RngStream(226, [1]))
         assert a.estimate == b.estimate
 
     def test_block_split_invariance(self):
         """Crossing the internal block boundary keeps prefix determinism."""
         model = scalar_var_model()
-        big = mc_bayes_risk(model, None, (1 << 16) + 500, derive_stream(227))
+        big = mc_bayes_risk(model, None, (1 << 16) + 500, RngStream(227))
         assert 0.25 <= big.estimate <= 0.45
-        one_block = mc_bayes_risk(model, None, 1 << 16, derive_stream(227))
+        one_block = mc_bayes_risk(model, None, 1 << 16, RngStream(227))
         count = round(one_block.estimate * one_block.n_samples)
         big_count = round(big.estimate * big.n_samples)
         assert count <= big_count <= count + 500
@@ -325,7 +325,7 @@ class TestMcBayesRisk:
         """Embedding the noise through W^T L_k gives the estimate of forming
         the ambient samples first, on the same draws."""
         model, w, n = _mc_case(case, g)
-        stream = derive_stream(230)
+        stream = RngStream(230)
         assert mc_bayes_risk(model, w, n, stream) == x_first_mc_bayes_risk(
             model, w, n, stream
         )
@@ -333,9 +333,9 @@ class TestMcBayesRisk:
     @pytest.mark.parametrize("chunk", [1000, 1 << 16])
     def test_chunk_size_does_not_move_draws(self, g, monkeypatch, chunk):
         model, w, n = _mc_case("cross_block", g)
-        expected = mc_bayes_risk(model, w, n, derive_stream(231))
+        expected = mc_bayes_risk(model, w, n, RngStream(231))
         monkeypatch.setattr(covproj.classify, "_MC_CHUNK", chunk)
-        assert mc_bayes_risk(model, w, n, derive_stream(231)) == expected
+        assert mc_bayes_risk(model, w, n, RngStream(231)) == expected
 
     def test_memory_independent_of_samples_times_p(self, g):
         """One p=200 block embeds chunk by chunk; the 65536 x 200 ambient
@@ -344,7 +344,7 @@ class TestMcBayesRisk:
         w = pca_projection(make_spd(model.cov_1.entries + model.cov_2.entries), 5)
         tracemalloc.start()
         try:
-            mc_bayes_risk(model, w, 1 << 16, derive_stream(232))
+            mc_bayes_risk(model, w, 1 << 16, RngStream(232))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -357,7 +357,7 @@ class TestMcBayesRisk:
         w = pca_projection(make_spd(model.cov_1.entries + model.cov_2.entries), 5)
         tracemalloc.start()
         try:
-            mc_bayes_risk(model, w, 1 << 16, derive_stream(233))
+            mc_bayes_risk(model, w, 1 << 16, RngStream(233))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

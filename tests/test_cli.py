@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from covproj import (
+    RngStream,
     TwoClassGaussian,
-    derive_stream,
     mc_bayes_risk,
     pca_favorable_pair,
     sample_two_class,
@@ -50,7 +50,7 @@ def separable_csv(tmp_path):
     """Sampled from a pair whose covariance signal is strong in 5 directions."""
     c1, c2 = pca_favorable_pair(30, 5, 25.0, 1.0)
     model = TwoClassGaussian.zero_mean(c1, c2)
-    data = sample_two_class(model, 400, 400, derive_stream(900))
+    data = sample_two_class(model, 400, 400, RngStream(900))
     path = tmp_path / "separable.csv"
     write_labeled_csv(path, data)
     return path, model
@@ -269,7 +269,7 @@ class TestEvalCommand:
         """The population Bayes risk is far below 0.2, so the trained PCA
         classifier at q = 5 must stay below 0.2 as well."""
         path, model = separable_csv
-        oracle = mc_bayes_risk(model, None, 20_000, derive_stream(901))
+        oracle = mc_bayes_risk(model, None, 20_000, RngStream(901))
         assert oracle.estimate < 0.1
         code = main(
             ["eval", str(path), "--label-column", "label", "--q", "5", "--seed", "2"]
@@ -502,3 +502,45 @@ def test_command_runs_on_one_blas_thread(
     assert main([arg.format(csv=path) for arg in argv]) == 0
     assert seen and set(seen) == {1}
     assert openblas_at_two.get_threads() == 2
+
+
+# a Latin-1 byte (0xe9, "é") on line 3 of each input file: in a config
+# comment (lines ended by LF, or by CR alone), a manifest string, a dataset
+# row and a matrix row
+LATIN_1 = {
+    "config": b"family = example1\np = 4\n# r\xe9sum\xe9\nq = 1\n",
+    "config_cr": b"family = example1\rp = 4\r# r\xe9sum\xe9\rq = 1\r",
+    "manifest": b'{"config": {\n"family": "example1",\n"p": "4\xe9", "q": "1"}}\n',
+    "dataset": b"x0,x1,label\n1,2,1\n3,4\xe9,2\n5,6,1\n7,8,2\n",
+    "matrix": b"1,0\n0,1\n0\xe9,1\n",
+}
+EMPIRICAL_CFG = "family = empirical_cov\np = 2\nq = 1\ndataset = {data}\nlabel_column = label\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["sweep", "--config", "{config}", "--out", "{out}"], "config"),
+        (["sweep", "--config", "{config_cr}", "--out", "{out}"], "config_cr"),
+        (["sweep", "--config", "{manifest}", "--out", "{out}"], "manifest"),
+        (["sweep", "--config", "{empirical}", "--out", "{out}"], "dataset"),
+        (["eval", "{dataset}", "--label-column", "label", "--q", "1"], "dataset"),
+        (["oracle", "--cov1", "{matrix}", "--cov2", "{matrix}", "--q", "1"], "matrix"),
+    ],
+    ids=["sweep_config", "sweep_config_cr_lines", "sweep_manifest", "sweep_dataset", "eval", "oracle_cov1"],
+)
+def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, argv, bad):
+    """Bytes that are not UTF-8 in any input file give exit 2 and one
+    ``error:`` line naming the file and its line; nothing is written."""
+    paths = {name: tmp_path / f"{name}.txt" for name in LATIN_1}
+    for name, path in paths.items():
+        path.write_bytes(LATIN_1[name])
+    paths["empirical"] = tmp_path / "empirical.cfg"
+    paths["empirical"].write_text(EMPIRICAL_CFG.format(data=paths["dataset"]))
+    paths["out"] = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{paths[bad]} line 3: not UTF-8 text" in err
+    assert not paths["out"].exists()

@@ -14,8 +14,8 @@ from covproj import (
     NotSquareError,
     ProjectionMatrix,
     RankDeficientError,
+    RngStream,
     TwoClassGaussian,
-    derive_stream,
     make_spd,
 )
 from conftest import rand_spd
@@ -149,41 +149,47 @@ class TestTwoClassGaussian:
 
 class TestRngStream:
     def test_same_path_identical(self):
-        a = derive_stream(42, [0]).generator().standard_normal(1000)
-        b = derive_stream(42, [0]).generator().standard_normal(1000)
+        a = RngStream(42, [0]).generator().standard_normal(1000)
+        b = RngStream(42, [0]).generator().standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_uncorrelated(self):
-        a = derive_stream(42, [0]).generator().standard_normal(10_000)
-        b = derive_stream(42, [1]).generator().standard_normal(10_000)
+        a = RngStream(42, [0]).generator().standard_normal(10_000)
+        b = RngStream(42, [1]).generator().standard_normal(10_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_path_keyed_reproducibility(self):
         """Re-deriving a path after sibling reordering changes nothing."""
-        before = derive_stream(42, [3, 1]).generator().standard_normal(64)
-        _ = derive_stream(42, [3, 7]).generator().standard_normal(64)
-        after = derive_stream(42, [3, 1]).generator().standard_normal(64)
+        before = RngStream(42, [3, 1]).generator().standard_normal(64)
+        _ = RngStream(42, [3, 7]).generator().standard_normal(64)
+        after = RngStream(42, [3, 1]).generator().standard_normal(64)
         assert np.array_equal(before, after)
 
     def test_child_appends(self):
-        s = derive_stream(7, [2])
+        s = RngStream(7, [2])
         assert s.child(5, 1).path == (2, 5, 1)
         assert s.path == (2,)
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 7.5, "3", None])
+    def test_rejects_a_bad_seed(self, bad):
+        """Checked when the stream is named, not when it first draws."""
+        with pytest.raises(ConfigError, match="master_seed"):
+            RngStream(bad, [0])
+
     def test_negative_path_rejected(self):
         with pytest.raises(ConfigError):
-            derive_stream(7, [-1])
+            RngStream(7, [-1])
 
     @pytest.mark.parametrize("bad", [-1, 1.0, "1", None])
     def test_child_rejects_a_bad_index(self, bad):
         with pytest.raises(ConfigError, match="path"):
-            derive_stream(7, [2]).child(0, bad)
+            RngStream(7, [2]).child(0, bad)
 
     def test_child_equals_the_stream_built_whole(self):
         """Built without revalidating the parent, a child is still the
         stream of its full path: equal, equally hashed, the same draws."""
-        child = derive_stream(7, [2]).child(np.int64(5), 1)
-        whole = derive_stream(7, [2, 5, 1])
+        child = RngStream(7, [2]).child(np.int64(5), 1)
+        whole = RngStream(7, [2, 5, 1])
         assert child == whole and hash(child) == hash(whole)
         assert all(type(i) is int for i in child.path)
         assert np.array_equal(
@@ -204,7 +210,7 @@ class TestLabeledDataset:
 
     def test_split_stratified(self):
         data = self._toy(10, 20)
-        train, val = data.split(0.7, derive_stream(3))
+        train, val = data.split(0.7, RngStream(3))
         assert train.n + val.n == data.n
         for part in (train, val):
             assert {1, 2} <= set(part.z.tolist())
@@ -213,11 +219,11 @@ class TestLabeledDataset:
 
     def test_split_deterministic(self):
         data = self._toy()
-        t1, _ = data.split(0.7, derive_stream(9, [4]))
-        t2, _ = data.split(0.7, derive_stream(9, [4]))
+        t1, _ = data.split(0.7, RngStream(9, [4]))
+        t2, _ = data.split(0.7, RngStream(9, [4]))
         assert np.array_equal(t1.X, t2.X)
 
     def test_split_needs_two_per_class(self):
         data = LabeledDataset(np.zeros((3, 2)), np.array([1, 2, 2]))
         with pytest.raises(EmptyClassError):
-            data.split(0.7, derive_stream(0))
+            data.split(0.7, RngStream(0))

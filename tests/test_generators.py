@@ -11,9 +11,9 @@ from covproj import (
     DimensionMismatchError,
     InsufficientRowsError,
     NotPositiveDefiniteError,
+    RngStream,
     TwoClassGaussian,
     column_overlap,
-    derive_stream,
     embedded_overlap,
     empirical_cov_pair,
     gen_iw_pair,
@@ -24,39 +24,50 @@ from covproj import (
     sample_gaussian,
     sample_inverse_wishart,
     sample_scaled_inverse_wishart,
-    sample_wishart,
 )
 from covproj.generators import _bartlett_factor, _bartlett_indices, _mixing_matrix
 
 
+def _wishart(dim, df, stream):
+    """A A^T for the Bartlett factor A: a Wishart(I_dim, df) draw."""
+    a = _bartlett_factor(dim, df, stream.generator())
+    return a @ a.T
+
+
 class TestWishart:
+    """The Bartlett factor's A A^T is Wishart(I_dim, df); the inverse Wishart
+    draws of every family are built from it."""
+
     def test_scalar_chi_square_mean(self):
         """p = 1, df = 5 is a chi-square(5) draw with mean 5."""
-        stream = derive_stream(101)
-        draws = [sample_wishart(1, 5, stream.child(i)).entries[0, 0] for i in range(10_000)]
+        stream = RngStream(101)
+        draws = [_wishart(1, 5, stream.child(i))[0, 0] for i in range(10_000)]
         assert abs(np.mean(draws) - 5.0) < 0.15
 
     def test_mean_is_df_times_identity(self):
-        """E[W] = df I at p = 5, df = 25, entrywise CLT interval."""
-        stream = derive_stream(102)
+        """E[A A^T] = df I at p = 5, df = 25, entrywise CLT interval."""
+        stream = RngStream(102)
         total = np.zeros((5, 5))
         n = 10_000
         for i in range(n):
-            total += sample_wishart(5, 25, stream.child(i)).entries
+            total += _wishart(5, 25, stream.child(i))
         assert np.max(np.abs(total / n - 25.0 * np.eye(5))) < 0.25
 
     def test_strict_pd(self):
-        stream = derive_stream(103)
+        stream = RngStream(103)
         for i in range(20):
-            m = sample_wishart(6, 6.5, stream.child(i))
-            m.cholesky()
+            make_spd(_wishart(6, 6.5, stream.child(i)), strict=True)
 
     def test_fractional_df_supported(self):
-        sample_wishart(4, 4.5, derive_stream(104))
+        """A fractional df gives chi-square degrees df, df - 1, ... on the
+        diagonal, all positive, and a full-rank factor."""
+        a = _bartlett_factor(4, 4.5, RngStream(104).generator())
+        assert np.all(np.diag(a) > 0) and np.array_equal(a, np.tril(a))
+        make_spd(a @ a.T, strict=True)
 
     def test_df_too_small(self):
         with pytest.raises(DegreesOfFreedomError):
-            sample_wishart(20, 10, derive_stream(105))
+            sample_inverse_wishart(20, 10, RngStream(105))
 
     def test_bartlett_factor_from_cached_indices(self):
         """The index tables are built once per order and read-only; the
@@ -64,8 +75,8 @@ class TestWishart:
         diag, lower = _bartlett_indices(7)
         assert _bartlett_indices(7) is _bartlett_indices(7)
         assert not any(axis.flags.writeable for axis in (*diag, *lower))
-        a = _bartlett_factor(7, 9.5, derive_stream(106).generator())
-        g = derive_stream(106).generator()
+        a = _bartlett_factor(7, 9.5, RngStream(106).generator())
+        g = RngStream(106).generator()
         expected = np.zeros((7, 7))
         expected[np.diag_indices(7)] = np.sqrt(g.chisquare(9.5 - np.arange(7.0)))
         fresh = np.tril_indices(7, -1)
@@ -76,7 +87,7 @@ class TestWishart:
 class TestScaledInverseWishart:
     def test_scalar_mean(self):
         """p = 1, df = 5: draws are 5/chi2_5 with mean 5/(5-2) = 5/3."""
-        stream = derive_stream(111)
+        stream = RngStream(111)
         draws = [
             sample_scaled_inverse_wishart(1, 5, stream.child(i)).entries[0, 0]
             for i in range(20_000)
@@ -85,7 +96,7 @@ class TestScaledInverseWishart:
 
     def test_matrix_mean(self):
         """p = 10, df = 50: mean is (50/39) I entrywise within 5%."""
-        stream = derive_stream(112)
+        stream = RngStream(112)
         total = np.zeros((10, 10))
         n = 5000
         for i in range(n):
@@ -98,7 +109,7 @@ class TestScaledInverseWishart:
 
     def test_concentrates_at_identity_for_large_df(self):
         """df = 100 p: the scaled draw hugs the identity."""
-        stream = derive_stream(113)
+        stream = RngStream(113)
         p = 5
         total = np.zeros((p, p))
         n = 500
@@ -109,7 +120,7 @@ class TestScaledInverseWishart:
     def test_concentration_improves_with_df(self):
         """Mean normalized distance to I decreases along df in {p, 2p, 10p}."""
         p, reps = 20, 200
-        stream = derive_stream(114)
+        stream = RngStream(114)
         scores = []
         for k, df_mult in enumerate((1, 2, 10)):
             dists = [
@@ -125,18 +136,18 @@ class TestScaledInverseWishart:
 
     def test_df_below_dim_rejected(self):
         with pytest.raises(DegreesOfFreedomError):
-            sample_scaled_inverse_wishart(20, 19.5, derive_stream(115))
+            sample_scaled_inverse_wishart(20, 19.5, RngStream(115))
 
 
 class TestIwPair:
     def test_valid_pair(self):
-        c1, c2 = gen_iw_pair(20, 20, 200, derive_stream(121))
+        c1, c2 = gen_iw_pair(20, 20, 200, RngStream(121))
         c1.cholesky()
         c2.cholesky()
 
     def test_independence(self):
         """Entries of the two draws are uncorrelated across pairs."""
-        stream = derive_stream(122)
+        stream = RngStream(122)
         a, b = [], []
         for i in range(1000):
             c1, c2 = gen_iw_pair(3, 6, 6, stream.child(i))
@@ -146,7 +157,7 @@ class TestIwPair:
 
     def test_df_too_small(self):
         with pytest.raises(DegreesOfFreedomError):
-            gen_iw_pair(20, 10, 40, derive_stream(123))
+            gen_iw_pair(20, 10, 40, RngStream(123))
 
     def test_matches_independent_sampler(self):
         """p = 20, df = 40: pairs from gen_iw_pair and df-scaled draws of
@@ -163,7 +174,7 @@ class TestIwPair:
             overlap = embedded_overlap(TwoClassGaussian.zero_mean(c1, c2), w)
             return overlap, np.linalg.eigvalsh(c1.entries)[-1]
 
-        stream = derive_stream(124)
+        stream = RngStream(124)
         ours = np.array([summary(*gen_iw_pair(p, df, df, stream.child(i))) for i in range(n)])
         law = invwishart(df=df, scale=np.eye(p))
         g = np.random.default_rng(124)
@@ -189,19 +200,19 @@ class TestLatentFamily:
     @pytest.mark.parametrize("share", ["both", "Q", ""])
     def test_unknown_share_rejected(self, share):
         with pytest.raises(ConfigError) as info:
-            gen_latent_pair(50, share, None, derive_stream(131))
+            gen_latent_pair(50, share, None, RngStream(131))
         assert info.value.field == "share"
 
     @pytest.mark.parametrize("share", ["none", "q", "theta"])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_all_configs_strictly_pd(self, share, sparse):
         density = 0.1 if sparse else None
-        c1, c2 = gen_latent_pair(50, share, density, derive_stream(132, [int(sparse)]))
+        c1, c2 = gen_latent_pair(50, share, density, RngStream(132, [int(sparse)]))
         c1.cholesky()
         c2.cholesky()
 
     def test_share_theta_is_bitwise(self):
-        stream = derive_stream(133)
+        stream = RngStream(133)
         c1, c2 = gen_latent_pair(50, "theta", None, stream)
         c1n, c2n = gen_latent_pair(50, "none", None, stream)
         assert not np.array_equal(c1n.entries, c2n.entries)
@@ -213,15 +224,15 @@ class TestLatentFamily:
         assert not np.array_equal(theta_a.entries, theta_b.entries)
 
     def test_share_q_changes_pair(self):
-        shared = gen_latent_pair(50, "q", None, derive_stream(134))
-        separate = gen_latent_pair(50, "none", None, derive_stream(134))
+        shared = gen_latent_pair(50, "q", None, RngStream(134))
+        separate = gen_latent_pair(50, "none", None, RngStream(134))
         assert not np.array_equal(shared[1].entries, separate[1].entries)
 
     def test_sparse_mixing_density(self):
-        q = _mixing_matrix(8, 500, 0.1, derive_stream(135))
+        q = _mixing_matrix(8, 500, 0.1, RngStream(135))
         frac = np.count_nonzero(q) / q.size
         assert abs(frac - 0.1) < 0.02
-        dense = _mixing_matrix(8, 500, None, derive_stream(136))
+        dense = _mixing_matrix(8, 500, None, RngStream(136))
         assert np.count_nonzero(dense) == dense.size
 
 
@@ -233,19 +244,19 @@ class TestColumnOverlap:
 
     def test_gamma_zero_is_pure_subsample(self):
         x1, x2 = self._groups()
-        t1, t2 = column_overlap(x1, x2, 0.0, derive_stream(141))
+        t1, t2 = column_overlap(x1, x2, 0.0, RngStream(141))
         assert t1.shape == t2.shape == (25, 10)
         assert np.all(t1 == 0.0)
         assert np.all(t2 == 1.0)
 
     def test_gamma_one_replaces_every_column(self):
         x1, x2 = self._groups()
-        t1, _ = column_overlap(x1, x2, 1.0, derive_stream(142))
+        t1, _ = column_overlap(x1, x2, 1.0, RngStream(142))
         assert np.all(t1 == 1.0)
 
     def test_gamma_half_replaces_exactly_five(self):
         x1, x2 = self._groups()
-        t1, _ = column_overlap(x1, x2, 0.5, derive_stream(143))
+        t1, _ = column_overlap(x1, x2, 0.5, RngStream(143))
         replaced = np.flatnonzero(t1.sum(axis=0) > 0)
         assert replaced.size == 5
         assert np.all(t1[:, replaced] == 1.0)
@@ -255,7 +266,7 @@ class TestColumnOverlap:
         g = np.random.default_rng(5)
         x1 = g.standard_normal((30, 8))
         x2 = g.standard_normal((40, 8))
-        t1, _ = column_overlap(x1, x2, 0.25, derive_stream(144))
+        t1, _ = column_overlap(x1, x2, 0.25, RngStream(144))
         x1_values = {round(v, 9) for v in x1.ravel()}
         untouched = 0
         for j in range(8):
@@ -267,18 +278,18 @@ class TestColumnOverlap:
         """The kept half and the donor half never share a row of x2."""
         x2 = np.arange(60, dtype=float).reshape(20, 3)
         x1 = -np.ones((20, 3))
-        t1, t2 = column_overlap(x1, x2, 1.0, derive_stream(145))
+        t1, t2 = column_overlap(x1, x2, 1.0, RngStream(145))
         donor_rows = {tuple(r) for r in t1}
         kept_rows = {tuple(r) for r in t2}
         assert donor_rows.isdisjoint(kept_rows)
 
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientRowsError):
-            column_overlap(np.ones((5, 3)), np.ones((1, 3)), 0.5, derive_stream(146))
+            column_overlap(np.ones((5, 3)), np.ones((1, 3)), 0.5, RngStream(146))
 
     def test_column_count_must_match(self):
         with pytest.raises(DimensionMismatchError):
-            column_overlap(np.ones((5, 3)), np.ones((5, 4)), 0.5, derive_stream(147))
+            column_overlap(np.ones((5, 3)), np.ones((5, 4)), 0.5, RngStream(147))
 
 
 class TestEmpiricalCovPair:
@@ -310,26 +321,26 @@ class TestEmpiricalCovPair:
 
 class TestSampleGaussian:
     def test_sample_covariance_close(self):
-        x = sample_gaussian(np.zeros(2), make_spd(np.eye(2)), 100_000, derive_stream(151))
+        x = sample_gaussian(np.zeros(2), make_spd(np.eye(2)), 100_000, RngStream(151))
         emp = x.T @ x / x.shape[0]
         assert np.max(np.abs(emp - np.eye(2))) < 0.02
 
     def test_mean_shift(self):
         mu = np.array([3.0, -1.0])
-        x = sample_gaussian(mu, make_spd(0.01 * np.eye(2)), 1000, derive_stream(152))
+        x = sample_gaussian(mu, make_spd(0.01 * np.eye(2)), 1000, RngStream(152))
         assert np.max(np.abs(x.mean(axis=0) - mu)) < 0.02
 
     def test_empty_sample(self):
-        x = sample_gaussian(np.zeros(3), make_spd(np.eye(3)), 0, derive_stream(153))
+        x = sample_gaussian(np.zeros(3), make_spd(np.eye(3)), 0, RngStream(153))
         assert x.shape == (0, 3)
 
     def test_deterministic(self):
         c = make_spd(np.eye(2))
-        a = sample_gaussian(np.zeros(2), c, 5, derive_stream(154, [2]))
-        b = sample_gaussian(np.zeros(2), c, 5, derive_stream(154, [2]))
+        a = sample_gaussian(np.zeros(2), c, 5, RngStream(154, [2]))
+        b = sample_gaussian(np.zeros(2), c, 5, RngStream(154, [2]))
         assert np.array_equal(a, b)
 
     def test_requires_strict_pd(self):
         v = np.outer(np.ones(2), np.ones(2))
         with pytest.raises(NotPositiveDefiniteError):
-            sample_gaussian(np.zeros(2), make_spd(v), 3, derive_stream(155))
+            sample_gaussian(np.zeros(2), make_spd(v), 3, RngStream(155))

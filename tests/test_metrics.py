@@ -10,6 +10,7 @@ from covproj import (
     DimensionMismatchError,
     NonPositiveEigenvalueError,
     ProjectionMatrix,
+    RngStream,
     SingularBlendError,
     TwoClassGaussian,
     bhattacharyya_overlap,
@@ -18,7 +19,6 @@ from covproj import (
     embedded_overlaps,
     make_spd,
     mc_bayes_risk,
-    derive_stream,
     optimal_overlap_closed_form,
 )
 from conftest import (
@@ -145,7 +145,7 @@ class TestEmbeddedOverlap:
             q = int(g.integers(1, p + 1))
             w = ProjectionMatrix(g.standard_normal((p, q)))
             bound = embedded_overlap(m, w)
-            risk = mc_bayes_risk(m, w, 20_000, derive_stream(100 + k))
+            risk = mc_bayes_risk(m, w, 20_000, RngStream(100 + k))
             assert risk.estimate <= bound + 3.0 * risk.std_error
 
 

@@ -11,9 +11,9 @@ from covproj import (
     DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
+    RngStream,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
-    derive_stream,
     embedded_overlap,
     empirical_covariances,
     generalized_eigenpairs,
@@ -128,43 +128,43 @@ class TestFixColumnSigns:
 
 class TestRandomProjection:
     def test_full_rank(self):
-        w = random_projection(50, 5, derive_stream(1, [0]))
+        w = random_projection(50, 5, RngStream(1, [0]))
         assert np.linalg.matrix_rank(w.entries) == 5
         assert not w.orthonormal_columns
 
     def test_moments(self):
-        w = random_projection(1000, 1000, derive_stream(2))
+        w = random_projection(1000, 1000, RngStream(2))
         entries = w.entries.ravel()
         assert abs(entries.mean()) < 0.004
         assert abs(entries.var() - 1.0) < 0.005
 
     def test_deterministic(self):
-        a = random_projection(20, 3, derive_stream(5, [1, 2]))
-        b = random_projection(20, 3, derive_stream(5, [1, 2]))
+        a = random_projection(20, 3, RngStream(5, [1, 2]))
+        b = random_projection(20, 3, RngStream(5, [1, 2]))
         assert np.array_equal(a.entries, b.entries)
 
 
 class TestSparseRandomProjection:
     def test_value_set_and_magnitude(self):
         """At p = 16 the nonzero entries are exactly +-2 = 16^(1/4)."""
-        w = sparse_random_projection(16, 4, derive_stream(3))
+        w = sparse_random_projection(16, 4, RngStream(3))
         values = set(np.unique(w.entries).tolist())
         assert values <= {-2.0, 0.0, 2.0}
 
     def test_nonzero_fraction(self):
         """At p = 100 the expected nonzero fraction is 1/sqrt(100) = 0.10."""
-        w = sparse_random_projection(100, 10, derive_stream(4))
+        w = sparse_random_projection(100, 10, RngStream(4))
         frac = np.count_nonzero(w.entries) / w.entries.size
         assert abs(frac - 0.10) < 0.03
 
     def test_entry_second_moment_is_one(self):
-        w = sparse_random_projection(400, 250, derive_stream(6))
+        w = sparse_random_projection(400, 250, RngStream(6))
         second = float(np.mean(w.entries**2))
         assert abs(second - 1.0) < 0.05
 
     def test_deterministic(self):
-        a = sparse_random_projection(30, 4, derive_stream(8, [3]))
-        b = sparse_random_projection(30, 4, derive_stream(8, [3]))
+        a = sparse_random_projection(30, 4, RngStream(8, [3]))
+        b = sparse_random_projection(30, 4, RngStream(8, [3]))
         assert np.array_equal(a.entries, b.entries)
 
 
@@ -294,7 +294,7 @@ class TestEmpiricalCovariances:
         """Relative Frobenius error of the sample covariance at n_k = 100 p."""
         p, n_k = 5, 500
         cov = rand_spd(np.random.default_rng(7), p)
-        x = sample_gaussian(np.zeros(p), cov, 2 * n_k, derive_stream(14))
+        x = sample_gaussian(np.zeros(p), cov, 2 * n_k, RngStream(14))
         z = np.concatenate([np.ones(n_k, dtype=int), np.full(n_k, 2)])
         est = empirical_covariances(LabeledDataset(x, z))
         for s in (est.cov_1, est.cov_2):

@@ -888,15 +888,13 @@ class TestBlasPolicy:
 
     def test_manifest_records_one_thread_during_sweep(self, openblas_at_two, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "run")
-        entries = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
-        assert entries == [
-            {
-                "library": openblas_at_two.library,
-                "config": openblas_at_two.config,
-                "threads_before": 2,
-                "threads_during": 1,
-            }
-        ]
+        blas = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
+        assert blas == {
+            "library": openblas_at_two.library,
+            "config": openblas_at_two.config,
+            "threads_before": 2,
+            "threads_during": 1,
+        }
 
     def test_records_independent_of_workers_and_caller_threads(
         self, openblas_at_two, tmp_path
