@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "metrics": (
         "bhattacharyya_overlap",
-        "chernoff_distance",
         "embedded_overlap",
         "embedded_overlaps",
         "optimal_overlap_closed_form",

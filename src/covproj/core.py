@@ -317,6 +317,9 @@ class TwoClassGaussian:
             raise ConfigError("weight_1", "must lie strictly between 0 and 1")
         m1 = _as_readonly(np.atleast_1d(self.mean_1))
         m2 = _as_readonly(np.atleast_1d(self.mean_2))
+        for field, mean in (("mean_1", m1), ("mean_2", m2)):
+            if not np.isfinite(mean).all():
+                raise ConfigError(field, "entries must be finite")
         p = self.cov_1.dim
         if self.cov_2.dim != p or m1.shape != (p,) or m2.shape != (p,):
             raise DimensionMismatchError(

@@ -4,16 +4,18 @@ The central quantity is the overlap
 
     eps = sqrt(pi1 * pi2) * exp(-delta(1/2)),
 
-an analytic upper bound on the Bayes risk, where delta(s) is the Chernoff
-distance between the class densities and s = 1/2 gives the Bhattacharyya
-distance. Because the overlap has a data-free closed form it can score class
-separability inside an embedding space directly from projected parameters,
-which is what makes large enumeration sweeps affordable.
+an analytic upper bound on the Bayes risk, where delta(1/2) is the
+Bhattacharyya distance (the Chernoff distance at s = 1/2, the only s used)
+between the class densities. Because the overlap has a data-free closed form
+it can score class separability inside an embedding space directly from
+projected parameters, which is what makes large enumeration sweeps affordable.
 
 All log-determinants go through Cholesky factors (sum of log diagonal), never
 through raw determinants, so the formulas stay finite at p = 1000. One kernel
-evaluates the formula over a stack of items; the ambient distance and a single
-embedding are its one-item case, so every caller gets the same bits.
+evaluates the overlap over a stack of items; the ambient overlap and a single
+embedding are its one-item case, so every caller gets the same bits. It is
+also the one fallback: a stack that does not factor is evaluated item by
+item, and an item with a singular factor gets that factor's error.
 """
 
 from __future__ import annotations
@@ -34,16 +36,6 @@ from .core import (
 )
 
 
-def _chol(entries: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlendError(
-            f"{what} of order {entries.shape[0]} is numerically singular",
-            dim=entries.shape[0],
-        ) from exc
-
-
 def _logdet(chol_factor: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
 
@@ -51,27 +43,35 @@ def _logdet(chol_factor: np.ndarray) -> float:
 _FACTORS = ("covariance blend", "class-1 covariance", "class-2 covariance")
 
 
-def _chernoff_distances(
-    covs_1: np.ndarray, covs_2: np.ndarray, gaps: np.ndarray, s: float
-) -> list[float]:
-    """delta(s) of each item of a stack: covariances (k, q, q), mean gaps (k, q).
+def _overlaps(
+    model: TwoClassGaussian, covs_1: np.ndarray, covs_2: np.ndarray, gaps: np.ndarray
+) -> list[float | SingularBlendError]:
+    """Overlap of each item of a stack (covariances (k, q, q), mean gaps
+    (k, q)) under the class weights of ``model``, or its SingularBlendError.
 
     One Cholesky call factors the (blend, C1, C2) triple of every item. If it
-    fails, the matrices are factored one at a time in that order, so the
-    SingularBlendError names the first singular factor. The quadratic term is
-    solved only for a non-zero gap; a zero gap gives exactly 0.0 either way.
-    Each value is the one the formula gives for its item alone, bit for bit.
+    fails, each item is evaluated alone; one that does not factor gets the
+    error naming its first singular factor in that order. The quadratic term
+    is solved only for a non-zero gap (a zero gap gives exactly 0.0 either
+    way). Each value is the one the formula gives for its item alone.
     """
-    blends = s * covs_1 + (1.0 - s) * covs_2
-    triples = np.stack((blends, covs_1, covs_2), axis=1)
+    triples = np.stack((0.5 * covs_1 + 0.5 * covs_2, covs_1, covs_2), axis=1)
     try:
         factors = np.linalg.cholesky(triples)
     except np.linalg.LinAlgError:
-        factors = np.array(
-            [[_chol(m, what) for what, m in zip(_FACTORS, triple)] for triple in triples]
-        )
+        if len(triples) > 1:
+            items = zip(covs_1[:, None], covs_2[:, None], gaps[:, None])
+            return [_overlaps(model, *item)[0] for item in items]
+        for what, m in zip(_FACTORS, triples[0]):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                message = f"{what} of order {len(m)} is numerically singular"
+                return [SingularBlendError(message, dim=len(m))]
+        raise
     logdets = 2.0 * np.log(np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
-    distances = []
+    scale = math.sqrt(model.weight_1 * model.weight_2)
+    values = []
     for factor, gap, nonzero, (ld_blend, ld_1, ld_2) in zip(
         factors, gaps, gaps.any(axis=1).tolist(), logdets.tolist()
     ):
@@ -79,34 +79,28 @@ def _chernoff_distances(
         if nonzero:
             u = solve_triangular(factor[0], gap, lower=True)
             quad = float(u @ u)
-        logdet_term = ld_blend - s * ld_1 - (1.0 - s) * ld_2
-        distances.append(max(0.0, s * (1.0 - s) / 2.0 * quad + 0.5 * logdet_term))
-    return distances
+        delta = max(0.0, 0.125 * quad + 0.5 * (ld_blend - 0.5 * ld_1 - 0.5 * ld_2))
+        values.append(scale * math.exp(-delta))
+    return values
 
 
-def chernoff_distance(model: TwoClassGaussian, s: float) -> float:
-    """Chernoff distance delta(s) between the two class densities.
-
-    delta(s) = s(1-s)/2 * d^T (s*C1 + (1-s)*C2)^{-1} d
-               + 1/2 * ln[ det(s*C1 + (1-s)*C2) / (det(C1)^s det(C2)^{1-s}) ]
-
-    with d = mu2 - mu1. Requires 0 <= s <= 1 and strictly positive definite
-    covariances. The value is clamped at 0 to absorb round-off on identical
-    distributions.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    return _chernoff_distances(
-        model.cov_1.entries[None],
-        model.cov_2.entries[None],
-        (model.mean_2 - model.mean_1)[None],
-        s,
-    )[0]
+def _values(outcomes: list[float | SingularBlendError]) -> list[float]:
+    """The values of a stack's outcomes; raises the first item's error."""
+    for outcome in outcomes:
+        if isinstance(outcome, SingularBlendError):
+            raise outcome
+    return outcomes
 
 
 def bhattacharyya_overlap(model: TwoClassGaussian) -> float:
-    """Overlap sqrt(pi1*pi2) * exp(-delta(1/2)); in (0, 0.5] when balanced."""
-    return math.sqrt(model.weight_1 * model.weight_2) * math.exp(-chernoff_distance(model, 0.5))
+    """Overlap sqrt(pi1*pi2) * exp(-delta(1/2)); in (0, 0.5] when balanced.
+
+    delta(1/2) = d^T B^{-1} d / 8 + ln[det(B) / sqrt(det(C1) det(C2))] / 2,
+    with d = mu2 - mu1 and B = (C1 + C2) / 2, needs strictly positive
+    definite covariances and is clamped at 0 to absorb round-off.
+    """
+    c1, c2, gap = model.cov_1.entries, model.cov_2.entries, model.mean_2 - model.mean_1
+    return _values(_overlaps(model, c1[None], c2[None], gap[None]))[0]
 
 
 def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGaussian:
@@ -125,17 +119,10 @@ def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGauss
     )
 
 
-def embedded_overlaps(
+def _embedded_overlaps(
     model: TwoClassGaussian, ws: Sequence[ProjectionMatrix]
-) -> list[float]:
-    """Bhattacharyya overlap of the model seen through each embedding of ws.
-
-    The projections must share one shape; they are scored as one stack (one
-    product W^T C_k W per class, one Cholesky call), and each value equals
-    ``embedded_overlap`` of that projection alone, bit for bit. A singular
-    embedded covariance raises SingularBlendError for the first projection
-    that has one.
-    """
+) -> list[float | SingularBlendError]:
+    """``embedded_overlaps`` with each singular item's error in its place."""
     if not ws:
         return []
     for w in ws:
@@ -153,8 +140,21 @@ def embedded_overlaps(
         a = stack_t @ cov.entries @ stack
         covs.append((a + np.swapaxes(a, 1, 2)) / 2.0)
     gaps = stack_t @ model.mean_2 - stack_t @ model.mean_1
-    scale = math.sqrt(model.weight_1 * model.weight_2)
-    return [scale * math.exp(-delta) for delta in _chernoff_distances(*covs, gaps, 0.5)]
+    return _overlaps(model, *covs, gaps)
+
+
+def embedded_overlaps(
+    model: TwoClassGaussian, ws: Sequence[ProjectionMatrix]
+) -> list[float]:
+    """Bhattacharyya overlap of the model seen through each embedding of ws.
+
+    The projections must share one shape; they are scored as one stack (one
+    product W^T C_k W per class, one Cholesky call), and each value equals
+    ``embedded_overlap`` of that projection alone, bit for bit. If the stack
+    does not factor, each projection is evaluated alone, and the first one
+    with a singular embedded covariance raises its SingularBlendError.
+    """
+    return _values(_embedded_overlaps(model, ws))
 
 
 def embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:

@@ -69,7 +69,7 @@ from .generators import (
     gen_latent_pair,
     sample_two_class,
 )
-from .metrics import embedded_overlap, embedded_overlaps
+from .metrics import _embedded_overlaps
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 
 FAMILIES = ("inverse_wishart", "latent_low_dim", "empirical_cov", *_FIXTURES)
@@ -482,20 +482,14 @@ def _failed(exc: CovProjError) -> str:
 
 
 def _score_overlaps(model, built) -> None:
-    """Score every built projection of a point in one stacked call; a stack
-    that raises is scored one projection at a time, so each failure stays on
-    its own record."""
-    try:
-        values = embedded_overlaps(model, [w for _, _, w in built])
-    except CovProjError:
-        for _, record, w in built:
-            try:
-                record.metric_overlap = embedded_overlap(model, w)
-            except CovProjError as exc:
-                record.status = _failed(exc)
-        return
+    """Score every built projection of a point as one stack; a projection
+    whose embedded covariances are singular fails its own record alone."""
+    values = _embedded_overlaps(model, [w for _, _, w in built])
     for (_, record, _), value in zip(built, values):
-        record.metric_overlap = value
+        if isinstance(value, CovProjError):
+            record.status = _failed(value)
+        else:
+            record.metric_overlap = value
 
 
 def _eval_point(
@@ -527,8 +521,7 @@ def _eval_point(
         except CovProjError as exc:
             record.status = _failed(exc)
     if config.mode == "overlap":
-        if built:
-            _score_overlaps(model, built)
+        _score_overlaps(model, built)
         return records
     for j, record, w in built:
         try:

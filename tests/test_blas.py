@@ -176,7 +176,7 @@ RankDeficientAfterRetriesError RankDeficientError RiskEstimate RngStream
 SingularAfterRidgeError SingularBlendError SingularEmbeddedCovarianceError
 SpdMatrix SummaryTable SweepConfig SweepRecord TwoClassGaussian
 bhattacharyya_optimal_projection bhattacharyya_overlap blas build_projection
-chernoff_distance classify column_overlap config_from_mapping core datasets
+classify column_overlap config_from_mapping core datasets
 embedded_overlap embedded_overlaps empirical_cov_pair
 empirical_covariances expand_grid fit_embedded_qda gen_iw_pair gen_latent_pair
 generalized_eigenpairs generators latent_rank load_dataset load_matrix

@@ -16,7 +16,12 @@ from covproj import (
     RankDeficientError,
     RngStream,
     TwoClassGaussian,
+    bhattacharyya_overlap,
+    embedded_overlap,
+    fit_embedded_qda,
     make_spd,
+    mc_bayes_risk,
+    sample_two_class,
 )
 from conftest import rand_spd
 
@@ -145,6 +150,29 @@ class TestTwoClassGaussian:
         c = make_spd(np.eye(2))
         m = TwoClassGaussian.zero_mean(c, c, 0.3)
         assert m.weight_1 + m.weight_2 == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("field", ["mean_1", "mean_2"])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda m: embedded_overlap(m, ProjectionMatrix(np.eye(3)[:, :2])),
+            bhattacharyya_overlap,
+            lambda m: fit_embedded_qda(m).predict(np.zeros((2, 3))),
+            lambda m: mc_bayes_risk(m, None, 100, RngStream(1)),
+            lambda m: sample_two_class(m, 2, 2, RngStream(1)),
+        ],
+        ids=["embedded_overlap", "bhattacharyya_overlap", "predict", "mc", "sample"],
+    )
+    def test_non_finite_mean_refused(self, bad, field, use):
+        """A non-finite mean is refused when the model is built, before any
+        metric, classifier or sampler can turn it into NaN."""
+        means = {"mean_1": np.zeros(3), "mean_2": np.zeros(3)}
+        means[field][0] = bad
+        covs = make_spd(np.eye(3)), make_spd(2.0 * np.eye(3))
+        with pytest.raises(ConfigError, match=f"^{field}: ") as err:
+            use(TwoClassGaussian(0.5, means["mean_1"], means["mean_2"], *covs))
+        assert err.value.field == field
 
 
 class TestRngStream:

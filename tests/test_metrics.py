@@ -14,13 +14,13 @@ from covproj import (
     SingularBlendError,
     TwoClassGaussian,
     bhattacharyya_overlap,
-    chernoff_distance,
     embedded_overlap,
     embedded_overlaps,
     make_spd,
     mc_bayes_risk,
     optimal_overlap_closed_form,
 )
+from covproj.metrics import _embedded_overlaps
 from conftest import (
     rand_orthonormal,
     rand_spd,
@@ -47,39 +47,37 @@ def random_model(g, p, balanced=False, with_means=True):
 
 
 class TestChernoffDistance:
+    """The Chernoff distance at s = 1/2 (the Bhattacharyya distance), the one
+    the package evaluates, read through ``bhattacharyya_overlap``."""
+
     def test_identical_model_is_zero(self):
         c = make_spd(np.eye(4))
-        m = TwoClassGaussian.zero_mean(c, c)
-        for s in np.linspace(0.0, 1.0, 11):
-            assert chernoff_distance(m, s) == 0.0
+        assert bhattacharyya_overlap(TwoClassGaussian.zero_mean(c, c)) == 0.5
 
     def test_scalar_variance_case(self):
-        """var 1 vs 4 at s = 1/2: delta = ln(2.5/2) / 2 by direct plug-in."""
+        """var 1 vs 4: delta = ln(2.5/2) / 2 by direct plug-in."""
         m = scalar_model(1.0, 4.0)
-        assert_allclose(chernoff_distance(m, 0.5), 0.5 * math.log(2.5 / 2.0), rtol=1e-14)
+        assert_allclose(
+            bhattacharyya_overlap(m), 0.5 * math.exp(-0.5 * math.log(2.5 / 2.0)), rtol=1e-14
+        )
 
     def test_scalar_mean_case(self):
-        """Equal unit variances, mean gap 2 at s = 1/2: delta = 4/8 = 0.5."""
+        """Equal unit variances, mean gap 2: delta = 4/8 = 0.5."""
         m = scalar_model(1.0, 1.0, mean_gap=2.0)
-        assert_allclose(chernoff_distance(m, 0.5), 0.5, rtol=1e-14)
-
-    def test_s_range_checked(self):
-        m = scalar_model(1.0, 2.0)
-        with pytest.raises(ValueError):
-            chernoff_distance(m, 1.5)
+        assert_allclose(bhattacharyya_overlap(m), 0.5 * math.exp(-0.5), rtol=1e-14)
 
     def test_nonnegative_over_random_models(self, g):
+        """delta >= 0: the overlap never exceeds sqrt(pi1 pi2)."""
         for _ in range(25):
             m = random_model(g, int(g.integers(1, 6)))
-            for s in np.linspace(0.0, 1.0, 7):
-                assert chernoff_distance(m, s) >= 0.0
+            assert bhattacharyya_overlap(m) <= math.sqrt(m.weight_1 * m.weight_2)
 
     def test_singular_blend_reports_dimension(self, g):
         v = g.standard_normal(4)
         low_rank = make_spd(np.outer(v, v))
         m = TwoClassGaussian.zero_mean(low_rank, make_spd(np.eye(4)))
         with pytest.raises(SingularBlendError) as err:
-            chernoff_distance(m, 1.0)
+            bhattacharyya_overlap(m)
         assert err.value.dim == 4
 
 
@@ -168,8 +166,8 @@ class TestStackedKernel:
     @pytest.mark.parametrize("p", [2, 5, 20, 50, 200])
     def test_chernoff_matches_reference(self, g, p, with_means):
         m = random_model(g, p, with_means=with_means)
-        for s in (0.1, 0.5, 0.9):
-            assert chernoff_distance(m, s) == reference_chernoff_distance(m, s)
+        delta = reference_chernoff_distance(m, 0.5)
+        assert bhattacharyya_overlap(m) == math.sqrt(m.weight_1 * m.weight_2) * math.exp(-delta)
 
     def test_empty_stack(self, g):
         assert embedded_overlaps(random_model(g, 4), []) == []
@@ -211,13 +209,40 @@ class TestStackedKernel:
             embedded_overlap(m, ws[1])
         assert embedded_overlap(m, ws[0]) == reference_embedded_overlap(m, ws[0])
 
+    def test_each_singular_item_fails_alone(self, g):
+        """Two singular items in one stack: each gets the error naming its own
+        first singular factor, the others keep the bits they have alone, and
+        the public call raises the first item's error."""
+        m = TwoClassGaussian.zero_mean(
+            make_spd(np.diag([4.0, 4.0, 1.0, 0.0])), make_spd(np.eye(4))
+        )
+        degenerate = np.zeros((4, 2))
+        degenerate[0] = 1.0
+        degenerate[1, 1] = 1e-9
+        ws = [
+            ProjectionMatrix(np.eye(4)[:, :2]),
+            ProjectionMatrix(degenerate),  # the blend rounds to singular
+            ProjectionMatrix(g.standard_normal((4, 2))),
+            ProjectionMatrix(np.eye(4)[:, 2:]),  # W^T C1 W = diag(1, 0)
+        ]
+        outcomes = _embedded_overlaps(m, ws)
+        for i in (0, 2):
+            assert outcomes[i] == reference_embedded_overlap(m, ws[i])
+        for i, factor in ((1, "covariance blend"), (3, "class-1 covariance")):
+            assert isinstance(outcomes[i], SingularBlendError) and outcomes[i].dim == 2
+            assert str(outcomes[i]) == f"{factor} of order 2 is numerically singular"
+        with pytest.raises(SingularBlendError, match="^covariance blend of order 2"):
+            embedded_overlaps(m, ws)
+        with pytest.raises(SingularBlendError, match="^class-1 covariance of order 2"):
+            embedded_overlaps(m, ws[2:])
+
     def test_singular_class_factor_named(self, g):
         """A blend that factors and a singular class-1 covariance: the error
         names the class-1 factor, as factoring in formula order would."""
         v = g.standard_normal(4)
         m = TwoClassGaussian.zero_mean(make_spd(np.outer(v, v)), make_spd(np.eye(4)))
         with pytest.raises(SingularBlendError, match="^class-1 covariance of order 4"):
-            chernoff_distance(m, 0.5)
+            bhattacharyya_overlap(m)
 
 
 class TestOptimalOverlapClosedForm:

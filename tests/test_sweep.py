@@ -380,6 +380,36 @@ class TestRunSweep:
             else:
                 assert after == before and after.ok
 
+    def test_two_singular_projections_fail_alone(self, monkeypatch):
+        """Two singular projections in one stack: both records fail and the
+        others keep the bits of a run without them."""
+        degenerate = np.zeros((8, 2))
+        degenerate[0] = 1.0
+        degenerate[1, 1] = 1e-9
+        cfg = SweepConfig(
+            family="example2",
+            p_grid=(8,),
+            q_grid=(2,),
+            projections=PROJECTIONS,
+            n_simu=2,
+            master_seed=3,
+        )
+        clean = run_sweep(cfg)
+        real = sweep.build_projection
+
+        def build(name, *args, **kwargs):
+            if name in ("rp", "sparse_rp"):
+                return ProjectionMatrix(degenerate)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "build_projection", build)
+        for before, after in zip(clean, run_sweep(cfg), strict=True):
+            if after.projection in ("rp", "sparse_rp"):
+                assert after.status == "failed:SingularBlendError"
+                assert after.metric_overlap is None
+            else:
+                assert after == before and after.ok
+
     def test_worker_count_invariance(self):
         rows_1 = [r.to_csv_row() for r in run_sweep(SMALL_IW)]
         rows_8 = [
