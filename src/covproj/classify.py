@@ -161,7 +161,8 @@ def mc_bayes_risk(
     from the matching class in the ambient space (L_k the Cholesky factor of
     C_k), and the population-parameter rule is applied to y = W^T x. Sampling
     is independent of W, so calling with the same stream and different
-    projections compares them on common random draws.
+    projections compares them on common random draws. That holds for direct
+    calls only: a ``risk_mc`` sweep gives each projection its own stream.
 
     The sample loop is split into fixed-size blocks with per-block stream
     forks, merged in block order, so the estimate does not depend on

@@ -54,9 +54,9 @@ from .core import (
     ConfigError,
     CovProjError,
     EmptyGridError,
+    LabeledDataset,
     MixedModesError,
     RngStream,
-    SpdMatrix,
     TwoClassGaussian,
     _text_lines,
 )
@@ -84,7 +84,8 @@ _FOLDED = (
     "use mode = finite_sample_curve with a one-value sample_grid"
 )
 
-# path categories under the (cell index, replicate) stream
+# path categories under the (cell index, replicate) stream; _draw_point is
+# their one reader
 _CTX_PAIR, _CTX_PROJ, _CTX_DATA, _CTX_SPLIT, _CTX_MC = 0, 1, 2, 3, 4
 
 
@@ -443,36 +444,52 @@ def _param_strings(config: SweepConfig, cell: Cell, n_pc: int | None) -> tuple[s
     return _fmt(cell.params[0]), _fmt(cell.params[1]), third
 
 
-def _generate_pair(
-    config: SweepConfig, cell: Cell, stream: RngStream, source
-) -> tuple[SpdMatrix, SpdMatrix]:
+@dataclass(frozen=True)
+class _Draw:
+    """What the stream fixes at one point: the pair, the data mode's split and
+    estimates, and projection j's build and Monte Carlo streams at index j."""
+
+    model: TwoClassGaussian
+    train: LabeledDataset | None
+    val: LabeledDataset | None
+    est: TwoClassGaussian | None
+    build: tuple[RngStream, ...]
+    mc: tuple[RngStream, ...]
+
+
+def _draw_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> _Draw:
+    """Point ``idx`` of replicate ``rep`` of ``cell``, drawn under the stream
+    key ``RngStream(seed, (cell index, rep))``; a failing draw raises."""
+    base = RngStream(config.master_seed, (cell.index, rep))
+    stream = base.child(_CTX_PAIR, idx)
     if config.family == "inverse_wishart":
         d1, d2 = cell.params
-        return gen_iw_pair(cell.p, d1 * cell.p, d2 * cell.p, stream)
-    if config.family == "latent_low_dim":
+        covs = gen_iw_pair(cell.p, d1 * cell.p, d2 * cell.p, stream)
+    elif config.family == "latent_low_dim":
         share, density = cell.params
         sparse_density = config.sparse_q_density if density == "sparse" else None
-        return gen_latent_pair(cell.p, share, sparse_density, stream)
-    if config.family == "empirical_cov":
-        return empirical_cov_pair(*_column_subsample(*source, cell.p, cell.params[0], stream))
-    return _FIXTURES[config.family](cell.p, cell.q, config.alpha, config.delta)
+        covs = gen_latent_pair(cell.p, share, sparse_density, stream)
+    elif config.family == "empirical_cov":
+        covs = empirical_cov_pair(*_column_subsample(*source, cell.p, cell.params[0], stream))
+    else:
+        covs = _FIXTURES[config.family](cell.p, cell.q, config.alpha, config.delta)
+    model = TwoClassGaussian.zero_mean(*covs)
+    train = val = est = None
+    if config.mode == DATA_MODE:
+        n_pc = config.sample_grid[idx]
+        data = sample_two_class(model, n_pc, n_pc, base.child(_CTX_DATA, idx))
+        train, val = data.split(config.train_frac, base.child(_CTX_SPLIT, idx))
+        est = empirical_covariances(train)
+    js = range(len(config.projections))
+    build = tuple(base.child(_CTX_PROJ, idx, j) for j in js)
+    return _Draw(model, train, val, est, build, tuple(base.child(_CTX_MC, idx, j) for j in js))
 
 
 def _point_records(config, cell, rep, n_pc, status="ok") -> list[SweepRecord]:
     """The records of one (cell, replicate, point), one per projection."""
-    p1, p2, p3 = _param_strings(config, cell, n_pc)
+    params = _param_strings(config, cell, n_pc)
     return [
-        SweepRecord(
-            family=config.family,
-            p=cell.p,
-            q=cell.q,
-            param1=p1,
-            param2=p2,
-            param3=p3,
-            replicate=rep,
-            projection=name,
-            status=status,
-        )
+        SweepRecord(config.family, cell.p, cell.q, *params, rep, name, status=status)
         for name in config.projections
     ]
 
@@ -493,30 +510,20 @@ def _score_overlaps(model, built) -> None:
 
 
 def _eval_point(
-    config: SweepConfig, cell: Cell, rep: int, base: RngStream, idx: int, n_pc: int | None, source
+    config: SweepConfig, cell: Cell, rep: int, idx: int, n_pc: int | None, source
 ) -> list[SweepRecord]:
-    train = val = est = None
     try:
-        cov_1, cov_2 = _generate_pair(config, cell, base.child(_CTX_PAIR, idx), source)
-        model = TwoClassGaussian.zero_mean(cov_1, cov_2)
-        if config.mode == DATA_MODE:
-            data = sample_two_class(model, n_pc, n_pc, base.child(_CTX_DATA, idx))
-            train, val = data.split(config.train_frac, base.child(_CTX_SPLIT, idx))
-            est = empirical_covariances(train)
+        draw = _draw_point(config, cell, rep, idx, source)
     except CovProjError as exc:
         return _point_records(config, cell, rep, n_pc, _failed(exc))
+    model, est = draw.model, draw.est
     records = _point_records(config, cell, rep, n_pc)
     built = []  # (index, record, projection) of every projection that built
     for j, record in enumerate(records):
+        name = record.projection.removeprefix(EMPIRICAL)
+        on, x = (model, None) if name == record.projection else (est, draw.train.X)
         try:
-            stream = base.child(_CTX_PROJ, idx, j)
-            base_name = record.projection.removeprefix(EMPIRICAL)
-            if base_name == record.projection:
-                w = build_projection(base_name, cell.q, cov_1, cov_2, stream, config.ridge)
-            else:
-                w = build_projection(
-                    base_name, cell.q, est.cov_1, est.cov_2, stream, config.ridge, train.X
-                )
+            w = build_projection(name, cell.q, on.cov_1, on.cov_2, draw.build[j], config.ridge, x)
             built.append((j, record, w))
         except CovProjError as exc:
             record.status = _failed(exc)
@@ -526,13 +533,15 @@ def _eval_point(
     for j, record, w in built:
         try:
             if config.mode == "risk_mc":
-                risk = mc_bayes_risk(model, w, config.mc_samples, base.child(_CTX_MC, idx, j))
+                risk = mc_bayes_risk(model, w, config.mc_samples, draw.mc[j])
                 record.metric_mc = risk.estimate
                 record.metric_mc_se = risk.std_error
             else:
                 qda = fit_embedded_qda(est, w, ridge=config.ridge)
-                record.metric_oos = oos_error(qda, val)
-                record.metric_recon = reconstruction_error(w, est.cov_1, est.cov_2, cov_1, cov_2)
+                record.metric_oos = oos_error(qda, draw.val)
+                record.metric_recon = reconstruction_error(
+                    w, est.cov_1, est.cov_2, model.cov_1, model.cov_2
+                )
         except CovProjError as exc:
             record.status = _failed(exc)
     return records
@@ -547,9 +556,8 @@ def _points(config: SweepConfig) -> tuple[int | None, ...]:
 def _eval_cell(config: SweepConfig, cell: Cell, source) -> list[SweepRecord]:
     records = []
     for rep in range(config.n_simu):
-        base = RngStream(config.master_seed, (cell.index, rep))
         for idx, n_pc in enumerate(_points(config)):
-            records.extend(_eval_point(config, cell, rep, base, idx, n_pc, source))
+            records.extend(_eval_point(config, cell, rep, idx, n_pc, source))
     return records
 
 
