@@ -21,7 +21,8 @@ itself.
 - **Solves.** ``solve_triangular`` calls LAPACK ``dtrtrs`` in numpy's build,
   with scipy's memory layout, so its results equal
   ``scipy.linalg.solve_triangular``'s bit for bit and the runtime needs no
-  scipy.
+  scipy. Unlike scipy's, it does not scan its inputs for NaN or infinity:
+  data are checked where they enter the package.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def solve_triangular(a, b, lower: bool = False) -> np.ndarray:
     """Solve ``a x = b`` for triangular ``a``, as ``scipy.linalg.solve_triangular``.
 
     Only the ``lower`` (or upper) triangle of ``a`` is read. ``b`` is 1-D
-    (one right-hand side) or 2-D, and ``x`` has its shape. Raises
-    ``ValueError`` on a non-finite input or mismatched shapes,
-    ``numpy.linalg.LinAlgError`` when ``a`` has a zero on its diagonal, and
-    ``ConfigError`` when numpy bundles no OpenBLAS (see ``numpy_openblas``).
+    (one right-hand side) or 2-D, and ``x`` has its shape; a NaN or infinity
+    is not scanned for and goes into ``x``. Raises ``ValueError`` on
+    mismatched shapes, ``numpy.linalg.LinAlgError`` when ``a`` has a zero on
+    its diagonal, and ``ConfigError`` when numpy bundles no OpenBLAS.
     """
     trtrs = numpy_openblas().trtrs
-    a = np.asarray_chkfinite(a, dtype=np.float64)
-    b = np.asarray_chkfinite(b, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected square matrix")
     if b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:

@@ -75,7 +75,9 @@ class EmbeddedQda:
         return x @ self.w.entries
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted labels in {1, 2}; exact ties resolve to class 1."""
+        """Labels in {1, 2}, exact ties to class 1; a non-finite x raises ConfigError."""
+        if not np.isfinite(x).all():
+            raise ConfigError("x", "entries must be finite")
         y = self.embed(x)
         m = self.model
         scores = np.empty((y.shape[0], 2))

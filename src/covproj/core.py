@@ -15,7 +15,6 @@ import numpy as np
 
 PSD_RTOL = 1e-8
 RANK_RTOL = 1e-10
-ORTHONORMAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -207,43 +206,35 @@ class SpdMatrix:
             ) from exc
 
 
-def make_spd(raw: np.ndarray, strict: bool = False) -> SpdMatrix:
-    """Check a square matrix and wrap it as an :class:`SpdMatrix`.
+def make_spd(raw: np.ndarray) -> SpdMatrix:
+    """Check a square matrix from outside the package and wrap it as an :class:`SpdMatrix`.
 
-    The entries must be finite. The input is replaced by (A + A^T)/2, which
-    makes repeated application bit-stable. The result must be positive
-    semi-definite: its smallest eigenvalue may not fall below ``-PSD_RTOL``
-    times the largest one (exact rank deficiency, e.g. sample covariances
-    with n < p, is representable). With ``strict`` the matrix must
-    additionally admit a Cholesky factorization, i.e. be strictly positive
-    definite. Matrices the package derives from checked ones skip this test.
+    The order must be at least 1 and the entries finite. The input is
+    replaced by (A + A^T)/2, which makes repeated application bit-stable.
+    The result must be positive semi-definite: its smallest eigenvalue may
+    not fall below ``-PSD_RTOL`` times the largest one (exact rank
+    deficiency, e.g. sample covariances with n < p, is representable); a
+    singular matrix fails where it is factored. Matrices the package builds
+    itself, random draws included, skip this test.
     """
     a = np.asarray(raw, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise NotSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
     spd = _derived_spd(a)
-    if strict:
-        try:
-            np.linalg.cholesky(spd.entries)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"matrix of order {a.shape[0]} is not strictly positive definite"
-            ) from exc
-    else:
-        w = np.linalg.eigvalsh(spd.entries)
-        if w[0] < -PSD_RTOL * w[-1]:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {w[0]:.3e} below PSD tolerance "
-                f"(largest {w[-1]:.3e})"
-            )
+    w = np.linalg.eigvalsh(spd.entries)
+    if w[0] < -PSD_RTOL * w[-1]:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue {w[0]:.3e} below PSD tolerance "
+            f"(largest {w[-1]:.3e})"
+        )
     return spd
 
 
 def _derived_spd(a: np.ndarray) -> SpdMatrix:
-    """Symmetrize and wrap a float matrix that is PSD by construction from
-    checked inputs (a Gram matrix, a sum or a congruence W^T C W), untested."""
+    """Symmetrize and wrap a float matrix that is PSD by construction (a
+    random draw, a Gram matrix, a sum or a congruence W^T C W), untested."""
     return SpdMatrix(_as_readonly((a + a.T) / 2.0))
 
 
@@ -251,13 +242,12 @@ def _derived_spd(a: np.ndarray) -> SpdMatrix:
 class ProjectionMatrix:
     """A p x q full-column-rank linear map used as x -> W^T x.
 
-    Entries must be finite. ``orthonormal_columns`` asserts W^T W = I_q to
-    within ORTHONORMAL_TOL, which implies full rank; without it, rank is
-    validated through the singular value ratio on construction.
+    Construction checks 1 <= q <= p, finite entries and full column rank by
+    the singular value ratio (a random frame is redrawn when it fails).
+    Frames the package builds orthonormal (PCA, optimal) skip the checks.
     """
 
     entries: np.ndarray
-    orthonormal_columns: bool = False
 
     def __post_init__(self):
         a = _as_readonly(self.entries)
@@ -270,21 +260,13 @@ class ProjectionMatrix:
             )
         if not np.isfinite(a).all():
             raise NonFiniteProjectionError(f"projection {p}x{q} has non-finite entries")
-        if self.orthonormal_columns:
-            # W^T W within ORTHONORMAL_TOL of I_q implies full column rank
-            gram = a.T @ a
-            if np.max(np.abs(gram - np.eye(q))) > ORTHONORMAL_TOL:
-                raise NotPositiveDefiniteError(
-                    "columns flagged orthonormal are not orthonormal"
-                )
-        else:
-            s = np.linalg.svd(a, compute_uv=False)
-            if s[-1] <= RANK_RTOL * s[0]:
-                ratio = s[-1] / s[0] if s[0] > 0 else 0.0
-                raise RankDeficientError(
-                    f"projection {p}x{q} is rank deficient "
-                    f"(singular value ratio {ratio:.3e})"
-                )
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] <= RANK_RTOL * s[0]:
+            ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+            raise RankDeficientError(
+                f"projection {p}x{q} is rank deficient "
+                f"(singular value ratio {ratio:.3e})"
+            )
         object.__setattr__(self, "entries", a)
 
     @property
@@ -294,6 +276,13 @@ class ProjectionMatrix:
     @property
     def embed_dim(self) -> int:
         return self.entries.shape[1]
+
+
+def _derived_frame(a: np.ndarray) -> ProjectionMatrix:
+    """Wrap a frame the package built orthonormal (eigh or QR columns), untested."""
+    frame = object.__new__(ProjectionMatrix)
+    object.__setattr__(frame, "entries", _as_readonly(a))
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +335,7 @@ class TwoClassGaussian:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """n x p observations with labels in {1, 2}."""
+    """n x p finite observations with labels in {1, 2}."""
 
     X: np.ndarray
     z: np.ndarray
@@ -357,6 +346,8 @@ class LabeledDataset:
         z.setflags(write=False)
         if x.ndim != 2 or z.ndim != 1 or x.shape[0] != z.shape[0]:
             raise DimensionMismatchError("X must be n x p with one label per row")
+        if not np.isfinite(x).all():
+            raise ConfigError("X", "entries must be finite")
         if not np.all((z == 1) | (z == 2)):
             raise ConfigError("labels", "labels must take values in {1, 2}")
         object.__setattr__(self, "X", x)

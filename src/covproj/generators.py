@@ -34,7 +34,6 @@ from .core import (
     SpdMatrix,
     TwoClassGaussian,
     _derived_spd,
-    make_spd,
 )
 from .projections import mixture_covariance
 
@@ -74,7 +73,7 @@ def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
         raise DegreesOfFreedomError(f"df={df} too small for dimension {dim} (need df > p - 1)")
     a = _bartlett_factor(dim, df, stream.generator())
     b = solve_triangular(a, np.eye(dim), lower=True)
-    return make_spd(b.T @ b, strict=True)
+    return _derived_spd(b.T @ b)
 
 
 def sample_scaled_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
@@ -139,7 +138,7 @@ def gen_latent_pair(
     covs = []
     for q_k, theta_k, m_k in ((q_1, theta_1, m_1), (q_2, theta_2, m_2)):
         sigma = (r + 1) * (q_k.T @ theta_k.entries @ q_k) + 0.02 * p * m_k.entries
-        covs.append(make_spd(sigma, strict=True))
+        covs.append(_derived_spd(sigma))
     return covs[0], covs[1]
 
 

@@ -31,6 +31,7 @@ from .core import (
     SingularAfterRidgeError,
     SpdMatrix,
     TwoClassGaussian,
+    _derived_frame,
     _derived_spd,
 )
 
@@ -61,7 +62,7 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
     w, v = np.linalg.eigh(mixture_cov.entries)
     order = np.argsort(-w, kind="stable")
     cols = _fix_column_signs(v[:, order[:q]])
-    return ProjectionMatrix(cols, orthonormal_columns=True)
+    return _derived_frame(cols)
 
 
 def mixture_covariance(x: np.ndarray) -> SpdMatrix:
@@ -76,7 +77,7 @@ def _full_rank(draw, p: int, q: int, what: str) -> ProjectionMatrix:
     """The first draw() of rank q, trying at most _MAX_RANK_RETRIES times."""
     for _ in range(_MAX_RANK_RETRIES):
         try:
-            return ProjectionMatrix(draw(), orthonormal_columns=False)
+            return ProjectionMatrix(draw())
         except RankDeficientError:
             continue
     raise RankDeficientAfterRetriesError(
@@ -182,7 +183,7 @@ def bhattacharyya_optimal_projection(
     qmat, rmat = np.linalg.qr(raw)
     flip = np.sign(np.diag(rmat))
     flip[flip == 0] = 1.0
-    return ProjectionMatrix(qmat * flip, orthonormal_columns=True)
+    return _derived_frame(qmat * flip)
 
 
 def optimal_projection_auto_ridge(

@@ -12,7 +12,7 @@ from covproj.blas import numpy_openblas, single_thread, solve_triangular
 def rand_spd(g: np.random.Generator, p: int, jitter: float = 0.1) -> SpdMatrix:
     """Random strictly positive definite matrix of order p."""
     a = g.standard_normal((p, p))
-    return make_spd(a @ a.T / p + jitter * np.eye(p), strict=True)
+    return make_spd(a @ a.T / p + jitter * np.eye(p))
 
 
 def rand_orthonormal(g: np.random.Generator, p: int, q: int) -> np.ndarray:

@@ -110,8 +110,8 @@ def test_criterion_2_bound_dominance():
                 float(g.uniform(0.2, 0.8)),
                 g.standard_normal(p),
                 g.standard_normal(p),
-                make_spd(a1 @ a1.T / p + 0.05 * np.eye(p), strict=True),
-                make_spd(a2 @ a2.T / p + 0.05 * np.eye(p), strict=True),
+                make_spd(a1 @ a1.T / p + 0.05 * np.eye(p)),
+                make_spd(a2 @ a2.T / p + 0.05 * np.eye(p)),
             )
             q = int(g.integers(1, p + 1))
             w = ProjectionMatrix(g.standard_normal((p, q)))
@@ -202,7 +202,7 @@ def test_criterion_5_monotone_in_q():
             mc_stream = RngStream(9007, [i])
             previous = None
             for q in range(1, 11):
-                w = ProjectionMatrix(base.entries[:, :q], orthonormal_columns=True)
+                w = ProjectionMatrix(base.entries[:, :q])
                 risk = mc_bayes_risk(model, w, 20_000, mc_stream)
                 if previous is not None:
                     slack = 3.0 * math.hypot(previous.std_error, risk.std_error)

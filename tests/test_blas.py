@@ -66,13 +66,14 @@ class TestSolveTriangular:
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 3"):
             blas.solve_triangular(a, np.ones(6), lower=lower)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["a", "b"])
-    def test_non_finite_input_raises_value_error(self, g, bad, where):
+    def test_non_finite_input_is_not_scanned(self, g, where):
+        """A NaN goes through the solve into x; the inputs are checked where
+        they enter the package, not here."""
         a, b = _triangle(g, 6, lower=True), np.ones((6, 2))
-        (a if where == "a" else b)[2, 1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            blas.solve_triangular(a, b, lower=True)
+        (a if where == "a" else b)[2, 1] = np.nan
+        x = blas.solve_triangular(a, b, lower=True)
+        assert np.isnan(x[2:, 1]).all() and np.isfinite(x[:2]).all()
 
     def test_mismatched_shapes_raise_value_error(self, g):
         with pytest.raises(ValueError, match="incompatible"):

@@ -131,10 +131,23 @@ class TestDecisionGeometry:
         pred_b = fit_embedded_qda(empirical_covariances(data), wr).predict(val.X)
         assert np.array_equal(pred_a, pred_b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_non_finite_x_refused(self, g, bad, projected):
+        """The triangular solve does not scan its operands, so predict checks
+        the observations it is handed."""
+        w = ProjectionMatrix(rand_orthonormal(g, 3, 2)) if projected else None
+        rule = fit_embedded_qda(TwoClassGaussian.zero_mean(rand_spd(g, 3), rand_spd(g, 3)), w)
+        x = np.zeros((2, 3))
+        x[1, 2] = bad
+        with pytest.raises(ConfigError, match="^x: ") as err:
+            rule.predict(x)
+        assert err.value.field == "x"
+
     def test_fit_deterministic(self, g):
         model = TwoClassGaussian.zero_mean(rand_spd(g, 5), rand_spd(g, 5))
         data = sample_two_class(model, 30, 30, RngStream(203))
-        w = ProjectionMatrix(np.eye(5)[:, :2], orthonormal_columns=True)
+        w = ProjectionMatrix(np.eye(5)[:, :2])
         a = fit_embedded_qda(empirical_covariances(data), w)
         b = fit_embedded_qda(empirical_covariances(data), w)
         assert a.model.cov_1.entries.tobytes() == b.model.cov_1.entries.tobytes()
@@ -285,7 +298,7 @@ class TestMcBayesRisk:
         stream = RngStream(225)
         estimates = []
         for q in range(1, 6):
-            w = ProjectionMatrix(base.entries[:, :q], orthonormal_columns=True)
+            w = ProjectionMatrix(base.entries[:, :q])
             estimates.append(mc_bayes_risk(model, w, 20_000, stream))
         for a, b in zip(estimates, estimates[1:]):
             combined = math.hypot(a.std_error, b.std_error)
@@ -367,12 +380,12 @@ class TestMcBayesRisk:
 class TestReconstructionError:
     def test_zero_when_estimates_exact(self, g):
         c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
-        w = ProjectionMatrix(np.eye(4)[:, :2], orthonormal_columns=True)
+        w = ProjectionMatrix(np.eye(4)[:, :2])
         assert reconstruction_error(w, c1, c2, c1, c2) == 0.0
 
     def test_single_unit_discrepancy(self):
         p = 3
-        identity = ProjectionMatrix(np.eye(p), orthonormal_columns=True)
+        identity = ProjectionMatrix(np.eye(p))
         sigma = make_spd(np.eye(p))
         s_1 = make_spd(np.eye(p) + np.diag([1.0, 0.0, 0.0]))
         assert_allclose(
@@ -382,7 +395,7 @@ class TestReconstructionError:
     def test_orthogonal_right_factor_invariance(self, g):
         c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
         s1, s2 = rand_spd(g, 6), rand_spd(g, 6)
-        w = ProjectionMatrix(rand_orthonormal(g, 6, 3), orthonormal_columns=True)
+        w = ProjectionMatrix(rand_orthonormal(g, 6, 3))
         rot = rand_orthonormal(g, 3, 3)
         w_rot = ProjectionMatrix(w.entries @ rot)
         assert_allclose(

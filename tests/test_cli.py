@@ -311,6 +311,36 @@ class TestEvalCommand:
         assert len(losses) == 3
         assert all(abs(loss - 0.5) <= band for loss in losses)
 
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (
+                ["--q", "5", "--seed", "2"],
+                "n_train=280 n_val=120 p=30 q=5 gamma=0.0\n"
+                "             pca  oos_loss=0.016667\n"
+                "              rp  oos_loss=0.116667\n"
+                "       sparse_rp  oos_loss=0.158333\n"
+                "   bhatt_optimal  oos_loss=0.016667\n",
+            ),
+            (
+                ["--q", "3", "--p", "12", "--gamma", "0.5", "--seed", "7"],
+                "n_train=280 n_val=120 p=12 q=3 gamma=0.5\n"
+                "             pca  oos_loss=0.166667\n"
+                "              rp  oos_loss=0.200000\n"
+                "       sparse_rp  oos_loss=0.216667\n"
+                "   bhatt_optimal  oos_loss=0.208333\n",
+            ),
+        ],
+        ids=["all_columns", "subsample_overlap"],
+    )
+    def test_output_is_pinned(self, separable_csv, capsys, args, expected):
+        """Every loss is a count over 120 validation rows, so the table is
+        exact; it pins the split, the frames, the fits and the predictions."""
+        path, _ = separable_csv
+        projections = ["--projections", "pca,rp,sparse_rp,bhatt_optimal"]
+        assert main(["eval", str(path), "--label-column", "label", *args, *projections]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_q_above_class_size_exits_4(self, tmp_path, capsys):
         g = np.random.default_rng(0)
         from covproj import LabeledDataset

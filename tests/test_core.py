@@ -16,11 +16,13 @@ from covproj import (
     RankDeficientError,
     RngStream,
     TwoClassGaussian,
+    bhattacharyya_optimal_projection,
     bhattacharyya_overlap,
     embedded_overlap,
     fit_embedded_qda,
     make_spd,
     mc_bayes_risk,
+    pca_projection,
     sample_two_class,
 )
 from conftest import rand_spd
@@ -38,10 +40,8 @@ class TestMakeSpd:
         assert_allclose(np.linalg.eigvalsh(m.entries), [0.5, 1.5], atol=1e-12)
 
     def test_indefinite_rejected(self):
-        """[[1, 2], [2, 1]] has eigenvalues 3 and -1, so both variants refuse."""
+        """[[1, 2], [2, 1]] has eigenvalues 3 and -1."""
         raw = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            make_spd(raw, strict=True)
         with pytest.raises(NotPositiveDefiniteError):
             make_spd(raw)
 
@@ -49,14 +49,20 @@ class TestMakeSpd:
         with pytest.raises(NotSquareError):
             make_spd(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("strict", [False, True])
+    def test_order_zero_rejected(self):
+        """Order 0 has no eigenvalue to test, so the shape check refuses it."""
+        with pytest.raises(NotSquareError):
+            make_spd(np.empty((0, 0)))
+
+    @pytest.mark.parametrize("off_diagonal", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad, strict):
-        """Neither the eigenvalue test nor Cholesky fails on NaN by itself."""
+    def test_non_finite_rejected(self, bad, off_diagonal):
+        """The eigenvalue test does not fail on NaN by itself, on or off the
+        diagonal."""
         raw = np.eye(2)
-        raw[0, 0] = bad
+        raw[0, int(off_diagonal)] = bad
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
-            make_spd(raw, strict=strict)
+            make_spd(raw)
 
     def test_idempotent_bit_for_bit(self, g):
         base = g.standard_normal((6, 6))
@@ -71,8 +77,6 @@ class TestMakeSpd:
         outer = np.outer(v, v)
         m = make_spd(outer)
         assert m.dim == 5
-        with pytest.raises(NotPositiveDefiniteError):
-            make_spd(outer, strict=True)
 
     def test_cholesky_residual(self, g):
         for p in (2, 5, 20):
@@ -101,34 +105,26 @@ class TestProjectionMatrix:
         with pytest.raises(DimensionMismatchError):
             ProjectionMatrix(g.standard_normal((3, 5)))
 
-    def test_orthonormal_flag_checked(self, g):
-        with pytest.raises(NotPositiveDefiniteError):
-            ProjectionMatrix(2.0 * np.eye(4)[:, :2], orthonormal_columns=True)
-        w = ProjectionMatrix(np.eye(4)[:, :2], orthonormal_columns=True)
-        assert w.orthonormal_columns
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("orthonormal", [False, True])
-    def test_non_finite_rejected(self, bad, orthonormal):
-        frame = np.eye(4)[:, :2].copy()
+    def test_non_finite_rejected(self, g, bad, orthonormal):
+        """An orthonormal frame and a general one are refused alike."""
+        frame = np.eye(4)[:, :2].copy() if orthonormal else g.standard_normal((4, 2))
         frame[3, 1] = bad
         with pytest.raises(NonFiniteProjectionError):
-            ProjectionMatrix(frame, orthonormal_columns=orthonormal)
+            ProjectionMatrix(frame)
 
-    def test_rank_deficient_frame_flagged_orthonormal_rejected(self):
-        col = np.eye(4)[:, :1]
-        with pytest.raises(NotPositiveDefiniteError):
-            ProjectionMatrix(np.hstack([col, col]), orthonormal_columns=True)
-
-    def test_orthonormal_frame_needs_no_svd(self, g, monkeypatch):
-        """The Gram check alone implies full rank for an orthonormal frame."""
+    def test_package_frames_skip_the_rank_check(self, g, monkeypatch):
+        """PCA and the optimal projection build orthonormal frames and run no
+        SVD; a frame from outside still gets its singular value ratio."""
 
         def no_svd(*args, **kwargs):
             raise AssertionError("svd called")
 
+        c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        qmat, _ = np.linalg.qr(g.standard_normal((6, 3)))
-        assert ProjectionMatrix(qmat, orthonormal_columns=True).embed_dim == 3
+        assert pca_projection(c1, 3).embed_dim == 3
+        assert bhattacharyya_optimal_projection(c1, c2, 3).embed_dim == 3
         with pytest.raises(AssertionError, match="svd called"):
             ProjectionMatrix(g.standard_normal((6, 3)))
 
@@ -235,6 +231,16 @@ class TestLabeledDataset:
     def test_labels_validated(self):
         with pytest.raises(ConfigError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_x_refused(self, bad):
+        """Refused when the dataset is built, so no estimate or classifier
+        downstream sees the value."""
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(ConfigError, match="^X: ") as err:
+            LabeledDataset(x, np.array([1, 1, 2, 2]))
+        assert err.value.field == "X"
 
     def test_split_stratified(self):
         data = self._toy(10, 20)

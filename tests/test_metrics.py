@@ -117,7 +117,7 @@ class TestBhattacharyya:
 class TestEmbeddedOverlap:
     def test_identity_embedding_matches_ambient(self, g):
         m = random_model(g, 5)
-        w = ProjectionMatrix(np.eye(5), orthonormal_columns=True)
+        w = ProjectionMatrix(np.eye(5))
         assert_allclose(embedded_overlap(m, w), bhattacharyya_overlap(m), rtol=1e-12)
 
     def test_right_factor_invariance(self, g):

@@ -133,7 +133,7 @@ def overlap_cases(draw):
     covs = []
     for _ in range(2):
         a = g.standard_normal((p, p))
-        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p)))
     model = TwoClassGaussian(0.5, g.standard_normal(p), g.standard_normal(p), *covs)
     w = g.standard_normal((p, q))
     u, _ = np.linalg.qr(g.standard_normal((q, q)))
@@ -161,7 +161,7 @@ def stacked_cases(draw):
     covs = []
     for _ in range(2):
         a = g.standard_normal((p, p))
-        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p)))
     if draw(st.booleans()):
         model = TwoClassGaussian(0.5, g.standard_normal(p), g.standard_normal(p), *covs)
     else:
@@ -186,7 +186,7 @@ def optimal_cases(draw):
     covs = []
     for _ in range(2):
         a = g.standard_normal((p, p))
-        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p), strict=True))
+        covs.append(make_spd(a @ a.T / p + 0.1 * np.eye(p)))
     return TwoClassGaussian.zero_mean(*covs), q, ProjectionMatrix(g.standard_normal((p, q)))
 
 

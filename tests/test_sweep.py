@@ -595,10 +595,10 @@ class TestRunSweep:
         return eig_calls, chol_calls
 
     def test_overlap_sweep_checks_each_draw_once(self, monkeypatch):
-        """A scaled inverse Wishart draw gets one strict Cholesky, and the
-        optimal projection factors C1 once: three p x p factorizations per
-        pair. Matrices built from the draws (C1 + C2 for PCA, W^T C W for the
-        overlap) are not re-checked, so no eigvalsh runs."""
+        """A draw is not checked where it is made: the one p x p
+        factorization per pair is the optimal projection's Cholesky of C1.
+        Matrices built from the draws (C1 + C2 for PCA, W^T C W for the
+        overlap) are not re-checked either, so no eigvalsh runs."""
         eig_calls, chol_calls = self._count_factorizations(monkeypatch, 40)
         cfg = SweepConfig(
             family="inverse_wishart",
@@ -613,7 +613,25 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert len(records) == 2 * len(PROJECTIONS) and all(r.ok for r in records)
         assert eig_calls == []
-        assert len(chol_calls) == 3 * 2
+        assert len(chol_calls) == 2
+
+    def test_latent_sweep_checks_each_draw_once(self, monkeypatch):
+        """As for the inverse Wishart family: neither the inverse Wishart
+        noise M_k nor the mixed covariance is factored where it is drawn."""
+        eig_calls, chol_calls = self._count_factorizations(monkeypatch, 40)
+        cfg = SweepConfig(
+            family="latent_low_dim",
+            p_grid=(40,),
+            q_grid=(3,),
+            share_modes=("none", "q", "theta"),
+            q_densities=("dense", "sparse"),
+            projections=PROJECTIONS,
+            master_seed=5,
+        )
+        records = run_sweep(cfg)
+        assert len(records) == 6 * len(PROJECTIONS) and all(r.ok for r in records)
+        assert eig_calls == []
+        assert len(chol_calls) == 6
 
     def test_finite_sample_sweep_runs_no_eigvalsh(self, monkeypatch):
         """With the default QDA ridge, sample covariances and embedded fits
