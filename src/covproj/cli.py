@@ -125,12 +125,11 @@ def cmd_sweep(args) -> int:
     if args.workers is not None:
         config = dataclasses.replace(config, n_workers=args.workers)
     try:
-        records = run_sweep(config, out_dir=args.out)
+        n_new, n_failed = run_sweep(config, out_dir=args.out)
     except OSError as exc:
         print(f"sink error: {exc}", file=sys.stderr)
         return 3
-    n_failed = sum(1 for r in records if not r.ok)
-    print(f"wrote {Path(args.out) / 'records.csv'} ({len(records)} new records, "
+    print(f"wrote {Path(args.out) / 'records.csv'} ({n_new} new records, "
           f"{n_failed} failed records recorded in-band)")
     return 0
 

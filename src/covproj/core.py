@@ -188,9 +188,31 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """Symmetric positive semi-definite matrix; construct via :func:`make_spd`."""
+    """Symmetric positive semi-definite matrix, checked on construction.
+
+    The entries must form a square matrix of order at least 1 with finite
+    entries; a read-only copy of (A + A^T)/2 is stored, which makes repeated
+    construction bit-stable. Its smallest eigenvalue may not fall below
+    ``-PSD_RTOL`` times the largest one (exact rank deficiency, e.g. sample
+    covariances with n < p, is representable); a singular matrix fails where
+    it is factored. Matrices the package builds itself skip these checks.
+    """
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.entries, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise NotSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
+        sym = _as_readonly((a + a.T) / 2.0)
+        w = np.linalg.eigvalsh(sym)
+        if w[0] < -PSD_RTOL * w[-1]:
+            raise NotPositiveDefiniteError(
+                f"smallest eigenvalue {w[0]:.3e} below PSD tolerance (largest {w[-1]:.3e})"
+            )
+        object.__setattr__(self, "entries", sym)
 
     @property
     def dim(self) -> int:
@@ -207,35 +229,16 @@ class SpdMatrix:
 
 
 def make_spd(raw: np.ndarray) -> SpdMatrix:
-    """Check a square matrix from outside the package and wrap it as an :class:`SpdMatrix`.
-
-    The order must be at least 1 and the entries finite. The input is
-    replaced by (A + A^T)/2, which makes repeated application bit-stable.
-    The result must be positive semi-definite: its smallest eigenvalue may
-    not fall below ``-PSD_RTOL`` times the largest one (exact rank
-    deficiency, e.g. sample covariances with n < p, is representable); a
-    singular matrix fails where it is factored. Matrices the package builds
-    itself, random draws included, skip this test.
-    """
-    a = np.asarray(raw, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise NotSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
-    spd = _derived_spd(a)
-    w = np.linalg.eigvalsh(spd.entries)
-    if w[0] < -PSD_RTOL * w[-1]:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} below PSD tolerance "
-            f"(largest {w[-1]:.3e})"
-        )
-    return spd
+    """Check a square matrix from outside the package; see :class:`SpdMatrix`."""
+    return SpdMatrix(raw)
 
 
 def _derived_spd(a: np.ndarray) -> SpdMatrix:
     """Symmetrize and wrap a float matrix that is PSD by construction (a
     random draw, a Gram matrix, a sum or a congruence W^T C W), untested."""
-    return SpdMatrix(_as_readonly((a + a.T) / 2.0))
+    spd = object.__new__(SpdMatrix)
+    object.__setattr__(spd, "entries", _as_readonly((a + a.T) / 2.0))
+    return spd
 
 
 @dataclass(frozen=True, eq=False)

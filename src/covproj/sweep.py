@@ -19,13 +19,14 @@ Randomness is keyed on ``RngStream(seed, (cell index, replicate))`` and a
 context under it. BLAS runs on one thread in numpy's bundled OpenBLAS
 (``covproj.blas``; the manifest's ``blas`` object), which the run refuses to
 start without, so results are identical for any worker count, across runs
-and across hosts with the same BLAS build. Records stream to a CSV sink in
-cell order, which makes the file byte-stable, and every cell writes the same
-number of rows, so the file's complete lines are its own checkpoint: a rerun
-resumes after the last complete cell. The per-record
-``ms`` column is always 0 and is kept for format compatibility, because wall
-times would break that byte stability; aggregate timing lives in the run
-manifest instead. The columns of ``records.csv`` are the fields of
+and across hosts with the same BLAS build. ``records.csv`` is a sweep's one
+output: each cell's records stream to it in cell order and are dropped, so
+memory does not grow with the number of records. Cell order makes the file
+byte-stable, and every cell writes the same number of rows, so its complete
+lines are its own checkpoint: a rerun resumes after the last complete cell.
+The per-record ``ms`` column is always 0, kept for format compatibility,
+because wall times would break that byte stability; aggregate timing lives
+in the run manifest. The columns of ``records.csv`` are the fields of
 ``SweepRecord``, in order, and the keys of a config file are the fields of
 ``SweepConfig``: one codec per annotation reads and writes both.
 """
@@ -36,6 +37,7 @@ import json
 import math
 import os
 import platform
+import re
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -300,7 +302,8 @@ def parse_config_file(path: str | Path) -> SweepConfig:
         return config_from_mapping(section)
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
+        # a comment starts a line or follows whitespace: "run#1" is a value
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:
@@ -671,16 +674,15 @@ def _check_resume(config: SweepConfig, out_dir: Path):
         )
 
 
-def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[SweepRecord]:
-    """Run every cell of the sweep; optionally stream records to ``out_dir``.
-
-    With an output directory, writes ``records.csv`` and ``manifest.json``
-    there and returns the records computed by this call. A directory whose
-    records file holds complete cells is resumed after the last of them (see
-    ``CsvSink``), provided its manifest echoes this configuration (the worker
-    count may differ) and the grid has that many cells; otherwise
-    ``ConfigError`` is raised and nothing is written. Without a directory,
-    returns all records in memory.
+def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
+    """Run every cell of the sweep, writing ``records.csv`` and
+    ``manifest.json`` to ``out_dir``; return how many records this call
+    wrote and how many of them failed. No record is kept: read them back
+    with ``read_records_csv``. A directory whose records file holds complete
+    cells is resumed after the last of them (see ``CsvSink``), provided its
+    manifest echoes this configuration (the worker count may differ) and the
+    grid has that many cells; otherwise ``ConfigError`` is raised and nothing
+    is written.
 
     The whole run uses one BLAS thread (see ``covproj.blas``); a numpy
     without its bundled OpenBLAS is refused with ``ConfigError`` before
@@ -692,64 +694,60 @@ def run_sweep(config: SweepConfig, out_dir: str | Path | None = None) -> list[Sw
     started and propagates once the running ones finish.
     """
     cells = expand_grid(config)
+    out_dir = Path(out_dir)
     with single_thread() as blas, ThreadPoolExecutor(config.n_workers) as pool:
         source = _load_source(config)
         started = datetime.now(timezone.utc).isoformat()
         t_start = time.perf_counter()
 
-        sink = None
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            sink = CsvSink(out_dir / "records.csv", rows_per_cell(config))
-            if sink.n_done > len(cells):
-                raise ConfigError(
-                    "records",
-                    f"{sink.records_path} holds {sink.n_done} complete cells; "
-                    f"the grid has {len(cells)}",
-                )
-            if sink.n_done:
-                _check_resume(config, out_dir)
-            sink.open()
-            run_info = {
-                "records_csv": str(out_dir / "records.csv"),
-                "n_cells": len(cells),
-                "rows_per_cell": rows_per_cell(config),
-                "started_at": started,
-                "blas": blas,
-                # what ran the sweep; a resume compares only the config echo
-                "host": {
-                    "node": platform.node(),
-                    "cpu_count": os.cpu_count(),
-                    "python": platform.python_version(),
-                    "numpy": np.__version__,
-                },
-            }
-            _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sink = CsvSink(out_dir / "records.csv", rows_per_cell(config))
+        if sink.n_done > len(cells):
+            raise ConfigError(
+                "records",
+                f"{sink.records_path} holds {sink.n_done} complete cells; "
+                f"the grid has {len(cells)}",
+            )
+        if sink.n_done:
+            _check_resume(config, out_dir)
+        sink.open()
+        run_info = {
+            "records_csv": str(sink.records_path),
+            "n_cells": len(cells),
+            "rows_per_cell": rows_per_cell(config),
+            "started_at": started,
+            "blas": blas,
+            # what ran the sweep; a resume compares only the config echo
+            "host": {
+                "node": platform.node(),
+                "cpu_count": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+        }
+        _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 
-        todo = cells[sink.n_done:] if sink else cells
         # a one-thread pool would move every allocation into a second malloc arena
         evaluate = pool.map if config.n_workers > 1 else map
-        collected: list[SweepRecord] = []
+        n_new = n_failed = 0
         # the map's iterator lives only in this loop: an exception that leaves
         # the loop closes it, which cancels the cells not yet started
-        for records in evaluate(_eval_cell, repeat(config), todo, repeat(source)):
-            if sink:
-                sink.write_cell([r.to_csv_row() for r in records])
-            collected.extend(records)
+        for records in evaluate(_eval_cell, repeat(config), cells[sink.n_done:], repeat(source)):
+            sink.write_cell([r.to_csv_row() for r in records])
+            n_new += len(records)
+            n_failed += sum(not r.ok for r in records)
 
-        if sink:
-            _write_manifest(
-                out_dir / "manifest.json",
-                config,
-                {
-                    **run_info,
-                    "finished_at": datetime.now(timezone.utc).isoformat(),
-                    "total_ms": int(round((time.perf_counter() - t_start) * 1000)),
-                    "status": "complete",
-                },
-            )
-    return collected
+        _write_manifest(
+            out_dir / "manifest.json",
+            config,
+            {
+                **run_info,
+                "finished_at": datetime.now(timezone.utc).isoformat(),
+                "total_ms": int(round((time.perf_counter() - t_start) * 1000)),
+                "status": "complete",
+            },
+        )
+    return n_new, n_failed
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,22 @@
 """Shared helpers for the test suite."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covproj import ProjectionMatrix, SpdMatrix, TwoClassGaussian, make_spd, project_model
+from covproj import (
+    ProjectionMatrix,
+    SpdMatrix,
+    SweepRecord,
+    TwoClassGaussian,
+    make_spd,
+    project_model,
+    read_records_csv,
+    run_sweep,
+)
 from covproj.blas import numpy_openblas, single_thread, solve_triangular
 
 
@@ -19,6 +30,14 @@ def rand_orthonormal(g: np.random.Generator, p: int, q: int) -> np.ndarray:
     """Random p x q frame with orthonormal columns (Haar via QR)."""
     qmat, rmat = np.linalg.qr(g.standard_normal((p, q)))
     return qmat * np.sign(np.diag(rmat))
+
+
+def sweep_records(config) -> list[SweepRecord]:
+    """Run a sweep into a scratch directory and read back the records it
+    wrote, for tests that inspect records rather than files."""
+    with tempfile.TemporaryDirectory() as out:
+        run_sweep(config, out)
+        return list(read_records_csv(Path(out) / "records.csv"))
 
 
 def reference_chernoff_distance(model: TwoClassGaussian, s: float) -> float:

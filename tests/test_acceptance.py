@@ -34,6 +34,8 @@ from covproj import (
 )
 from covproj.cli import main as cli_main
 
+from conftest import sweep_records
+
 
 def check(num, label: str, fn):
     start = time.perf_counter()
@@ -138,7 +140,7 @@ def test_criterion_3_reduced_iw_sweep():
             master_seed=9003,
         )
         sweep_start = time.perf_counter()
-        records = run_sweep(config)
+        records = sweep_records(config)
         sweep_elapsed = time.perf_counter() - sweep_start
         assert sweep_elapsed < 300.0, f"reduced sweep took {sweep_elapsed:.0f}s"
         ok = [r for r in records if r.ok]
@@ -170,7 +172,7 @@ def test_criterion_4_reduced_latent_sweep():
             projections=("pca", "rp", "sparse_rp"),
             master_seed=9004,
         )
-        records = run_sweep(config)
+        records = sweep_records(config)
         table = pair_values(records, "metric_overlap")
         assert len(table) == 480
         for rival in ("rp", "sparse_rp"):
@@ -238,7 +240,7 @@ def test_criterion_6_finite_sample_curve():
             ridge=1e-6,
             master_seed=9008,
         )
-        records = run_sweep(config)
+        records = sweep_records(config)
         losses: dict[tuple, list] = {}
         recons: dict[tuple, list] = {}
         for r in records:
@@ -284,7 +286,7 @@ def _dimension_trend_curves(df_multiple: float, seed: int):
         projections=("pca", "rp"),
         master_seed=seed,
     )
-    records = run_sweep(config)
+    records = sweep_records(config)
     means: dict[str, dict[int, float]] = {"pca": {}, "rp": {}}
     for name in means:
         for p in config.p_grid:

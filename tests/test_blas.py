@@ -104,15 +104,18 @@ def _run_python(code: str, **overrides: str | None) -> list[str]:
 
 
 GUARD = """
-import sys
+import sys, tempfile
+from pathlib import Path
 import covproj, covproj.cli
-from covproj import SweepConfig, run_sweep
+from covproj import SweepConfig, read_records_csv, run_sweep
 config = SweepConfig(
     family="inverse_wishart", p_grid=(8,), q_grid=(2,), df1_over_p=(2.0,),
     df2_over_p=(2.0,), projections=("pca", "rp", "bhatt_optimal"),
     mode="finite_sample_curve", sample_grid=(30,), n_simu=2, master_seed=5,
 )
-records = run_sweep(config)
+with tempfile.TemporaryDirectory() as out:
+    run_sweep(config, out)
+    records = list(read_records_csv(Path(out) / "records.csv"))
 assert records and all(r.status == "ok" for r in records), records
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

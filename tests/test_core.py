@@ -15,6 +15,7 @@ from covproj import (
     ProjectionMatrix,
     RankDeficientError,
     RngStream,
+    SpdMatrix,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
     bhattacharyya_overlap,
@@ -87,6 +88,31 @@ class TestMakeSpd:
 
     def test_entries_immutable(self):
         m = make_spd(np.eye(2))
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotPositiveDefiniteError),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError),
+            (np.ones((2, 3)), NotSquareError),
+            (np.empty((0, 0)), NotSquareError),
+        ],
+        ids=["nan", "indefinite", "not_square", "order_zero"],
+    )
+    def test_constructor_refuses_what_make_spd_refuses(self, raw, error):
+        """A NaN entry built directly would reach the overlap, which reads 0.5."""
+        with pytest.raises(error):
+            SpdMatrix(raw)
+
+    def test_constructor_stores_a_read_only_copy(self, g):
+        base = g.standard_normal((4, 4))
+        raw = base @ base.T + 1e-3 * g.standard_normal((4, 4))
+        m = SpdMatrix(raw)
+        assert m.entries.tobytes() == make_spd(raw).entries.tobytes()
+        raw[0, 0] = 1e6
+        assert m.entries[0, 0] != 1e6
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 

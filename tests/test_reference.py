@@ -43,10 +43,11 @@ from covproj import (
     expand_grid,
     optimal_overlap_closed_form,
     random_projection,
-    run_sweep,
     sparse_random_projection,
 )
 from covproj.sweep import _draw_point, _load_source
+
+from conftest import sweep_records
 
 RTOL = 1e-8
 # metric_recon's worst gap was 7.6e-15 (in empirical_pca) when this check was
@@ -107,7 +108,7 @@ def _two_class_csv(path):
 def _points(config, source=None):
     """Each (cell, draw, records) point of the sweep in file order, checking
     the identity of every record on the way."""
-    records = iter(run_sweep(config))
+    records = iter(sweep_records(config))
     grid = config.sample_grid if config.mode == "finite_sample_curve" else (None,)
     for cell in expand_grid(config):
         for rep in range(config.n_simu):
@@ -331,7 +332,7 @@ def test_fixture_overlaps_match_the_closed_form(family):
         "example1": {"pca": delta / alpha, "bhatt_optimal": delta / alpha},
         "example2": {"pca": 1.0, "bhatt_optimal": alpha / delta},
     }[family]
-    records = run_sweep(config)
+    records = sweep_records(config)
     assert len(records) == 2 * len(expand_grid(config))
     worst = 0.0
     for record in records:

@@ -34,6 +34,8 @@ from covproj.cli import main
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
 
+from conftest import sweep_records
+
 PAPER_IW = SweepConfig(
     family="inverse_wishart",
     p_grid=(20, 50, 100, 200),
@@ -223,6 +225,25 @@ class TestConfig:
         assert cfg.df1_over_p == (1.0, 2.0)
         assert cfg.master_seed == 9
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
+        """A comment starts a line or follows whitespace, so a dataset in a
+        ``run#1`` directory is read from there."""
+        data = tmp_path / "run#1" / "d.csv"
+        data.parent.mkdir()
+        g = np.random.default_rng(11)
+        rows = [f"{label},{x[0]:.6f},{x[1]:.6f},{x[2]:.6f}"
+                for label in (1, 2) for x in g.standard_normal((20, 3))]
+        data.write_text("label,x0,x1,x2\n" + "\n".join(rows) + "\n")
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            "family = empirical_cov\np = 2\nq = 1\n"
+            f"dataset = {data}  # holds #1 too\nlabel_column = label\t# the class column\n"
+        )
+        cfg = parse_config_file(path)
+        assert (cfg.dataset, cfg.label_column) == (str(data), "label")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "(3 new records, 0 failed records" in capsys.readouterr().out
+
     def test_repeated_key_in_file_rejected(self, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text("family = inverse_wishart\np = 20\nq = 2\n# later\np = 30\n")
@@ -254,7 +275,7 @@ class TestConfig:
     def test_repeated_grid_value_rejected_before_any_cell(self):
         config = SweepConfig(family="inverse_wishart", p_grid=(20, 20), q_grid=(2,), n_simu=3)
         with pytest.raises(ConfigError, match="p: lists 20 more than once"):
-            run_sweep(config)
+            sweep_records(config)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -290,10 +311,29 @@ class TestConfig:
 
 class TestRunSweep:
     def test_record_count_conservation(self):
-        records = run_sweep(SMALL_IW)
+        records = sweep_records(SMALL_IW)
         cells = expand_grid(SMALL_IW)
         expected = len(cells) * SMALL_IW.n_simu * len(SMALL_IW.projections)
         assert len(records) == expected
+
+    def test_memory_does_not_grow_with_the_records_written(self, tmp_path):
+        """A sweep writes each cell's records and keeps none: ten times the
+        replicates (12,000 records against 1,200) leave the traced peaks
+        within 1 MB, while holding the records took about 2.6 MB more."""
+        config = SweepConfig(family="example1", p_grid=tuple(range(3, 13)), q_grid=(1, 2))
+        # the first sweep of a process also allocates its lazy imports
+        run_sweep(config, out_dir=tmp_path / "warm")
+
+        def peak(n_simu):
+            tracemalloc.start()
+            try:
+                run_sweep(dataclasses.replace(config, n_simu=n_simu), tmp_path / str(n_simu))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20), peak(200)
+        assert large < small + 1_000_000, (small, large)
 
     def test_failures_recorded_in_band(self):
         """A one-point curve with q above the training class size keeps one
@@ -311,7 +351,7 @@ class TestRunSweep:
             projections=("pca", "rp"),
             master_seed=5,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 4
         assert all(not r.ok for r in records)
         assert all(r.status == "failed:SingularEmbeddedCovarianceError" for r in records)
@@ -360,7 +400,7 @@ class TestRunSweep:
             n_simu=2,
             master_seed=3,
         )
-        clean = run_sweep(cfg)
+        clean = sweep_records(cfg)
         real = sweep.build_projection
 
         def build(name, *args, **kwargs):
@@ -369,7 +409,7 @@ class TestRunSweep:
             return real(name, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "build_projection", build)
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         model = TwoClassGaussian.zero_mean(*pca_favorable_pair(8, 2, cfg.alpha, cfg.delta))
         with pytest.raises(SingularBlendError) as err:
             embedded_overlap(model, ProjectionMatrix(degenerate))
@@ -394,7 +434,7 @@ class TestRunSweep:
             n_simu=2,
             master_seed=3,
         )
-        clean = run_sweep(cfg)
+        clean = sweep_records(cfg)
         real = sweep.build_projection
 
         def build(name, *args, **kwargs):
@@ -403,7 +443,7 @@ class TestRunSweep:
             return real(name, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "build_projection", build)
-        for before, after in zip(clean, run_sweep(cfg), strict=True):
+        for before, after in zip(clean, sweep_records(cfg), strict=True):
             if after.projection in ("rp", "sparse_rp"):
                 assert after.status == "failed:SingularBlendError"
                 assert after.metric_overlap is None
@@ -411,10 +451,10 @@ class TestRunSweep:
                 assert after == before and after.ok
 
     def test_worker_count_invariance(self):
-        rows_1 = [r.to_csv_row() for r in run_sweep(SMALL_IW)]
+        rows_1 = [r.to_csv_row() for r in sweep_records(SMALL_IW)]
         rows_8 = [
             r.to_csv_row()
-            for r in run_sweep(dataclasses.replace(SMALL_IW, n_workers=8))
+            for r in sweep_records(dataclasses.replace(SMALL_IW, n_workers=8))
         ]
         assert rows_1 == rows_8
 
@@ -426,7 +466,7 @@ class TestRunSweep:
         assert blob_a == blob_b
         records = read_records_csv(tmp_path / "a" / "records.csv")
         assert [r.to_csv_row() for r in records] == [
-            r.to_csv_row() for r in run_sweep(SMALL_IW)
+            r.to_csv_row() for r in sweep_records(SMALL_IW)
         ]
 
     def test_resume_from_checkpoint(self, tmp_path):
@@ -441,9 +481,9 @@ class TestRunSweep:
         (part_dir / "records.csv").write_text(
             "\n".join(full_lines[: 1 + keep_cells * per_cell]) + "\n"
         )
-        new_records = run_sweep(SMALL_IW, out_dir=part_dir)
+        n_new, _ = run_sweep(SMALL_IW, out_dir=part_dir)
         n_cells = len(expand_grid(SMALL_IW))
-        assert len(new_records) == (n_cells - keep_cells) * per_cell
+        assert n_new == (n_cells - keep_cells) * per_cell
         assert (part_dir / "records.csv").read_bytes() == (
             full_dir / "records.csv"
         ).read_bytes()
@@ -493,7 +533,7 @@ class TestRunSweep:
         run_sweep(SMALL_IW, out_dir=out)
         blob = (out / "records.csv").read_bytes()
         again = run_sweep(SMALL_IW, out_dir=out)
-        assert again == []
+        assert again == (0, 0)
         assert (out / "records.csv").read_bytes() == blob
 
     def test_manifest_contents(self, tmp_path):
@@ -519,7 +559,7 @@ class TestRunSweep:
             projections=("pca", "bhatt_optimal"),
             master_seed=1,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         pca = [r.metric_overlap for r in records if r.projection == "pca"]
         opt = [r.metric_overlap for r in records if r.projection == "bhatt_optimal"]
         assert pca == [0.5, 0.5]
@@ -539,7 +579,7 @@ class TestRunSweep:
             projections=("pca", "empirical_pca"),
             master_seed=4,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 2 * 2 * 2
         assert {r.param3 for r in records} == {"10", "20"}
         ok = [r for r in records if r.ok]
@@ -571,7 +611,7 @@ class TestRunSweep:
             projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
             master_seed=4,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 2 * 2 * 8 and all(r.ok for r in records)
         assert len(calls) == 3 * 2 * 2
 
@@ -610,7 +650,7 @@ class TestRunSweep:
             n_simu=2,
             master_seed=5,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 2 * len(PROJECTIONS) and all(r.ok for r in records)
         assert eig_calls == []
         assert len(chol_calls) == 2
@@ -628,7 +668,7 @@ class TestRunSweep:
             projections=PROJECTIONS,
             master_seed=5,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 6 * len(PROJECTIONS) and all(r.ok for r in records)
         assert eig_calls == []
         assert len(chol_calls) == 6
@@ -648,7 +688,7 @@ class TestRunSweep:
             projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
             master_seed=4,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert len(records) == 2 * 8 and all(r.ok for r in records)
         assert eig_calls == []
 
@@ -724,7 +764,7 @@ class TestFailureStopsPool:
 
         monkeypatch.setattr(sweep, "_eval_cell", failing)
         with pytest.raises(RuntimeError, match="cell failed"):
-            run_sweep(POOLED)
+            sweep_records(POOLED)
         assert len(started) <= self.BOUND
 
     def test_sink_error_exits_3(self, tmp_path, monkeypatch, capsys, started):
@@ -918,7 +958,7 @@ IW_P100 = SweepConfig(
 
 class TestBlasPolicy:
     def test_thread_counts_restored_after_sweep(self, openblas_at_two):
-        run_sweep(SMALL_IW)
+        sweep_records(SMALL_IW)
         assert openblas_at_two.get_threads() == 2
 
     def test_thread_counts_restored_when_sweep_raises(self, openblas_at_two, monkeypatch):
@@ -930,7 +970,7 @@ class TestBlasPolicy:
 
         monkeypatch.setattr(sweep, "_eval_cell", failing_cell)
         with pytest.raises(RuntimeError):
-            run_sweep(SMALL_IW)
+            sweep_records(SMALL_IW)
         assert seen == [1]
         assert openblas_at_two.get_threads() == 2
 
@@ -978,7 +1018,7 @@ class TestRecordSchema:
         assert sweep.GROUPABLE_FIELDS == ("family", "p", "q", "param1", "param2", "param3")
 
     def test_ms_is_zero_in_memory_without_record_timings(self):
-        assert all(r.ms == 0 for r in run_sweep(SMALL_IW))
+        assert all(r.ms == 0 for r in sweep_records(SMALL_IW))
 
 
 def _toy_record(projection, value, replicate=0, status="ok", q=2):
@@ -1007,7 +1047,7 @@ class TestSummarize:
         assert row["n_pairs"] == 1
 
     def test_baseline_regret_against_itself_is_zero(self):
-        records = run_sweep(SMALL_IW)
+        records = sweep_records(SMALL_IW)
         table = summarize(records, ["p"], "pca")
         assert "regret_pca" not in table.columns
         multi = summarize(records + records, ["p"], "pca")
@@ -1079,7 +1119,7 @@ class TestSummarize:
         assert "0.25" in lines[1] and "0.125" in lines[1]
 
     def test_one_pass_over_an_iterator(self):
-        records = run_sweep(dataclasses.replace(SMALL_IW, n_simu=3))
+        records = sweep_records(dataclasses.replace(SMALL_IW, n_simu=3))
         for group_by in (["q"], ["p", "q"], list(sweep.GROUPABLE_FIELDS)):
             want = summarize(records, group_by, "pca").to_csv_text()
             assert summarize(iter(records), group_by, "pca").to_csv_text() == want
