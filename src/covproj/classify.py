@@ -25,9 +25,10 @@ from .core import (
     SingularEmbeddedCovarianceError,
     SpdMatrix,
     TwoClassGaussian,
+    _check_ridge,
     _derived_spd,
 )
-from .metrics import _logdet, project_model
+from .metrics import _embed, _logdet, project_model
 
 _MC_BLOCK = 1 << 16
 # normals drawn and embedded at a time inside a block (1 MB), so a chunk holds
@@ -106,8 +107,7 @@ def fit_embedded_qda(
     silently repaired, because the instability of large embedding dimensions
     is a phenomenon to surface rather than mask.
     """
-    if not 0.0 <= ridge < math.inf:
-        raise ConfigError("ridge", f"must be finite and non-negative, got {ridge!r}")
+    _check_ridge(ridge)
     emb = model if w is None else project_model(model, w)
     ridge_abs = 0.0
     if ridge > 0.0:
@@ -139,7 +139,7 @@ def fit_embedded_qda(
         w=w,
         model=replace(emb, cov_1=covs[0], cov_2=covs[1]),
         chol_factors=(chols[0], chols[1]),
-        log_dets=(_logdet(chols[0]), _logdet(chols[1])),
+        log_dets=(float(_logdet(chols[0])), float(_logdet(chols[1]))),
     )
 
 
@@ -217,11 +217,7 @@ def reconstruction_error(
     cov_2: SpdMatrix,
 ) -> float:
     """Embedded covariance estimation error 1/2 sum_k |W^T (S_k - C_k) W|_F^2."""
-    p = w.ambient_dim
-    if any(m.dim != p for m in (s_1, s_2, cov_1, cov_2)):
+    if any(m.dim != w.ambient_dim for m in (s_1, s_2, cov_1, cov_2)):
         raise DimensionMismatchError("all matrices must match the ambient dimension")
-    total = 0.0
-    for s_k, c_k in ((s_1, cov_1), (s_2, cov_2)):
-        diff = w.entries.T @ (s_k.entries - c_k.entries) @ w.entries
-        total += float(np.sum(diff * diff))
-    return 0.5 * total
+    diffs = _embed([w], s_1.entries - cov_1.entries, s_2.entries - cov_2.entries)
+    return 0.5 * sum(float(np.sum(diff[0] * diff[0])) for diff in diffs)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +37,7 @@ from .core import (
     RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
+    _check_ridge,
 )
 from .datasets import load_dataset, load_matrix, load_vector
 from .generators import _FIXTURES, _column_subsample
@@ -124,11 +124,7 @@ def cmd_sweep(args) -> int:
         config = dataclasses.replace(config, master_seed=args.seed)
     if args.workers is not None:
         config = dataclasses.replace(config, n_workers=args.workers)
-    try:
-        n_new, n_failed = run_sweep(config, out_dir=args.out)
-    except OSError as exc:
-        print(f"sink error: {exc}", file=sys.stderr)
-        return 3
+    n_new, n_failed = run_sweep(config, out_dir=args.out)
     print(f"wrote {Path(args.out) / 'records.csv'} ({n_new} new records, "
           f"{n_failed} failed records recorded in-band)")
     return 0
@@ -139,11 +135,7 @@ def cmd_summarize(args) -> int:
     group_by = [tok.strip() for tok in args.group_by.split(",") if tok.strip()]
     table = summarize(records, group_by, args.baseline)
     out = Path(args.out) if args.out else Path(args.records).with_name("summary.csv")
-    try:
-        out.write_text(table.to_csv_text(), encoding="utf-8", newline="")
-    except OSError as exc:
-        print(f"sink error: {exc}", file=sys.stderr)
-        return 3
+    out.write_text(table.to_csv_text(), encoding="utf-8", newline="")
     print(table.format_text())
     print(f"\nwrote {out}")
     return 0
@@ -200,8 +192,7 @@ def _oracle_model(args) -> TwoClassGaussian:
 
 
 def cmd_oracle(args) -> int:
-    if not 0.0 <= args.ridge < math.inf:
-        raise ConfigError("ridge", f"must be finite and non-negative, got {args.ridge!r}")
+    _check_ridge(args.ridge)
     model = _oracle_model(args)
     stream = RngStream(args.seed)
     if args.projection == "identity":

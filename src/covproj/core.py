@@ -8,6 +8,7 @@ so results never depend on thread scheduling or worker count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -113,6 +114,12 @@ class DatasetFormatError(CovProjError):
         self.line = line
 
 
+def _check_ridge(ridge: float) -> None:
+    """The one rule for a ridge wherever one enters: 0 <= ridge < inf."""
+    if not 0.0 <= ridge < math.inf:
+        raise ConfigError("ridge", f"must be finite and non-negative, got {ridge!r}")
+
+
 def _text_lines(fh, path, error: Callable[[str], CovProjError]) -> Iterator[str]:
     """The UTF-8 text lines of a binary file. A line ends at any of
     str.splitlines' breaks, not only at a newline; bytes that are not UTF-8
@@ -206,7 +213,7 @@ class SpdMatrix:
             raise NotSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
-        sym = _as_readonly((a + a.T) / 2.0)
+        sym = _as_readonly(_sym(a))
         w = np.linalg.eigvalsh(sym)
         if w[0] < -PSD_RTOL * w[-1]:
             raise NotPositiveDefiniteError(
@@ -237,8 +244,13 @@ def _derived_spd(a: np.ndarray) -> SpdMatrix:
     """Symmetrize and wrap a float matrix that is PSD by construction (a
     random draw, a Gram matrix, a sum or a congruence W^T C W), untested."""
     spd = object.__new__(SpdMatrix)
-    object.__setattr__(spd, "entries", _as_readonly((a + a.T) / 2.0))
+    object.__setattr__(spd, "entries", _as_readonly(_sym(a)))
     return spd
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of a matrix, or of each matrix of a stack."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

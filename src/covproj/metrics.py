@@ -10,12 +10,13 @@ between the class densities. Because the overlap has a data-free closed form
 it can score class separability inside an embedding space directly from
 projected parameters, which is what makes large enumeration sweeps affordable.
 
-All log-determinants go through Cholesky factors (sum of log diagonal), never
-through raw determinants, so the formulas stay finite at p = 1000. One kernel
-evaluates the overlap over a stack of items; the ambient overlap and a single
-embedding are its one-item case, so every caller gets the same bits. It is
-also the one fallback: a stack that does not factor is evaluated item by
-item, and an item with a singular factor gets that factor's error.
+All log-determinants go through Cholesky factors (``_logdet``), never through
+raw determinants, so the formulas stay finite at p = 1000. ``_embed`` is the
+one W^T . W, for the QDA rule, the overlap and the reconstruction error. One
+kernel evaluates the overlap over a stack of items; the ambient overlap and a
+single embedding are its one-item case, so every caller gets the same bits.
+It is also the one fallback: a stack that does not factor is evaluated item
+by item, and an item with a singular factor gets that factor's error.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from .core import (
     SingularBlendError,
     TwoClassGaussian,
     _derived_spd,
+    _sym,
 )
 
 
-def _logdet(chol_factor: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol_factor))))
+def _logdet(factors: np.ndarray) -> np.ndarray:
+    """Log-determinant of each matrix of a stack, from its lower Cholesky factor."""
+    return 2.0 * np.log(np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 _FACTORS = ("covariance blend", "class-1 covariance", "class-2 covariance")
@@ -69,7 +72,7 @@ def _overlaps(
                 message = f"{what} of order {len(m)} is numerically singular"
                 return [SingularBlendError(message, dim=len(m))]
         raise
-    logdets = 2.0 * np.log(np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
+    logdets = _logdet(factors)
     scale = math.sqrt(model.weight_1 * model.weight_2)
     values = []
     for factor, gap, nonzero, (ld_blend, ld_1, ld_2) in zip(
@@ -103,19 +106,29 @@ def bhattacharyya_overlap(model: TwoClassGaussian) -> float:
     return _values(_overlaps(model, c1[None], c2[None], gap[None]))[0]
 
 
+def _embed(ws: Sequence[ProjectionMatrix], *params: np.ndarray) -> list[np.ndarray]:
+    """Each p-vector v as the (k, q) stack of W^T v over the frames W of ws, each
+    p x p matrix A as the unsymmetrized (k, q, q) stack of W^T A W."""
+    p = len(params[0])
+    for w in ws:
+        if w.ambient_dim != p:
+            raise DimensionMismatchError(
+                f"projection ambient dim {w.ambient_dim} != model dim {p}"
+            )
+    if len({w.embed_dim for w in ws}) > 1:
+        raise DimensionMismatchError("stacked projections must share one embedding dim")
+    # C order whatever each frame's layout: the products' last bits follow it
+    stack = np.array([w.entries for w in ws], order="C")
+    stack_t = np.swapaxes(stack, 1, 2)
+    return [stack_t @ a @ stack if a.ndim == 2 else stack_t @ a for a in params]
+
+
 def project_model(model: TwoClassGaussian, w: ProjectionMatrix) -> TwoClassGaussian:
     """Push the population parameters through W: (mu, C) -> (W^T mu, W^T C W)."""
-    if w.ambient_dim != model.dim:
-        raise DimensionMismatchError(
-            f"projection ambient dim {w.ambient_dim} != model dim {model.dim}"
-        )
-    we = w.entries
+    m = model
+    mu_1, mu_2, c_1, c_2 = _embed([w], m.mean_1, m.mean_2, m.cov_1.entries, m.cov_2.entries)
     return TwoClassGaussian(
-        model.weight_1,
-        we.T @ model.mean_1,
-        we.T @ model.mean_2,
-        _derived_spd(we.T @ model.cov_1.entries @ we),
-        _derived_spd(we.T @ model.cov_2.entries @ we),
+        m.weight_1, mu_1[0], mu_2[0], _derived_spd(c_1[0]), _derived_spd(c_2[0])
     )
 
 
@@ -125,22 +138,9 @@ def _embedded_overlaps(
     """``embedded_overlaps`` with each singular item's error in its place."""
     if not ws:
         return []
-    for w in ws:
-        if w.ambient_dim != model.dim:
-            raise DimensionMismatchError(
-                f"projection ambient dim {w.ambient_dim} != model dim {model.dim}"
-            )
-    if len({w.embed_dim for w in ws}) > 1:
-        raise DimensionMismatchError("stacked projections must share one embedding dim")
-    # C order whatever each frame's layout: the products' last bits follow it
-    stack = np.array([w.entries for w in ws], order="C")
-    stack_t = np.swapaxes(stack, 1, 2)
-    covs = []
-    for cov in (model.cov_1, model.cov_2):
-        a = stack_t @ cov.entries @ stack
-        covs.append((a + np.swapaxes(a, 1, 2)) / 2.0)
-    gaps = stack_t @ model.mean_2 - stack_t @ model.mean_1
-    return _overlaps(model, *covs, gaps)
+    m = model
+    mu_1, mu_2, c_1, c_2 = _embed(ws, m.mean_1, m.mean_2, m.cov_1.entries, m.cov_2.entries)
+    return _overlaps(m, _sym(c_1), _sym(c_2), mu_2 - mu_1)
 
 
 def embedded_overlaps(

@@ -31,8 +31,10 @@ from .core import (
     SingularAfterRidgeError,
     SpdMatrix,
     TwoClassGaussian,
+    _check_ridge,
     _derived_frame,
     _derived_spd,
+    _sym,
 )
 
 PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
@@ -144,8 +146,7 @@ def generalized_eigenpairs(
     k = p if k is None else k
     if k < 1 or k > p:
         raise DimensionMismatchError(f"cannot keep {k} of {p} eigenpairs; need 1 <= k <= p")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    _check_ridge(ridge)
     a = cov_1.entries + ridge * np.eye(p) if ridge > 0 else cov_1.entries
     try:
         ell = np.linalg.cholesky(a)
@@ -155,7 +156,7 @@ def generalized_eigenpairs(
         ) from exc
     inner = solve_triangular(ell, cov_2.entries, lower=True)
     whitened = solve_triangular(ell, inner.T, lower=True)
-    whitened = (whitened + whitened.T) / 2.0
+    whitened = _sym(whitened)
     lam, u = np.linalg.eigh(whitened)
     with np.errstate(divide="ignore"):
         lam_pos = np.maximum(lam, 0.0)
@@ -195,6 +196,7 @@ def optimal_projection_auto_ridge(
     empirical case with n < p, where regularization is necessary to
     approximate the inversion), retries with ridge = rel_ridge * trace/p.
     """
+    _check_ridge(rel_ridge)
     try:
         return bhattacharyya_optimal_projection(cov_1, cov_2, q, ridge=0.0)
     except SingularAfterRidgeError:

@@ -60,6 +60,7 @@ from .core import (
     MixedModesError,
     RngStream,
     TwoClassGaussian,
+    _check_ridge,
     _text_lines,
 )
 from .datasets import load_dataset
@@ -126,7 +127,8 @@ def check_projections(names, mode: str | None = None) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Full description of one sweep; see module docstring for the modes."""
+    """Full description of one sweep (modes: see the module docstring), checked
+    when it is built, ``dataclasses.replace`` included."""
 
     family: str
     p_grid: tuple[int, ...]
@@ -156,7 +158,7 @@ class SweepConfig:
     ridge: float = 1e-6
     sample_grid: tuple[int, ...] = (20, 40, 80, 160, 320)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError("family", f"must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
@@ -198,8 +200,7 @@ class SweepConfig:
             raise ConfigError("train_frac", "must lie strictly between 0 and 1")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples", "must be at least 1")
-        if not 0 <= self.ridge < math.inf:
-            raise ConfigError("ridge", "must be finite and non-negative")
+        _check_ridge(self.ridge)
         if self.mode == DATA_MODE:
             if not self.sample_grid or any(n < 2 for n in self.sample_grid):
                 raise ConfigError("sample_grid", "per-class sizes must all be >= 2")
@@ -258,7 +259,7 @@ _FIELDS = tuple((_KEYS.get(f.name, f.name), f.name, _codec(f.type)) for f in fie
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
-    """Build a config from flat string key=value pairs, validating each field."""
+    """Build a config from flat string key=value pairs, parsing each field."""
     if "family" not in mapping:
         raise ConfigError("family", "missing required key")
     known = {key: (name, parse) for key, name, (parse, _) in _FIELDS}
@@ -273,9 +274,7 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
             kwargs[name] = parse(value.strip())
         except ValueError:
             raise ConfigError(key, f"cannot parse value {value!r}")
-    config = SweepConfig(**kwargs)
-    config.validate()
-    return config
+    return SweepConfig(**kwargs)
 
 
 def parse_config_file(path: str | Path) -> SweepConfig:
@@ -343,7 +342,6 @@ def _family_param_combos(config: SweepConfig) -> list[tuple]:
 def expand_grid(config: SweepConfig) -> list[Cell]:
     """All grid cells in canonical order; combinations with q >= p are dropped
     (the embedding must strictly reduce the dimension)."""
-    config.validate()
     combos = _family_param_combos(config)
     cells: list[Cell] = []
     for p in config.p_grid:

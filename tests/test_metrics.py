@@ -19,8 +19,10 @@ from covproj import (
     make_spd,
     mc_bayes_risk,
     optimal_overlap_closed_form,
+    project_model,
 )
-from covproj.metrics import _embedded_overlaps
+from covproj.core import _sym
+from covproj.metrics import _embed, _embedded_overlaps
 from conftest import (
     rand_orthonormal,
     rand_spd,
@@ -168,6 +170,26 @@ class TestStackedKernel:
         m = random_model(g, p, with_means=with_means)
         delta = reference_chernoff_distance(m, 0.5)
         assert bhattacharyya_overlap(m) == math.sqrt(m.weight_1 * m.weight_2) * math.exp(-delta)
+
+    @pytest.mark.parametrize("p", [3, 20, 200])
+    def test_project_model_is_the_kernels_first_item(self, g, p):
+        """project_model is the one-item case of the stacked kernel: it gives
+        item 0 of a stack bit for bit, and so does the 2-d formula, for
+        distinct non-zero means and unequal class weights."""
+        for q in range(1, min(5, p - 1) + 1):
+            m = random_model(g, p)
+            assert m.weight_1 != 0.5 and not np.array_equal(m.mean_1, m.mean_2)
+            ws = [ProjectionMatrix(g.standard_normal((p, q))) for _ in range(3)]
+            stacks = _embed(ws, m.mean_1, m.mean_2, m.cov_1.entries, m.cov_2.entries)
+            alone = project_model(m, ws[0])
+            assert alone.weight_1 == m.weight_1
+            w = ws[0].entries
+            for k, (mean, cov) in enumerate(((m.mean_1, m.cov_1), (m.mean_2, m.cov_2))):
+                got_mean = (alone.mean_1, alone.mean_2)[k]
+                got_cov = (alone.cov_1, alone.cov_2)[k].entries
+                assert got_mean.tobytes() == stacks[k][0].tobytes() == (w.T @ mean).tobytes()
+                assert stacks[2 + k][0].tobytes() == (w.T @ cov.entries @ w).tobytes()
+                assert got_cov.tobytes() == _sym(stacks[2 + k][0]).tobytes()
 
     def test_empty_stack(self, g):
         assert embedded_overlaps(random_model(g, 4), []) == []

@@ -1,6 +1,7 @@
 """Projection constructors: PCA, random families, and the optimal embedding."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from covproj import (
+    ConfigError,
     DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
     RngStream,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
+    build_projection,
     embedded_overlap,
     empirical_covariances,
     generalized_eigenpairs,
@@ -237,6 +240,25 @@ class TestOptimalProjection:
         s1 = make_spd(x.T @ x / 4)
         s2 = rand_spd(g, 10)
         assert optimal_projection_auto_ridge(s1, s2, 3).embed_dim == 3
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "entry", ["generalized_eigenpairs", "auto_ridge", "build_projection"]
+    )
+    def test_ridge_rule_holds_at_each_entry(self, g, entry, ridge):
+        """0 <= ridge < inf wherever a ridge enters, even with a regular C1,
+        for which the ridge fallback never runs."""
+        c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
+        calls = {
+            "generalized_eigenpairs": lambda: generalized_eigenpairs(c1, c2, ridge),
+            "auto_ridge": lambda: optimal_projection_auto_ridge(c1, c2, 2, ridge),
+            "build_projection": lambda: build_projection(
+                "bhatt_optimal", 2, c1, c2, RngStream(0), rel_ridge=ridge
+            ),
+        }
+        with pytest.raises(ConfigError) as err:
+            calls[entry]()
+        assert err.value.field == "ridge"
 
     @pytest.mark.parametrize("p", [20, 100, 200])
     @pytest.mark.parametrize("k", [1, 5, "p"])

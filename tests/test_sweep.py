@@ -147,10 +147,19 @@ class TestConfig:
     )
     def test_validate_rejects_non_finite(self, family, field, value, key):
         """A config built in Python never passes through the field table, so
-        ``validate`` itself must refuse NaN and infinities."""
-        config = SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+        its construction itself must refuse NaN and infinities."""
         with pytest.raises(ConfigError) as err:
-            config.validate()
+            SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+        assert err.value.field == key
+
+    @pytest.mark.parametrize(
+        "field, value, key", [("n_simu", 0, "n_simu"), ("master_seed", -1, "seed")]
+    )
+    def test_replace_is_checked(self, field, value, key):
+        """``dataclasses.replace``, which ``covproj sweep --seed`` and
+        ``--workers`` use, builds a new config and so checks it too."""
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(SMALL_IW, **{field: value})
         assert err.value.field == key
 
     def test_mapping_golden_every_field_non_default(self):
@@ -273,9 +282,10 @@ class TestConfig:
         assert err.value.field == key
 
     def test_repeated_grid_value_rejected_before_any_cell(self):
-        config = SweepConfig(family="inverse_wishart", p_grid=(20, 20), q_grid=(2,), n_simu=3)
         with pytest.raises(ConfigError, match="p: lists 20 more than once"):
-            sweep_records(config)
+            sweep_records(
+                SweepConfig(family="inverse_wishart", p_grid=(20, 20), q_grid=(2,), n_simu=3)
+            )
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -289,18 +299,17 @@ class TestConfig:
         assert "df1_over_p" in str(err.value)
 
     def test_empirical_projection_needs_data_mode(self):
-        cfg = dataclasses.replace(SMALL_IW, projections=("pca", "empirical_pca"))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            dataclasses.replace(SMALL_IW, projections=("pca", "empirical_pca"))
 
     def test_projection_names_are_the_registry(self):
         data_mode = dataclasses.replace(SMALL_IW, mode="finite_sample_curve")
         for name in PROJECTIONS:
-            dataclasses.replace(SMALL_IW, projections=(name,)).validate()
-            dataclasses.replace(data_mode, projections=(f"empirical_{name}",)).validate()
+            dataclasses.replace(SMALL_IW, projections=(name,))
+            dataclasses.replace(data_mode, projections=(f"empirical_{name}",))
         for name in ("identity", "bogus", "empirical_identity", "empirical_empirical_pca"):
             with pytest.raises(ConfigError) as err:
-                dataclasses.replace(data_mode, projections=(name,)).validate()
+                dataclasses.replace(data_mode, projections=(name,))
             assert "projections" in str(err.value)
 
     def test_manifest_rerun_config(self, tmp_path):
