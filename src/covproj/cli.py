@@ -33,17 +33,17 @@ from .core import (
     ConfigError,
     CovProjError,
     DatasetFormatError,
-    LabeledDataset,
     RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
     _check_ridge,
 )
-from .datasets import load_dataset, load_matrix, load_vector
-from .generators import _FIXTURES, _column_subsample
+from .datasets import _class_blocks, load_matrix, load_vector
+from .generators import _FIXTURES, _column_subsample, _labeled
 from .metrics import bhattacharyya_overlap, embedded_overlap
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 from .sweep import (
+    _items,
     check_projections,
     parse_config_file,
     read_records_csv,
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="aggregate a records CSV into a regret table")
     p_sum.add_argument("records", help="records.csv produced by a sweep")
-    p_sum.add_argument("--group-by", default="q", help="comma-separated record columns")
+    p_sum.add_argument("--group-by", type=_items, default="q", help="comma list of record columns")
     p_sum.add_argument("--baseline", default="pca", help="projection regrets are measured against")
     p_sum.add_argument("--out", default=None, help="summary CSV path (default: alongside records)")
     p_sum.set_defaults(func=cmd_summarize)
@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=int, required=True, help="embedding dimension")
     p_eval.add_argument(
         "--projections",
+        type=_items,
         default="pca,rp,sparse_rp",
         help=f"comma list from {{{','.join(PROJECTIONS)}}}",
     )
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--mc-samples", type=int, default=100000)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--ridge", type=float, default=0.0)
+    p_oracle.add_argument("--ridge", type=float, default=1e-6, help="bhatt_optimal fallback ridge")
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
@@ -132,8 +133,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_summarize(args) -> int:
     records = read_records_csv(args.records)
-    group_by = [tok.strip() for tok in args.group_by.split(",") if tok.strip()]
-    table = summarize(records, group_by, args.baseline)
+    table = summarize(records, args.group_by, args.baseline)
     out = Path(args.out) if args.out else Path(args.records).with_name("summary.csv")
     out.write_text(table.to_csv_text(), encoding="utf-8", newline="")
     print(table.format_text())
@@ -142,18 +142,10 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    names = [tok.strip() for tok in args.projections.split(",") if tok.strip()]
-    check_projections(names)
-    data, _ = load_dataset(args.dataset, args.label_column)
+    check_projections(args.projections)
+    blocks = _class_blocks(args.dataset, args.label_column, () if args.p is None else (args.p,))
     stream = RngStream(args.seed)
-    if args.p is not None and not 1 <= args.p <= data.dim:
-        raise ConfigError("p", f"must lie in [1, {data.dim}], the dataset's feature columns")
-    x_1, x_2 = _column_subsample(
-        data.class_rows(1), data.class_rows(2), args.p, args.gamma, stream
-    )
-    m = x_1.shape[0]
-    labels = np.concatenate([np.ones(m, dtype=np.int64), np.full(m, 2, dtype=np.int64)])
-    balanced = LabeledDataset(np.vstack([x_1, x_2]), labels)
+    balanced = _labeled(*_column_subsample(*blocks, args.p, args.gamma, stream))
     train, val = balanced.split(args.train_frac, stream.child(2))
     est = empirical_covariances(train)
 
@@ -161,14 +153,14 @@ def cmd_eval(args) -> int:
     # so a failed build or a rejected ridge leaves no partial table behind; a
     # singular fit is reported in its row
     fits = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(args.projections):
         w = build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)
         try:
             fits.append(fit_embedded_qda(est, w, ridge=args.ridge))
         except SingularEmbeddedCovarianceError as exc:
             fits.append(exc)
     print(f"n_train={train.n} n_val={val.n} p={balanced.dim} q={args.q} gamma={args.gamma}")
-    for name, fit in zip(names, fits):
+    for name, fit in zip(args.projections, fits):
         if isinstance(fit, SingularEmbeddedCovarianceError):
             print(f"{name:>16s}  oos_loss=singular ({fit})")
         else:
@@ -200,8 +192,7 @@ def cmd_oracle(args) -> int:
         overlap = bhattacharyya_overlap(model)
     else:
         w = build_projection(
-            args.projection, args.q, model.cov_1, model.cov_2, stream.child(0),
-            args.ridge or 1e-6,
+            args.projection, args.q, model.cov_1, model.cov_2, stream.child(0), args.ridge
         )
         overlap = embedded_overlap(model, w)
     risk = mc_bayes_risk(model, w, args.mc_samples, stream.child(1))

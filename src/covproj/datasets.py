@@ -217,3 +217,14 @@ def load_dataset(path: str | Path, label_column: str) -> tuple[LabeledDataset, l
     label_map = {values[0]: 1, values[1]: 2}
     z = np.array([label_map[token] for token in table.labels], dtype=np.int64)
     return LabeledDataset(_checked(table), z), feature_names
+
+
+def _class_blocks(
+    path: str | Path, label_column: str, ps: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The label-1 rows and the label-2 rows of a labeled file, for sweeps and
+    ``covproj eval``; each feature count in ``ps`` must fit its columns."""
+    data, _ = load_dataset(path, label_column)
+    if not all(1 <= p <= data.dim for p in ps):
+        raise ConfigError("p", f"must lie in [1, {data.dim}], the dataset's feature columns")
+    return data.class_rows(1), data.class_rows(2)

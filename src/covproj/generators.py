@@ -216,7 +216,12 @@ def sample_two_class(
     """Labeled sample with n_k rows drawn from class k of the model."""
     x_1 = sample_gaussian(model.mean_1, model.cov_1, n_1, stream.child(0))
     x_2 = sample_gaussian(model.mean_2, model.cov_2, n_2, stream.child(1))
-    labels = np.concatenate([np.ones(n_1, dtype=np.int64), np.full(n_2, 2, dtype=np.int64)])
+    return _labeled(x_1, x_2)
+
+
+def _labeled(x_1: np.ndarray, x_2: np.ndarray) -> LabeledDataset:
+    """The rows of x_1, labelled 1, stacked over the rows of x_2, labelled 2."""
+    labels = np.repeat(np.array([1, 2], dtype=np.int64), [x_1.shape[0], x_2.shape[0]])
     return LabeledDataset(np.vstack([x_1, x_2]), labels)
 
 

@@ -63,7 +63,7 @@ from .core import (
     _check_ridge,
     _text_lines,
 )
-from .datasets import load_dataset
+from .datasets import _class_blocks
 from .generators import (
     _FIXTURES,
     _column_subsample,
@@ -93,11 +93,18 @@ _CTX_PAIR, _CTX_PROJ, _CTX_DATA, _CTX_SPLIT, _CTX_MC = 0, 1, 2, 3, 4
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
+    """A record or summary value as text: a string as is, None as ""."""
+    if x is None or isinstance(x, str):
+        return x or ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def _items(text: str) -> list[str]:
+    """The items of a comma list, stripped, blank ones dropped: the one reading
+    of a list in config files, the manifest echo and command-line options."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _refuse_repeats(key: str, values) -> None:
@@ -226,7 +233,7 @@ _CODECS = {
     "str": (str, str),
     "int": (int, str),
     "float": (_finite, _fmt),
-    "str | None": (lambda tok: tok or None, lambda v: v or ""),
+    "str | None": (lambda tok: tok or None, _fmt),
     "float | None": (lambda tok: float(tok) if tok else None, _fmt),
 }
 
@@ -238,7 +245,7 @@ def _codec(annotation: str):
         return _CODECS[annotation]
     parse, fmt = _CODECS[item]
     return (
-        lambda text: tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip()),
+        lambda text: tuple(map(parse, _items(text))),
         lambda xs: ",".join(fmt(x) for x in xs),
     )
 
@@ -436,13 +443,11 @@ def read_records_csv(path: str | Path) -> Iterator[SweepRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _param_strings(config: SweepConfig, cell: Cell, n_pc: int | None) -> tuple[str, str, str]:
-    third = _fmt(n_pc)
-    if config.family == "empirical_cov":
-        return _fmt(cell.params[0]), "", third
-    if config.family == "latent_low_dim":
-        return str(cell.params[0]), str(cell.params[1]), third
-    return _fmt(cell.params[0]), _fmt(cell.params[1]), third
+def _param_strings(cell: Cell, n_pc: int | None) -> tuple[str, str, str]:
+    """A record's param1-param3: the cell's parameters padded with "" to two,
+    then the point's sample size, each formatted by its type."""
+    first, second = (*cell.params, "")[:2]
+    return _fmt(first), _fmt(second), _fmt(n_pc)
 
 
 @dataclass(frozen=True)
@@ -477,22 +482,13 @@ def _draw_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> 
     model = TwoClassGaussian.zero_mean(*covs)
     train = val = est = None
     if config.mode == DATA_MODE:
-        n_pc = config.sample_grid[idx]
+        n_pc = _points(config)[idx]
         data = sample_two_class(model, n_pc, n_pc, base.child(_CTX_DATA, idx))
         train, val = data.split(config.train_frac, base.child(_CTX_SPLIT, idx))
         est = empirical_covariances(train)
     js = range(len(config.projections))
     build = tuple(base.child(_CTX_PROJ, idx, j) for j in js)
     return _Draw(model, train, val, est, build, tuple(base.child(_CTX_MC, idx, j) for j in js))
-
-
-def _point_records(config, cell, rep, n_pc, status="ok") -> list[SweepRecord]:
-    """The records of one (cell, replicate, point), one per projection."""
-    params = _param_strings(config, cell, n_pc)
-    return [
-        SweepRecord(config.family, cell.p, cell.q, *params, rep, name, status=status)
-        for name in config.projections
-    ]
 
 
 def _failed(exc: CovProjError) -> str:
@@ -510,15 +506,20 @@ def _score_overlaps(model, built) -> None:
             record.metric_overlap = value
 
 
-def _eval_point(
-    config: SweepConfig, cell: Cell, rep: int, idx: int, n_pc: int | None, source
-) -> list[SweepRecord]:
+def _eval_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> list[SweepRecord]:
+    """The records of one (cell, replicate, point), one per projection."""
+    params = _param_strings(cell, _points(config)[idx])
+    records = [
+        SweepRecord(config.family, cell.p, cell.q, *params, rep, name)
+        for name in config.projections
+    ]
     try:
         draw = _draw_point(config, cell, rep, idx, source)
     except CovProjError as exc:
-        return _point_records(config, cell, rep, n_pc, _failed(exc))
+        for record in records:
+            record.status = _failed(exc)
+        return records
     model, est = draw.model, draw.est
-    records = _point_records(config, cell, rep, n_pc)
     built = []  # (index, record, projection) of every projection that built
     for j, record in enumerate(records):
         name = record.projection.removeprefix(EMPIRICAL)
@@ -549,16 +550,16 @@ def _eval_point(
 
 
 def _points(config: SweepConfig) -> tuple[int | None, ...]:
-    """Per-class sample size of each point of a cell: the curve's grid; the
-    other modes sample no data and evaluate one point (None)."""
+    """Each point's per-class sample size (the one reader of ``sample_grid``):
+    the curve's grid; the other modes sample no data and evaluate one point (None)."""
     return config.sample_grid if config.mode == DATA_MODE else (None,)
 
 
 def _eval_cell(config: SweepConfig, cell: Cell, source) -> list[SweepRecord]:
     records = []
     for rep in range(config.n_simu):
-        for idx, n_pc in enumerate(_points(config)):
-            records.extend(_eval_point(config, cell, rep, idx, n_pc, source))
+        for idx in range(len(_points(config))):
+            records.extend(_eval_point(config, cell, rep, idx, source))
     return records
 
 
@@ -639,14 +640,7 @@ def _load_source(config: SweepConfig):
         raise ConfigError("dataset", "the empirical family requires a dataset path")
     if not config.label_column:
         raise ConfigError("label_column", "the empirical family requires a label column")
-    data, _ = load_dataset(config.dataset, config.label_column)
-    x_1, x_2 = data.class_rows(1), data.class_rows(2)
-    if max(config.p_grid) > x_1.shape[1]:
-        raise ConfigError(
-            "p", f"dataset has {x_1.shape[1]} feature columns, cannot subsample "
-            f"p={max(config.p_grid)}"
-        )
-    return x_1, x_2
+    return _class_blocks(config.dataset, config.label_column, config.p_grid)
 
 
 def _check_resume(config: SweepConfig, out_dir: Path):
@@ -772,10 +766,7 @@ class SummaryTable:
     rows: list[list]
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in [self.columns, *self.rows])
 
     def format_text(self) -> str:
         def show(v):

@@ -390,6 +390,25 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "p: must lie in [1, 30]" in captured.err
 
+    @pytest.mark.parametrize("p_grid", ["31", "2,31"])
+    def test_sweep_p_grid_has_the_eval_rule_and_message(
+        self, separable_csv, tmp_path, capsys, p_grid
+    ):
+        """A sweep's p grid and ``eval --p`` share one rule and one message;
+        the sweep creates no output directory."""
+        path, _ = separable_csv
+        cfg = tmp_path / "empirical.cfg"
+        cfg.write_text(
+            f"family = empirical_cov\ndataset = {path}\nlabel_column = label\n"
+            f"p = {p_grid}\nq = 1\n"
+        )
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: p: must lie in [1, 30], the dataset's feature columns\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_invalid_ridge_exits_2_before_any_output(self, separable_csv, capsys, ridge):
         path, _ = separable_csv
@@ -498,6 +517,29 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert "ridge" in err
+
+    def test_ridge_zero_is_passed_as_given(self, tmp_path, capsys):
+        """``--ridge 0`` turns bhatt_optimal's fallback off: a singular C1
+        fails at the optimal frame itself rather than being ridged."""
+        (tmp_path / "c1.csv").write_text("1,0,0\n0,1,0\n0,0,0\n")
+        (tmp_path / "c2.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        argv = ["oracle", "--cov1", str(tmp_path / "c1.csv"), "--cov2", str(tmp_path / "c2.csv")]
+        argv += ["--q", "1", "--projection", "bhatt_optimal", "--mc-samples", "100"]
+        assert main(argv + ["--ridge", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: SingularAfterRidgeError:")
+
+    def test_ridge_defaults_to_the_fallback(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["oracle", "example1", "--q", "1"])
+        assert args.ridge == 1e-6
+        argv = ["oracle", "example2", "--p", "6", "--q", "3", "--mc-samples", "500"]
+        argv += ["--projection", "bhatt_optimal"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--ridge", "1e-6"]) == 0
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("fixture", ["example1", "example2"])
     def test_infinite_alpha_exits_2(self, capsys, fixture):

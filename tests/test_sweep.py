@@ -459,6 +459,50 @@ class TestRunSweep:
             else:
                 assert after == before and after.ok
 
+    @pytest.mark.parametrize(
+        "defect, statuses",
+        [
+            ("one class-2 row", ["InsufficientRowsError"] * 3),
+            (
+                "constant class 1",
+                ["SingularBlendError", "SingularBlendError", "SingularAfterRidgeError"],
+            ),
+        ],
+    )
+    def test_failed_draw_and_build_are_recorded_in_band(self, tmp_path, capsys, defect, statuses):
+        """A pair that cannot be drawn fails every record of its point; a
+        projection that cannot be built fails its own (here ``bhatt_optimal``
+        on a zero C1, while ``pca`` and ``rp`` build and fail their scoring).
+        The sweep exits 0 and both counts see the failures."""
+        g = np.random.default_rng(11)
+        if defect == "one class-2 row":
+            x_1, x_2 = g.standard_normal((20, 4)), g.standard_normal((1, 4))
+        else:
+            x_1, x_2 = np.tile([1.0, 2.0, 3.0, 4.0], (20, 1)), g.standard_normal((20, 4))
+        labels = np.repeat([1, 2], [len(x_1), len(x_2)])
+        data = tmp_path / "data.csv"
+        np.savetxt(
+            data, np.column_stack([labels, np.vstack([x_1, x_2])]), fmt="%.9g",
+            delimiter=",", header="label,x0,x1,x2,x3", comments="",
+        )
+        cfg = SweepConfig(
+            family="empirical_cov",
+            dataset=str(data),
+            label_column="label",
+            p_grid=(4,),
+            q_grid=(1,),
+            projections=("pca", "rp", "bhatt_optimal"),
+        )
+        assert run_sweep(cfg, tmp_path / "lib") == (3, 3)
+        records = list(read_records_csv(tmp_path / "lib" / "records.csv"))
+        assert [r.status for r in records] == [f"failed:{name}" for name in statuses]
+        assert all(r.metric_overlap is None for r in records)
+        assert summarize(records, ["q"], "pca").rows == [[1, 1, 3, "", "", "", "", "", "", ""]]
+        config = tmp_path / "sweep.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in cfg.to_mapping().items()))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+        assert "(3 new records, 3 failed records" in capsys.readouterr().out
+
     def test_worker_count_invariance(self):
         rows_1 = [r.to_csv_row() for r in sweep_records(SMALL_IW)]
         rows_8 = [
@@ -1028,6 +1072,40 @@ class TestRecordSchema:
 
     def test_ms_is_zero_in_memory_without_record_timings(self):
         assert all(r.ms == 0 for r in sweep_records(SMALL_IW))
+
+    @pytest.mark.parametrize(
+        "family, keys, params",
+        [
+            ("inverse_wishart", {"df1_over_p": "1", "df2_over_p": "2"}, ("1", "2", "")),
+            ("latent_low_dim", {"share": "none", "q_density": "dense"}, ("none", "dense", "")),
+            ("empirical_cov", {"gamma": "0.5"}, ("0.5", "", "")),
+            ("example1", {"alpha": "4", "delta": "1"}, ("4", "1", "")),
+            ("example2", {"alpha": "4", "delta": "1"}, ("4", "1", "")),
+            (
+                "inverse_wishart",
+                {"df1_over_p": "1", "df2_over_p": "2", "mode": "finite_sample_curve",
+                 "sample_grid": "10", "projections": "pca,empirical_pca"},
+                ("1", "2", "10"),
+            ),
+        ],
+        ids=["iw", "latent", "empirical", "example1", "example2", "curve"],
+    )
+    def test_param_columns_of_each_family(self, tmp_path, family, keys, params):
+        """param1 and param2 are the cell's family parameters, a string as
+        written and a number by its shortest round-trip form, "" where the
+        family has one; param3 is a curve point's per-class sample size."""
+        mapping = {"family": family, "p": "4", "q": "1", **keys}
+        if family == "empirical_cov":
+            data = tmp_path / "data.csv"
+            x = np.random.default_rng(12).standard_normal((40, 4))
+            np.savetxt(
+                data, np.column_stack([np.repeat([1, 2], 20), x]), fmt="%.9g",
+                delimiter=",", header="label,x0,x1,x2,x3", comments="",
+            )
+            mapping |= {"dataset": str(data), "label_column": "label"}
+        records = sweep_records(config_from_mapping(mapping))
+        assert records and all(r.ok for r in records)
+        assert {(r.param1, r.param2, r.param3) for r in records} == {params}
 
 
 def _toy_record(projection, value, replicate=0, status="ok", q=2):
