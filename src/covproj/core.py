@@ -120,6 +120,20 @@ def _check_ridge(ridge: float) -> None:
         raise ConfigError("ridge", f"must be finite and non-negative, got {ridge!r}")
 
 
+def _check_fraction(field: str, value: float) -> None:
+    """The one rule for a fraction of a whole: a class weight, a train
+    fraction."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(field, "must lie strictly between 0 and 1")
+
+
+def _check_embed_dim(q: int, p: int) -> None:
+    """The one rule for an embedding dimension q in ambient dimension p: a
+    frame's columns, PCA's q, the eigenpairs kept."""
+    if not 1 <= q <= p:
+        raise DimensionMismatchError(f"embedding dimension q={q} must satisfy 1 <= q <= p={p}")
+
+
 def _text_lines(fh, path, error: Callable[[str], CovProjError]) -> Iterator[str]:
     """The UTF-8 text lines of a binary file. A line ends at any of
     str.splitlines' breaks, not only at a newline; bytes that are not UTF-8
@@ -269,10 +283,7 @@ class ProjectionMatrix:
         if a.ndim != 2:
             raise DimensionMismatchError("projection must be a 2-d array")
         p, q = a.shape
-        if q < 1 or q > p:
-            raise DimensionMismatchError(
-                f"embedding dimension q={q} must satisfy 1 <= q <= p={p}"
-            )
+        _check_embed_dim(q, p)
         if not np.isfinite(a).all():
             raise NonFiniteProjectionError(f"projection {p}x{q} has non-finite entries")
         s = np.linalg.svd(a, compute_uv=False)
@@ -317,8 +328,7 @@ class TwoClassGaussian:
     cov_2: SpdMatrix
 
     def __post_init__(self):
-        if not 0.0 < self.weight_1 < 1.0:
-            raise ConfigError("weight_1", "must lie strictly between 0 and 1")
+        _check_fraction("weight_1", self.weight_1)
         m1 = _as_readonly(np.atleast_1d(self.mean_1))
         m2 = _as_readonly(np.atleast_1d(self.mean_2))
         for field, mean in (("mean_1", m1), ("mean_2", m2)):
@@ -386,8 +396,7 @@ class LabeledDataset:
         round(train_frac * n_k), clamped so both sides keep at least one
         observation per class. Classes with fewer than two rows are rejected.
         """
-        if not 0.0 < train_frac < 1.0:
-            raise ConfigError("train_frac", "must lie strictly between 0 and 1")
+        _check_fraction("train_frac", train_frac)
         g = stream.generator()
         train_idx, val_idx = [], []
         for label in (1, 2):

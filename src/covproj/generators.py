@@ -20,6 +20,7 @@ Every sampler owns an RngStream fork, so parallel cells never share state.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -68,22 +69,23 @@ def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
 
     With W = A A^T the inverse is B^T B for B = A^{-1}, computed by one
     triangular solve, so no general matrix inversion is ever formed.
+    Requires a finite df > dim - 1.
     """
-    if df <= dim - 1:
-        raise DegreesOfFreedomError(f"df={df} too small for dimension {dim} (need df > p - 1)")
+    if not dim - 1 < df < math.inf:
+        raise DegreesOfFreedomError(f"df={df} must be finite and > p - 1 for dimension {dim}")
     a = _bartlett_factor(dim, df, stream.generator())
     b = solve_triangular(a, np.eye(dim), lower=True)
     return _derived_spd(b.T @ b)
 
 
 def sample_scaled_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
-    """df * InvWishart(I_dim, df); requires df >= dim.
+    """df * InvWishart(I_dim, df); requires a finite df >= dim.
 
     The df scaling keeps the matrix scale consistent with the identity as the
     dimension grows (the mean is df/(df-p-1) * I when it exists).
     """
-    if df < dim:
-        raise DegreesOfFreedomError(f"df={df} must be >= dimension {dim}")
+    if not dim <= df < math.inf:
+        raise DegreesOfFreedomError(f"df={df} must be finite and >= dimension {dim}")
     inv = sample_inverse_wishart(dim, df, stream)
     return _derived_spd(df * inv.entries)
 
@@ -120,10 +122,11 @@ def gen_latent_pair(
     does not exist), M_k ~ InvWishart(I_p, 2p), Q_k an r x p mixing matrix.
     ``share`` is "none", or "q" or "theta" to reuse that very object for both
     classes. Q_k is dense when ``sparse_density`` is None; otherwise each of
-    its entries is kept with that probability.
+    its entries is kept with that probability, which must lie in (0, 1].
     """
-    if share not in ("none", "q", "theta"):
-        raise ConfigError("share", f"must be none, q or theta, got {share!r}")
+    _check_share(share)
+    if sparse_density is not None:
+        _check_sparse_density(sparse_density)
     if p < 2:
         raise ConfigError("p", "latent family needs p >= 2")
     r = latent_rank(p)
@@ -140,6 +143,19 @@ def gen_latent_pair(
         sigma = (r + 1) * (q_k.T @ theta_k.entries @ q_k) + 0.02 * p * m_k.entries
         covs.append(_derived_spd(sigma))
     return covs[0], covs[1]
+
+
+def _check_share(share: str) -> None:
+    """The one rule for a latent ``share`` (``gen_latent_pair``, sweep configs)."""
+    if share not in ("none", "q", "theta"):
+        raise ConfigError("share", f"must be none, q or theta, got {share!r}")
+
+
+def _check_sparse_density(density: float) -> None:
+    """The one rule for a sparse Q's keep probability (``gen_latent_pair``,
+    sweep configs)."""
+    if not 0.0 < density <= 1.0:
+        raise ConfigError("sparse_q_density", f"must lie in (0, 1], got {density!r}")
 
 
 def column_overlap(
@@ -159,8 +175,7 @@ def column_overlap(
     x_2 = np.asarray(x_2, dtype=np.float64)
     if x_1.ndim != 2 or x_2.ndim != 2 or x_1.shape[1] != x_2.shape[1]:
         raise DimensionMismatchError("the two groups must share a column count")
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError("gamma", "must lie in [0, 1]")
+    _check_gamma(gamma)
     p = x_1.shape[1]
     m = min(x_2.shape[0] // 2, x_1.shape[0])
     if m < 1:
@@ -176,6 +191,12 @@ def column_overlap(
     x_1_tilde = x_1[sub_1].copy()
     x_1_tilde[:, cols] = x_2[donor][:, cols]
     return x_1_tilde, x_2[keep].copy()
+
+
+def _check_gamma(gamma: float) -> None:
+    """The one rule for an overlap fraction (``column_overlap``, sweep configs)."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError("gamma", f"overlap fractions must lie in [0, 1], got {gamma!r}")
 
 
 def _column_subsample(
@@ -259,10 +280,16 @@ def pca_adversarial_pair(
 
 
 def _check_spike_params(p: int, block: int, alpha: float, delta: float) -> None:
-    if not 0 < delta < alpha < np.inf:
-        raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
+    _check_spike_levels(alpha, delta)
     if not 1 <= block < p:
         raise ConfigError("q", f"block size must satisfy 1 <= q < p, got {block}")
+
+
+def _check_spike_levels(alpha: float, delta: float) -> None:
+    """The one rule for the fixtures' variance levels (the fixture pairs,
+    sweep configs)."""
+    if not 0 < delta < alpha < math.inf:
+        raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
 
 
 # fixture family -> pair of (p, q, alpha, delta); example1 favours PCA, example2 defeats it

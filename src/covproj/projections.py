@@ -11,7 +11,8 @@ the sample estimates (the empirical form).
 Every constructor returns a ProjectionMatrix and is deterministic given its
 inputs and an RngStream. ``generalized_eigenpairs`` returns plain arrays: the
 eigenvalues and, as columns, the eigenvectors, most extreme first, so the
-pairs for k are the first k of the pairs for any larger k.
+pairs for k are the first k of the pairs for any larger k (to the bit on
+the BLAS kernels its docstring names).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     SingularAfterRidgeError,
     SpdMatrix,
     TwoClassGaussian,
+    _check_embed_dim,
     _check_ridge,
     _derived_frame,
     _derived_spd,
@@ -58,9 +60,7 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
     output, and each eigenvector is oriented so its largest-magnitude entry
     is positive, making the output reproducible across runs.
     """
-    p = mixture_cov.dim
-    if q < 1 or q > p:
-        raise DimensionMismatchError(f"q={q} must satisfy 1 <= q <= p={p}")
+    _check_embed_dim(q, mixture_cov.dim)
     w, v = np.linalg.eigh(mixture_cov.entries)
     order = np.argsort(-w, kind="stable")
     cols = _fix_column_signs(v[:, order[:q]])
@@ -77,6 +77,7 @@ def mixture_covariance(x: np.ndarray) -> SpdMatrix:
 
 def _full_rank(draw, p: int, q: int, what: str) -> ProjectionMatrix:
     """The first draw() of rank q, trying at most _MAX_RANK_RETRIES times."""
+    _check_embed_dim(q, p)
     for _ in range(_MAX_RANK_RETRIES):
         try:
             return ProjectionMatrix(draw())
@@ -137,15 +138,15 @@ def generalized_eigenpairs(
     non-positive (round-off on rank-deficient empirical covariances) are
     treated as maximally extreme, matching the lam -> 0+ limit. The order
     is taken over all p eigenvalues; only the k pairs kept are
-    back-transformed, which gives the same bits as back-transforming all p
-    and keeping k.
+    back-transformed. That gives the same bits as back-transforming all p
+    and keeping k under OpenBLAS's SkylakeX and Sandybridge kernels, where
+    it was verified; under its Haswell kernel the bits differ at k = 5.
     """
     p = cov_1.dim
     if cov_2.dim != p:
         raise DimensionMismatchError("covariances must share the same dimension")
     k = p if k is None else k
-    if k < 1 or k > p:
-        raise DimensionMismatchError(f"cannot keep {k} of {p} eigenpairs; need 1 <= k <= p")
+    _check_embed_dim(k, p)
     _check_ridge(ridge)
     a = cov_1.entries + ridge * np.eye(p) if ridge > 0 else cov_1.entries
     try:

@@ -19,14 +19,16 @@ Randomness is keyed on ``RngStream(seed, (cell index, replicate))`` and a
 context under it. BLAS runs on one thread in numpy's bundled OpenBLAS
 (``covproj.blas``; the manifest's ``blas`` object), which the run refuses to
 start without, so results are identical for any worker count, across runs
-and across hosts with the same BLAS build. ``records.csv`` is a sweep's one
-output: each cell's records stream to it in cell order and are dropped, so
-memory does not grow with the number of records. Cell order makes the file
-byte-stable, and every cell writes the same number of rows, so its complete
-lines are its own checkpoint: a rerun resumes after the last complete cell.
-The per-record ``ms`` column is always 0, kept for format compatibility,
-because wall times would break that byte stability; aggregate timing lives
-in the run manifest. The columns of ``records.csv`` are the fields of
+and across hosts with the same BLAS build running the same kernel (the core
+named in ``blas.config``, which OpenBLAS picks per CPU; a resume checks
+both). ``records.csv`` is a sweep's one output: each cell's records stream
+to it in cell order and are dropped, so memory does not grow with the
+number of records. Cell order makes the file byte-stable, and every cell
+writes the same number of rows, so its complete lines are its own
+checkpoint: a rerun resumes after the last complete cell. The per-record
+``ms`` column is always 0, kept for format compatibility, because wall
+times would break that byte stability; aggregate timing lives in the run
+manifest. The columns of ``records.csv`` are the fields of
 ``SweepRecord``, in order, and the keys of a config file are the fields of
 ``SweepConfig``: one codec per annotation reads and writes both.
 """
@@ -60,12 +62,17 @@ from .core import (
     MixedModesError,
     RngStream,
     TwoClassGaussian,
+    _check_fraction,
     _check_ridge,
     _text_lines,
 )
 from .datasets import _class_blocks
 from .generators import (
     _FIXTURES,
+    _check_gamma,
+    _check_share,
+    _check_sparse_density,
+    _check_spike_levels,
     _column_subsample,
     empirical_cov_pair,
     gen_iw_pair,
@@ -189,22 +196,20 @@ class SweepConfig:
             for key, grid in (("df1_over_p", self.df1_over_p), ("df2_over_p", self.df2_over_p)):
                 if not grid or not all(1.0 <= m < math.inf for m in grid):
                     raise ConfigError(key, "df/p multiples must all be finite and >= 1")
+        # each family's parameters under the rules of the function they feed
         if self.family == "latent_low_dim":
-            for mode in self.share_modes:
-                if mode not in ("none", "q", "theta"):
-                    raise ConfigError("share", f"must be none, q or theta, got {mode!r}")
+            for share in self.share_modes:
+                _check_share(share)
             for dens in self.q_densities:
                 if dens not in ("dense", "sparse"):
                     raise ConfigError("q_density", f"must be dense or sparse, got {dens!r}")
-            if not 0.0 < self.sparse_q_density <= 1.0:
-                raise ConfigError("sparse_q_density", "must lie in (0, 1]")
+            _check_sparse_density(self.sparse_q_density)
         if self.family == "empirical_cov":
-            if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
-                raise ConfigError("gamma", "overlap fractions must lie in [0, 1]")
-        if self.family in _FIXTURES and not 0 < self.delta < self.alpha < math.inf:
-            raise ConfigError("alpha/delta", "need 0 < delta < alpha < inf")
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError("train_frac", "must lie strictly between 0 and 1")
+            for gamma in self.gamma_grid:
+                _check_gamma(gamma)
+        if self.family in _FIXTURES:
+            _check_spike_levels(self.alpha, self.delta)
+        _check_fraction("train_frac", self.train_frac)
         if self.mc_samples < 1:
             raise ConfigError("mc_samples", "must be at least 1")
         _check_ridge(self.ridge)
@@ -643,10 +648,13 @@ def _load_source(config: SweepConfig):
     return _class_blocks(config.dataset, config.label_column, config.p_grid)
 
 
-def _check_resume(config: SweepConfig, out_dir: Path):
-    """Refuse to extend a partial run unless its manifest echoes this config.
+def _check_resume(config: SweepConfig, out_dir: Path, blas: dict):
+    """Refuse to extend a partial run unless its manifest echoes this config
+    and names this run's BLAS build and kernel (``blas``'s ``library`` and
+    ``config``): the kernel alone moves bits.
 
-    The worker count is left out of the comparison: records do not depend on it.
+    The worker count and the thread counts are left out of the comparison:
+    records do not depend on them.
     """
     try:
         manifest = json.loads((out_dir / "manifest.json").read_bytes())
@@ -664,6 +672,15 @@ def _check_resume(config: SweepConfig, out_dir: Path):
             f"{out_dir} holds a partial run with a different configuration; "
             "use a fresh output directory",
         )
+    made_with = manifest["blas"] if isinstance(manifest.get("blas"), dict) else {}
+    theirs = (made_with.get("library"), made_with.get("config"))
+    ours = (blas["library"], blas["config"])
+    if theirs != ours:
+        raise ConfigError(
+            "blas",
+            f"{out_dir} holds a partial run made with BLAS {theirs[0]!r} ({theirs[1]!r}); "
+            f"this run has {ours[0]!r} ({ours[1]!r}); use a fresh output directory",
+        )
 
 
 def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
@@ -672,9 +689,9 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
     wrote and how many of them failed. No record is kept: read them back
     with ``read_records_csv``. A directory whose records file holds complete
     cells is resumed after the last of them (see ``CsvSink``), provided its
-    manifest echoes this configuration (the worker count may differ) and the
-    grid has that many cells; otherwise ``ConfigError`` is raised and nothing
-    is written.
+    manifest echoes this configuration (the worker count may differ) and
+    names this run's BLAS build and kernel, and the grid has that many
+    cells; otherwise ``ConfigError`` is raised and nothing is written.
 
     The whole run uses one BLAS thread (see ``covproj.blas``); a numpy
     without its bundled OpenBLAS is refused with ``ConfigError`` before
@@ -701,7 +718,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
                 f"the grid has {len(cells)}",
             )
         if sink.n_done:
-            _check_resume(config, out_dir)
+            _check_resume(config, out_dir, blas)
         sink.open()
         run_info = {
             "records_csv": str(sink.records_path),
@@ -709,7 +726,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
             "rows_per_cell": rows_per_cell(config),
             "started_at": started,
             "blas": blas,
-            # what ran the sweep; a resume compares only the config echo
+            # what ran the sweep; a resume compares none of it
             "host": {
                 "node": platform.node(),
                 "cpu_count": os.cpu_count(),

@@ -169,6 +169,35 @@ def test_manifest_names_the_host(tmp_path):
     assert "host" not in manifest["config"]
 
 
+SWEEP_COMMAND = """
+import sys
+from covproj import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="forces x86-64 OpenBLAS kernels")
+def test_resume_under_another_kernel_exits_2_untouched(tmp_path):
+    """The kernel alone moves bits, so a partial run made under one OpenBLAS
+    kernel is not extended under another: the resume exits 2 naming both and
+    leaves the directory as it was."""
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
+    cfg.write_text("family = inverse_wishart\np = 6,8\nq = 2\ndf1_over_p = 2\ndf2_over_p = 2\n")
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    first = _python(SWEEP_COMMAND, *argv, OPENBLAS_CORETYPE="Sandybridge")
+    assert first.returncode == 0, first.stderr
+    records = out / "records.csv"
+    header_and_first_cell = records.read_bytes().splitlines(keepends=True)[:4]
+    records.write_bytes(b"".join(header_and_first_cell))
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "Sandybridge" in json.loads(files["manifest.json"])["blas"]["config"]
+    second = _python(SWEEP_COMMAND, *argv, OPENBLAS_CORETYPE="Nehalem")
+    assert second.returncode == 2, second.stderr
+    assert second.stderr.startswith("error: blas: ")
+    assert "Sandybridge" in second.stderr and "Nehalem" in second.stderr
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == files
+
+
 # every public name of the package, eager or lazy
 PUBLIC_NAMES = """
 Cell ConfigError CovProjError DatasetFormatError DegreesOfFreedomError

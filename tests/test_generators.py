@@ -138,6 +138,14 @@ class TestScaledInverseWishart:
         with pytest.raises(DegreesOfFreedomError):
             sample_scaled_inverse_wishart(20, 19.5, RngStream(115))
 
+    @pytest.mark.parametrize("sampler", [sample_inverse_wishart, sample_scaled_inverse_wishart])
+    @pytest.mark.parametrize("df", [np.nan, np.inf])
+    def test_non_finite_df_rejected(self, sampler, df):
+        """A NaN df would give an all-NaN matrix and an infinite one a zero
+        matrix; both samplers refuse it like a df that is too small."""
+        with pytest.raises(DegreesOfFreedomError):
+            sampler(3, df, RngStream(116))
+
 
 class TestIwPair:
     def test_valid_pair(self):
@@ -202,6 +210,14 @@ class TestLatentFamily:
         with pytest.raises(ConfigError) as info:
             gen_latent_pair(50, share, None, RngStream(131))
         assert info.value.field == "share"
+
+    @pytest.mark.parametrize("density", [np.nan, 0.0, -0.1, 1.5])
+    def test_sparse_density_outside_unit_interval_rejected(self, density):
+        """NaN or 0 would keep no entry of Q, dropping the latent signal, and
+        1.5 every entry."""
+        with pytest.raises(ConfigError) as info:
+            gen_latent_pair(10, "none", density, RngStream(131))
+        assert info.value.field == "sparse_q_density"
 
     @pytest.mark.parametrize("share", ["none", "q", "theta"])
     @pytest.mark.parametrize("sparse", [False, True])

@@ -13,6 +13,7 @@ from covproj import (
     DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
+    ProjectionMatrix,
     RngStream,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
@@ -83,6 +84,25 @@ class TestPcaProjection:
         w5 = pca_projection(m, 5)
         w2 = pca_projection(m, 2)
         assert np.array_equal(w5.entries[:, :2], w2.entries)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 4])
+def test_one_embedding_dimension_rule(g, q):
+    """PCA, the eigenpairs kept, both random families and a frame refuse a q
+    outside [1, p] alike; a negative q no longer reaches numpy's draw."""
+    c = rand_spd(g, 3)
+    calls = [
+        lambda: pca_projection(c, q),
+        lambda: generalized_eigenpairs(c, c, k=q),
+        lambda: random_projection(3, q, RngStream(0)),
+        lambda: sparse_random_projection(3, q, RngStream(0)),
+    ]
+    if q >= 0:
+        calls.append(lambda: ProjectionMatrix(np.ones((3, q))))
+    for call in calls:
+        with pytest.raises(DimensionMismatchError) as err:
+            call()
+        assert str(err.value) == f"embedding dimension q={q} must satisfy 1 <= q <= p=3"
 
 
 def _fix_column_signs_loop(v):

@@ -1,6 +1,6 @@
 """Property-based invariants of the record and config formats, the row
-parser and the C reader, and the overlap of an embedding and of a stack of
-embeddings.
+parser and the C reader, the overlap of an embedding and of a stack of
+embeddings, and exact metamorphic relations of a sweep point's overlaps.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -23,18 +23,21 @@ from covproj import (
     SweepRecord,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
+    build_projection,
     config_from_mapping,
     datasets,
     embedded_overlap,
     embedded_overlaps,
+    expand_grid,
     generalized_eigenpairs,
     make_spd,
     optimal_overlap_closed_form,
     read_records_csv,
 )
 from covproj.datasets import _parse_row
+from covproj.metrics import _embedded_overlaps
 from covproj.projections import PROJECTIONS
-from covproj.sweep import CSV_HEADER, DATA_MODE, EMPIRICAL, FAMILIES, MODES
+from covproj.sweep import CSV_HEADER, DATA_MODE, EMPIRICAL, FAMILIES, MODES, _draw_point
 from conftest import reference_embedded_overlap
 
 FIXED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -199,6 +202,93 @@ def test_optimal_projection_attains_its_closed_form_and_beats_random_w(case):
     closed_form = optimal_overlap_closed_form(values)
     assert achieved == pytest.approx(closed_form, rel=1e-9)
     assert achieved <= embedded_overlap(model, w) * (1 + 1e-9)
+
+
+@st.composite
+def sweep_points(draw):
+    """An inverse Wishart overlap point as ``_draw_point`` draws it, with
+    every projection, a class-1 weight, a Haar rotation Q and a scale c.
+
+    df/p >= 1.5 and q <= p/2 keep the pair and a random frame well
+    conditioned, so the relations below hold to round-off. At df = p, or
+    with q near p, the conditioning amplifies round-off past 1e-12 (up to
+    1.6e-9 measured) although each relation still holds; latent pairs, with
+    their heavy-tailed factor, likewise.
+    """
+    p = draw(st.integers(2, 24))
+    config = SweepConfig(
+        family="inverse_wishart",
+        p_grid=(p,),
+        q_grid=(draw(st.integers(1, p // 2)),),
+        projections=PROJECTIONS,
+        df1_over_p=(draw(st.sampled_from((1.5, 2.0, 5.0))),),
+        df2_over_p=(draw(st.sampled_from((1.5, 2.0, 5.0))),),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    (cell,) = expand_grid(config)
+    point = _draw_point(config, cell, 0, 0, None)
+    weighted = TwoClassGaussian.zero_mean(
+        point.model.cov_1, point.model.cov_2, draw(st.floats(0.1, 0.9))
+    )
+    rot, r = np.linalg.qr(np.random.default_rng(config.master_seed).standard_normal((p, p)))
+    rot *= np.sign(np.diag(r))
+    return config, cell.q, point.build, weighted, rot, draw(st.floats(0.1, 10.0))
+
+
+def _frames(config, q, build, model):
+    """Each projection of the point built on ``model``'s pair, as the sweep
+    builds it; the random frames depend on their streams alone."""
+    return [
+        build_projection(name, q, model.cov_1, model.cov_2, stream, config.ridge)
+        for name, stream in zip(config.projections, build)
+    ]
+
+
+def _overlaps(model, frames):
+    """The frames' overlaps scored as one stack, as the sweep scores them."""
+    return pytest.approx(_embedded_overlaps(model, frames), rel=1e-12, abs=0)
+
+
+def _mapped(model, f):
+    """``model`` with f applied to both covariances."""
+    covs = (make_spd(f(model.cov_1.entries)), make_spd(f(model.cov_2.entries)))
+    return TwoClassGaussian.zero_mean(*covs, model.weight_1)
+
+
+@FIXED
+@given(sweep_points())
+def test_joint_rotation_leaves_a_points_overlaps_unchanged(case):
+    """(Q C1 Q^T, Q C2 Q^T) gives the PCA and optimal overlaps of (C1, C2),
+    and a random frame W turned into QW gives W's overlap on (C1, C2)."""
+    config, q, build, model, rot, _ = case
+    rotated = _mapped(model, lambda c: rot @ c @ rot.T)
+    frames = _frames(config, q, build, model)
+    turned = _frames(config, q, build, rotated)
+    for j, name in enumerate(config.projections):
+        if name in ("rp", "sparse_rp"):
+            turned[j] = ProjectionMatrix(rot @ frames[j].entries)
+    assert _embedded_overlaps(rotated, turned) == _overlaps(model, frames)
+
+
+@FIXED
+@given(sweep_points())
+def test_class_swap_leaves_a_points_overlaps_unchanged(case):
+    """Swapping the classes and their weights leaves every overlap unchanged:
+    the optimal frame spans the same space, since lam + 1/lam is symmetric
+    in lam <-> 1/lam."""
+    config, q, build, model, _, _ = case
+    swapped = TwoClassGaussian.zero_mean(model.cov_2, model.cov_1, model.weight_2)
+    got = _embedded_overlaps(swapped, _frames(config, q, build, swapped))
+    assert got == _overlaps(model, _frames(config, q, build, model))
+
+
+@FIXED
+@given(sweep_points())
+def test_common_scale_leaves_a_points_overlaps_unchanged(case):
+    config, q, build, model, _, c = case
+    scaled = _mapped(model, lambda cov: c * cov)
+    got = _embedded_overlaps(scaled, _frames(config, q, build, scaled))
+    assert got == _overlaps(model, _frames(config, q, build, model))
 
 
 def _float_or_none(token):

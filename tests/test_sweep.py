@@ -13,9 +13,12 @@ import pytest
 
 from covproj import (
     ConfigError,
+    CovProjError,
     EmptyGridError,
+    LabeledDataset,
     MixedModesError,
     ProjectionMatrix,
+    RngStream,
     SingularBlendError,
     SweepConfig,
     SweepRecord,
@@ -23,7 +26,10 @@ from covproj import (
     expand_grid,
     parse_config_file,
     TwoClassGaussian,
+    column_overlap,
     embedded_overlap,
+    gen_latent_pair,
+    pca_adversarial_pair,
     pca_favorable_pair,
     read_records_csv,
     run_sweep,
@@ -151,6 +157,39 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
         assert err.value.field == key
+
+    @pytest.mark.parametrize(
+        "family, field, value, call",
+        [
+            ("latent_low_dim", "share_modes", ("none", "both"),
+             lambda: gen_latent_pair(6, "both", None, RngStream(0))),
+            ("latent_low_dim", "sparse_q_density", 0.0,
+             lambda: gen_latent_pair(6, "none", 0.0, RngStream(0))),
+            ("latent_low_dim", "sparse_q_density", math.nan,
+             lambda: gen_latent_pair(6, "none", math.nan, RngStream(0))),
+            ("latent_low_dim", "sparse_q_density", 1.5,
+             lambda: gen_latent_pair(6, "none", 1.5, RngStream(0))),
+            ("empirical_cov", "gamma_grid", (0.5, 1.5),
+             lambda: column_overlap(np.ones((4, 3)), np.ones((4, 3)), 1.5, RngStream(0))),
+            ("example1", "alpha", 1.0, lambda: pca_favorable_pair(6, 2, 1.0, 1.0)),
+            ("example2", "delta", 0.0, lambda: pca_adversarial_pair(6, 2, 4.0, 0.0)),
+            ("inverse_wishart", "train_frac", 1.0,
+             lambda: LabeledDataset(np.zeros((4, 2)), [1, 1, 2, 2]).split(1.0, RngStream(0))),
+        ],
+        ids=["share", "density_0", "density_nan", "density_1.5", "gamma", "alpha", "delta",
+             "train_frac"],
+    )
+    def test_config_calls_the_public_functions_rule(self, family, field, value, call):
+        """Each family parameter has one rule, in the public function that
+        uses the value: the config refuses a bad value with that function's
+        error, field and message."""
+        with pytest.raises(CovProjError) as by_config:
+            SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+        with pytest.raises(CovProjError) as by_function:
+            call()
+        assert type(by_config.value) is type(by_function.value) is ConfigError
+        assert by_config.value.field == by_function.value.field
+        assert str(by_config.value) == str(by_function.value)
 
     @pytest.mark.parametrize(
         "field, value, key", [("n_simu", 0, "n_simu"), ("master_seed", -1, "seed")]
