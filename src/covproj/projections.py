@@ -11,8 +11,7 @@ the sample estimates (the empirical form).
 Every constructor returns a ProjectionMatrix and is deterministic given its
 inputs and an RngStream. ``generalized_eigenpairs`` returns plain arrays: the
 eigenvalues and, as columns, the eigenvectors, most extreme first, so the
-pairs for k are the first k of the pairs for any larger k (to the bit on
-the BLAS kernels its docstring names).
+pairs for k are the first k of the pairs for any larger k, to the bit.
 """
 
 from __future__ import annotations
@@ -69,8 +68,11 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
 
 def mixture_covariance(x: np.ndarray) -> SpdMatrix:
     """Sample covariance (divisor n) of the rows of x: a class, or the pooled
-    rows whose mixture covariance PCA decomposes."""
+    rows whose mixture covariance PCA decomposes. A non-finite entry raises
+    ConfigError."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ConfigError("x", "entries must be finite")
     centered = x - x.mean(axis=0)
     return _derived_spd(centered.T @ centered / x.shape[0])
 
@@ -136,11 +138,10 @@ def generalized_eigenpairs(
     Pairs are ordered by decreasing extremeness lam + 1/lam, with ties broken
     by ascending position in the eigensolver output. Eigenvalues that are
     non-positive (round-off on rank-deficient empirical covariances) are
-    treated as maximally extreme, matching the lam -> 0+ limit. The order
-    is taken over all p eigenvalues; only the k pairs kept are
-    back-transformed. That gives the same bits as back-transforming all p
-    and keeping k under OpenBLAS's SkylakeX and Sandybridge kernels, where
-    it was verified; under its Haswell kernel the bits differ at k = 5.
+    treated as maximally extreme, matching the lam -> 0+ limit. All p
+    eigenvectors are back-transformed in that order by one triangular solve
+    and the first k kept, so the pairs for k are the first k of the pairs
+    for any larger k, to the bit, whatever the BLAS kernel.
     """
     p = cov_1.dim
     if cov_2.dim != p:
@@ -163,12 +164,9 @@ def generalized_eigenpairs(
         lam_pos = np.maximum(lam, 0.0)
         score = np.where(lam_pos > 0.0, lam_pos + 1.0 / lam_pos, np.inf)
     order = np.argsort(-score, kind="stable")
-    # one right-hand side would take BLAS's vector solve, which rounds
-    # differently from the blocked solve of several columns
-    chosen = order[: max(2, k)]
-    phi = solve_triangular(ell.T, u[:, chosen], lower=False)
+    phi = solve_triangular(ell.T, u[:, order], lower=False)[:, :k]
     phi /= np.linalg.norm(phi, axis=0)
-    return lam[order[:k]], _fix_column_signs(phi)[:, :k]
+    return lam[order[:k]], _fix_column_signs(phi)
 
 
 def bhattacharyya_optimal_projection(

@@ -198,6 +198,31 @@ def test_resume_under_another_kernel_exits_2_untouched(tmp_path):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == files
 
 
+PREFIX_UNDER_KERNEL = """
+import numpy as np
+from covproj import blas, generalized_eigenpairs, make_spd
+print(blas.numpy_openblas().config)
+g = np.random.default_rng(32)
+for p in (20, 200):
+    c1, c2 = (make_spd(a @ a.T / p + 0.1 * np.eye(p)) for a in g.standard_normal((2, p, p)))
+    full_values, full_vectors = generalized_eigenpairs(c1, c2)
+    values, vectors = generalized_eigenpairs(c1, c2, k=5)
+    print(p, values.tobytes() == full_values[:5].tobytes(),
+          vectors.tobytes() == full_vectors[:, :5].tobytes())
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="forces x86-64 OpenBLAS kernels")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Nehalem"])
+def test_k_pairs_are_the_leading_pairs_under_every_kernel(core):
+    """The optimal frame for k is the first k columns of the frame for p, to
+    the bit, under each forced kernel, not just the one the CPU picks: a
+    solve of k columns alone rounds differently under Haswell and Nehalem."""
+    config, *prefixes = _run_python(PREFIX_UNDER_KERNEL, OPENBLAS_CORETYPE=core)
+    assert core in config
+    assert prefixes == ["20 True True", "200 True True"]
+
+
 # every public name of the package, eager or lazy
 PUBLIC_NAMES = """
 Cell ConfigError CovProjError DatasetFormatError DegreesOfFreedomError

@@ -19,6 +19,7 @@ from covproj import (
     bhattacharyya_optimal_projection,
     build_projection,
     embedded_overlap,
+    empirical_cov_pair,
     empirical_covariances,
     generalized_eigenpairs,
     make_spd,
@@ -348,3 +349,17 @@ class TestEmpiricalCovariances:
         assert_allclose(
             mixture_covariance(x).entries, centered.T @ centered / 40, atol=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused(self, g, bad):
+        """Refused where the rows enter: a NaN covariance would make PCA and
+        the optimal frame fail to converge and an overlap read 0.5."""
+        x = g.standard_normal((20, 4))
+        x[3, 1] = bad
+        for call in (mixture_covariance, lambda x: empirical_cov_pair(x, x[:10])):
+            with pytest.raises(ConfigError) as err:
+                call(x)
+            assert (err.value.field, str(err.value)) == ("x", "x: entries must be finite")
+        c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
+        with pytest.raises(ConfigError, match="^x: entries must be finite$"):
+            build_projection("pca", 2, c1, c2, RngStream(0), x=x)

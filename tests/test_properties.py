@@ -1,6 +1,7 @@
 """Property-based invariants of the record and config formats, the row
 parser and the C reader, the overlap of an embedding and of a stack of
-embeddings, and exact metamorphic relations of a sweep point's overlaps.
+embeddings, and exact metamorphic relations of a sweep point's overlaps and
+reconstruction errors.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -19,6 +20,7 @@ from covproj import (
     ConfigError,
     DatasetFormatError,
     ProjectionMatrix,
+    RngStream,
     SweepConfig,
     SweepRecord,
     TwoClassGaussian,
@@ -28,11 +30,14 @@ from covproj import (
     datasets,
     embedded_overlap,
     embedded_overlaps,
+    empirical_covariances,
     expand_grid,
     generalized_eigenpairs,
     make_spd,
     optimal_overlap_closed_form,
     read_records_csv,
+    reconstruction_error,
+    sample_two_class,
 )
 from covproj.datasets import _parse_row
 from covproj.metrics import _embedded_overlaps
@@ -285,10 +290,26 @@ def test_class_swap_leaves_a_points_overlaps_unchanged(case):
 @FIXED
 @given(sweep_points())
 def test_common_scale_leaves_a_points_overlaps_unchanged(case):
+    """c C_k leaves every overlap unchanged; with sample covariances S_k
+    scaled to c S_k too, each frame's reconstruction error scales by c^2.
+
+    The reconstruction errors are compared on the same frames: one built on
+    the scaled pair differs in its last bits, which a small error, the
+    difference of close S_k and C_k, amplifies past 1e-12 (1.1e-12 measured
+    under OpenBLAS's Sandybridge kernel)."""
     config, q, build, model, _, c = case
     scaled = _mapped(model, lambda cov: c * cov)
+    frames = _frames(config, q, build, model)
     got = _embedded_overlaps(scaled, _frames(config, q, build, scaled))
-    assert got == _overlaps(model, _frames(config, q, build, model))
+    assert got == _overlaps(model, frames)
+    p = model.cov_1.dim
+    sample = empirical_covariances(sample_two_class(model, p, p, RngStream(config.master_seed)))
+    s_k = (sample.cov_1, sample.cov_2)
+    scaled_s_k = [make_spd(c * s.entries) for s in s_k]
+    for frame in frames:
+        want = reconstruction_error(frame, *s_k, model.cov_1, model.cov_2)
+        got = reconstruction_error(frame, *scaled_s_k, scaled.cov_1, scaled.cov_2)
+        assert got == pytest.approx(c * c * want, rel=1e-12, abs=0)
 
 
 def _float_or_none(token):
