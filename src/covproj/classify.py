@@ -25,6 +25,7 @@ from .core import (
     SingularEmbeddedCovarianceError,
     SpdMatrix,
     TwoClassGaussian,
+    _check_count,
     _check_ridge,
     _derived_spd,
 )
@@ -177,8 +178,7 @@ def mc_bayes_risk(
     Memory is one chunk of noise plus a block's labels, independent of both
     ``n_samples`` and p; with ``w`` None the embedding is the identity.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples", "must be at least 1")
+    _check_count("n_samples", n_samples)
     emb = model if w is None else project_model(model, w)
     rule = fit_embedded_qda(emb)
     factors = [model.cov_1.cholesky(), model.cov_2.cholesky()]

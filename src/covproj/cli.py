@@ -36,6 +36,7 @@ from .core import (
     RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
+    _check_count,
     _check_ridge,
 )
 from .datasets import _class_blocks, load_matrix, load_vector
@@ -121,10 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if args.workers is not None:
-        config = dataclasses.replace(config, n_workers=args.workers)
+    overrides = {key: getattr(args, key) for key in ("seed", "workers")}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     n_new, n_failed = run_sweep(config, out_dir=args.out)
     print(f"wrote {Path(args.out) / 'records.csv'} ({n_new} new records, "
           f"{n_failed} failed records recorded in-band)")
@@ -184,6 +183,7 @@ def _oracle_model(args) -> TwoClassGaussian:
 
 
 def cmd_oracle(args) -> int:
+    _check_count("mc_samples", args.mc_samples)
     _check_ridge(args.ridge)
     model = _oracle_model(args)
     stream = RngStream(args.seed)

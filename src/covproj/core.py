@@ -127,6 +127,18 @@ def _check_fraction(field: str, value: float) -> None:
         raise ConfigError(field, "must lie strictly between 0 and 1")
 
 
+def _check_count(field: str, value: int) -> None:
+    """The one rule for a count: replicates, workers, Monte Carlo samples."""
+    if value < 1:
+        raise ConfigError(field, "must be at least 1")
+
+
+def _check_seed(field: str, seed: int) -> None:
+    """The one rule for a master seed: a 64-bit unsigned integer."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ConfigError(field, "must be a 64-bit unsigned integer")
+
+
 def _check_embed_dim(q: int, p: int) -> None:
     """The one rule for an embedding dimension q in ambient dimension p: a
     frame's columns, PCA's q, the eigenpairs kept."""
@@ -170,9 +182,7 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        seed = self.master_seed
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-            raise ConfigError("master_seed", "must be a 64-bit unsigned integer")
+        _check_seed("master_seed", self.master_seed)
         object.__setattr__(self, "path", _path_entries(self.path))
 
     def child(self, *indices: int) -> "RngStream":

@@ -62,8 +62,10 @@ from .core import (
     MixedModesError,
     RngStream,
     TwoClassGaussian,
+    _check_count,
     _check_fraction,
     _check_ridge,
+    _check_seed,
     _text_lines,
 )
 from .datasets import _class_blocks
@@ -145,22 +147,22 @@ class SweepConfig:
     when it is built, ``dataclasses.replace`` included."""
 
     family: str
-    p_grid: tuple[int, ...]
-    q_grid: tuple[int, ...]
+    p: tuple[int, ...]
+    q: tuple[int, ...]
     mode: str = "overlap"
     projections: tuple[str, ...] = ("pca", "rp", "sparse_rp")
     n_simu: int = 1
-    master_seed: int = 0
-    n_workers: int = 1
+    seed: int = 0
+    workers: int = 1
     # inverse Wishart family: degrees of freedom as multiples of p
     df1_over_p: tuple[float, ...] = (1.0,)
     df2_over_p: tuple[float, ...] = (1.0,)
     # latent low-dimension family
-    share_modes: tuple[str, ...] = ("none",)
-    q_densities: tuple[str, ...] = ("dense",)
+    share: tuple[str, ...] = ("none",)
+    q_density: tuple[str, ...] = ("dense",)
     sparse_q_density: float = 0.1
     # empirical covariance family
-    gamma_grid: tuple[float, ...] = (0.0,)
+    gamma: tuple[float, ...] = (0.0,)
     dataset: str | None = None
     label_column: str | None = None
     # fixture families
@@ -178,50 +180,46 @@ class SweepConfig:
         if self.mode not in MODES:
             hint = f"; {_FOLDED}" if self.mode == "oos_loss" else ""
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}{hint}")
-        if not self.p_grid or any(p < 1 for p in self.p_grid):
+        if not self.p or any(p < 1 for p in self.p):
             raise ConfigError("p", "need at least one positive ambient dimension")
-        if not self.q_grid or any(q < 1 for q in self.q_grid):
+        if not self.q or any(q < 1 for q in self.q):
             raise ConfigError("q", "need at least one positive embedding dimension")
-        if self.n_simu < 1:
-            raise ConfigError("n_simu", "must be at least 1")
-        if self.n_workers < 1:
-            raise ConfigError("workers", "must be at least 1")
+        _check_count("n_simu", self.n_simu)
+        _check_count("workers", self.workers)
         check_projections(self.projections, self.mode)
         # a repeated value would give two cells, or two projections, one
         # record identity, and the summary would keep only one of them
         for f in fields(self):
             if f.type.startswith("tuple["):
-                _refuse_repeats(_KEYS.get(f.name, f.name), getattr(self, f.name))
+                _refuse_repeats(f.name, getattr(self, f.name))
         if self.family == "inverse_wishart":
             for key, grid in (("df1_over_p", self.df1_over_p), ("df2_over_p", self.df2_over_p)):
                 if not grid or not all(1.0 <= m < math.inf for m in grid):
                     raise ConfigError(key, "df/p multiples must all be finite and >= 1")
         # each family's parameters under the rules of the function they feed
         if self.family == "latent_low_dim":
-            for share in self.share_modes:
+            for share in self.share:
                 _check_share(share)
-            for dens in self.q_densities:
+            for dens in self.q_density:
                 if dens not in ("dense", "sparse"):
                     raise ConfigError("q_density", f"must be dense or sparse, got {dens!r}")
             _check_sparse_density(self.sparse_q_density)
         if self.family == "empirical_cov":
-            for gamma in self.gamma_grid:
+            for gamma in self.gamma:
                 _check_gamma(gamma)
         if self.family in _FIXTURES:
             _check_spike_levels(self.alpha, self.delta)
         _check_fraction("train_frac", self.train_frac)
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples", "must be at least 1")
+        _check_count("mc_samples", self.mc_samples)
         _check_ridge(self.ridge)
         if self.mode == DATA_MODE:
             if not self.sample_grid or any(n < 2 for n in self.sample_grid):
                 raise ConfigError("sample_grid", "per-class sizes must all be >= 2")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("seed", "must be a 64-bit unsigned integer")
+        _check_seed("seed", self.seed)
 
     def to_mapping(self) -> dict[str, str]:
         """Flat key=value echo of every field, suitable for a manifest."""
-        return {key: fmt(getattr(self, name)) for key, name, (_, fmt) in _FIELDS}
+        return {name: fmt(getattr(self, name)) for name, (_, fmt) in _FIELDS.items()}
 
 
 def _finite(text: str) -> float:
@@ -255,35 +253,22 @@ def _codec(annotation: str):
     )
 
 
-# config key of each SweepConfig field not spelled as its name
-_KEYS = {
-    "p_grid": "p",
-    "q_grid": "q",
-    "master_seed": "seed",
-    "n_workers": "workers",
-    "share_modes": "share",
-    "q_densities": "q_density",
-    "gamma_grid": "gamma",
-}
-# (config key, SweepConfig field, codec): the one spelling of every field in
-# config files and in the manifest echo
-_FIELDS = tuple((_KEYS.get(f.name, f.name), f.name, _codec(f.type)) for f in fields(SweepConfig))
+# each SweepConfig field's codec; its name is its key in configs and manifests
+_FIELDS = {f.name: _codec(f.type) for f in fields(SweepConfig)}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
     """Build a config from flat string key=value pairs, parsing each field."""
     if "family" not in mapping:
         raise ConfigError("family", "missing required key")
-    known = {key: (name, parse) for key, name, (parse, _) in _FIELDS}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(
                 key, _FOLDED if key == "n_per_class" else "unknown configuration key"
             )
-        name, parse = known[key]
         try:
-            kwargs[name] = parse(value.strip())
+            kwargs[key] = _FIELDS[key][0](value.strip())
         except ValueError:
             raise ConfigError(key, f"cannot parse value {value!r}")
     return SweepConfig(**kwargs)
@@ -345,9 +330,9 @@ def _family_param_combos(config: SweepConfig) -> list[tuple]:
     if config.family == "inverse_wishart":
         return [(d1, d2) for d1 in config.df1_over_p for d2 in config.df2_over_p]
     if config.family == "latent_low_dim":
-        return [(s, d) for s in config.share_modes for d in config.q_densities]
+        return [(s, d) for s in config.share for d in config.q_density]
     if config.family == "empirical_cov":
-        return [(g,) for g in config.gamma_grid]
+        return [(g,) for g in config.gamma]
     return [(config.alpha, config.delta)]
 
 
@@ -356,8 +341,8 @@ def expand_grid(config: SweepConfig) -> list[Cell]:
     (the embedding must strictly reduce the dimension)."""
     combos = _family_param_combos(config)
     cells: list[Cell] = []
-    for p in config.p_grid:
-        for q in config.q_grid:
+    for p in config.p:
+        for q in config.q:
             if q >= p:
                 continue
             if config.family == "example2" and 2 * q > p:
@@ -471,7 +456,7 @@ class _Draw:
 def _draw_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> _Draw:
     """Point ``idx`` of replicate ``rep`` of ``cell``, drawn under the stream
     key ``RngStream(seed, (cell index, rep))``; a failing draw raises."""
-    base = RngStream(config.master_seed, (cell.index, rep))
+    base = RngStream(config.seed, (cell.index, rep))
     stream = base.child(_CTX_PAIR, idx)
     if config.family == "inverse_wishart":
         d1, d2 = cell.params
@@ -628,7 +613,6 @@ def _write_manifest(path: Path, config: SweepConfig, payload_extra: dict):
     payload = {
         "artifact": "covproj",
         "version": __version__,
-        "master_seed": config.master_seed,
         "config": config.to_mapping(),
     }
     payload.update(payload_extra)
@@ -645,7 +629,7 @@ def _load_source(config: SweepConfig):
         raise ConfigError("dataset", "the empirical family requires a dataset path")
     if not config.label_column:
         raise ConfigError("label_column", "the empirical family requires a label column")
-    return _class_blocks(config.dataset, config.label_column, config.p_grid)
+    return _class_blocks(config.dataset, config.label_column, config.p)
 
 
 def _check_resume(config: SweepConfig, out_dir: Path, blas: dict):
@@ -691,7 +675,9 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
     cells is resumed after the last of them (see ``CsvSink``), provided its
     manifest echoes this configuration (the worker count may differ) and
     names this run's BLAS build and kernel, and the grid has that many
-    cells; otherwise ``ConfigError`` is raised and nothing is written.
+    cells; otherwise ``ConfigError`` is raised and nothing is written. A
+    finished directory passes the same checks and is then left untouched,
+    manifest included: the call returns ``(0, 0)``.
 
     The whole run uses one BLAS thread (see ``covproj.blas``); a numpy
     without its bundled OpenBLAS is refused with ``ConfigError`` before
@@ -704,7 +690,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
     """
     cells = expand_grid(config)
     out_dir = Path(out_dir)
-    with single_thread() as blas, ThreadPoolExecutor(config.n_workers) as pool:
+    with single_thread() as blas, ThreadPoolExecutor(config.workers) as pool:
         source = _load_source(config)
         started = datetime.now(timezone.utc).isoformat()
         t_start = time.perf_counter()
@@ -719,6 +705,8 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
             )
         if sink.n_done:
             _check_resume(config, out_dir, blas)
+        if sink.n_done == len(cells):
+            return 0, 0
         sink.open()
         run_info = {
             "records_csv": str(sink.records_path),
@@ -737,7 +725,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> tuple[int, int]:
         _write_manifest(out_dir / "manifest.json", config, {**run_info, "status": "running"})
 
         # a one-thread pool would move every allocation into a second malloc arena
-        evaluate = pool.map if config.n_workers > 1 else map
+        evaluate = pool.map if config.workers > 1 else map
         n_new = n_failed = 0
         # the map's iterator lives only in this loop: an exception that leaves
         # the loop closes it, which cancels the cells not yet started

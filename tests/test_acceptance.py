@@ -130,14 +130,14 @@ def test_criterion_3_reduced_iw_sweep():
     def body():
         config = SweepConfig(
             family="inverse_wishart",
-            p_grid=(20, 50),
-            q_grid=(1, 2, 5),
+            p=(20, 50),
+            q=(1, 2, 5),
             df1_over_p=(1.0, 2.0, 5.0),
             df2_over_p=(1.0, 2.0, 5.0),
             n_simu=20,
             mode="overlap",
             projections=("pca", "rp", "sparse_rp"),
-            master_seed=9003,
+            seed=9003,
         )
         sweep_start = time.perf_counter()
         records = sweep_records(config)
@@ -163,14 +163,14 @@ def test_criterion_4_reduced_latent_sweep():
     def body():
         config = SweepConfig(
             family="latent_low_dim",
-            p_grid=(50, 100),
-            q_grid=(2, 5),
-            share_modes=("none", "q", "theta"),
-            q_densities=("dense", "sparse"),
+            p=(50, 100),
+            q=(2, 5),
+            share=("none", "q", "theta"),
+            q_density=("dense", "sparse"),
             n_simu=20,
             mode="overlap",
             projections=("pca", "rp", "sparse_rp"),
-            master_seed=9004,
+            seed=9004,
         )
         records = sweep_records(config)
         table = pair_values(records, "metric_overlap")
@@ -220,8 +220,8 @@ def test_criterion_6_finite_sample_curve():
     def body():
         config = SweepConfig(
             family="inverse_wishart",
-            p_grid=(200,),
-            q_grid=(5,),
+            p=(200,),
+            q=(5,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             n_simu=20,
@@ -238,7 +238,7 @@ def test_criterion_6_finite_sample_curve():
                 "empirical_bhatt_optimal",
             ),
             ridge=1e-6,
-            master_seed=9008,
+            seed=9008,
         )
         records = sweep_records(config)
         losses: dict[tuple, list] = {}
@@ -277,19 +277,19 @@ def test_criterion_6_finite_sample_curve():
 def _dimension_trend_curves(df_multiple: float, seed: int):
     config = SweepConfig(
         family="inverse_wishart",
-        p_grid=(20, 50, 100, 200),
-        q_grid=(5,),
+        p=(20, 50, 100, 200),
+        q=(5,),
         df1_over_p=(df_multiple,),
         df2_over_p=(df_multiple,),
         n_simu=50,
         mode="overlap",
         projections=("pca", "rp"),
-        master_seed=seed,
+        seed=seed,
     )
     records = sweep_records(config)
     means: dict[str, dict[int, float]] = {"pca": {}, "rp": {}}
     for name in means:
-        for p in config.p_grid:
+        for p in config.p:
             values = [
                 r.metric_overlap
                 for r in records
@@ -297,7 +297,7 @@ def _dimension_trend_curves(df_multiple: float, seed: int):
             ]
             assert len(values) == 50
             means[name][p] = float(np.mean(values))
-    return config.p_grid, means
+    return config.p, means
 
 
 def test_criterion_7_blessing_of_dimensionality():
@@ -356,8 +356,8 @@ def test_criterion_8_grid_arithmetic():
     def body():
         iw = SweepConfig(
             family="inverse_wishart",
-            p_grid=(20, 50, 100, 200),
-            q_grid=(1, 2, 5, 10, 50),
+            p=(20, 50, 100, 200),
+            q=(1, 2, 5, 10, 50),
             df1_over_p=(1, 1.5, 2, 3, 4, 5, 10),
             df2_over_p=(1, 1.5, 2, 3, 4, 5, 10),
             n_simu=100,
@@ -366,19 +366,19 @@ def test_criterion_8_grid_arithmetic():
         assert len(expand_grid(iw)) * iw.n_simu == 88_200
         latent = SweepConfig(
             family="latent_low_dim",
-            p_grid=(20, 50, 100, 200),
-            q_grid=(1, 2, 5, 10, 50),
-            share_modes=("none", "q", "theta"),
-            q_densities=("dense", "sparse"),
+            p=(20, 50, 100, 200),
+            q=(1, 2, 5, 10, 50),
+            share=("none", "q", "theta"),
+            q_density=("dense", "sparse"),
             n_simu=100,
         )
         assert len(expand_grid(latent)) == 108
         assert len(expand_grid(latent)) * latent.n_simu == 10_800
         empirical = SweepConfig(
             family="empirical_cov",
-            p_grid=(100, 500, 1000),
-            q_grid=(2, 5, 10, 20),
-            gamma_grid=(0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1),
+            p=(100, 500, 1000),
+            q=(2, 5, 10, 20),
+            gamma=(0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1),
             n_simu=20,
         )
         assert len(expand_grid(empirical)) == 108
@@ -391,18 +391,18 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     def body():
         config = SweepConfig(
             family="inverse_wishart",
-            p_grid=(10, 20),
-            q_grid=(1, 3),
+            p=(10, 20),
+            q=(1, 3),
             df1_over_p=(1.0, 2.0),
             df2_over_p=(1.0, 2.0),
             n_simu=3,
             mode="overlap",
-            master_seed=9010,
+            seed=9010,
         )
         run_sweep(config, out_dir=tmp_path / "a")
         rerun_config = parse_config_file(tmp_path / "a" / "manifest.json")
         assert rerun_config == config
-        run_sweep(dataclasses.replace(rerun_config, n_workers=8), out_dir=tmp_path / "b")
+        run_sweep(dataclasses.replace(rerun_config, workers=8), out_dir=tmp_path / "b")
         run_sweep(rerun_config, out_dir=tmp_path / "c")
         blob_a = (tmp_path / "a" / "records.csv").read_bytes()
         assert blob_a == (tmp_path / "b" / "records.csv").read_bytes(), "1 vs 8 workers differ"

@@ -109,9 +109,9 @@ from pathlib import Path
 import covproj, covproj.cli
 from covproj import SweepConfig, read_records_csv, run_sweep
 config = SweepConfig(
-    family="inverse_wishart", p_grid=(8,), q_grid=(2,), df1_over_p=(2.0,),
+    family="inverse_wishart", p=(8,), q=(2,), df1_over_p=(2.0,),
     df2_over_p=(2.0,), projections=("pca", "rp", "bhatt_optimal"),
-    mode="finite_sample_curve", sample_grid=(30,), n_simu=2, master_seed=5,
+    mode="finite_sample_curve", sample_grid=(30,), n_simu=2, seed=5,
 )
 with tempfile.TemporaryDirectory() as out:
     run_sweep(config, out)
@@ -157,7 +157,7 @@ def test_numpy_without_bundled_openblas_exits_2(tmp_path, argv):
 
 
 def test_manifest_names_the_host(tmp_path):
-    config = SweepConfig(family="example1", p_grid=(3,), q_grid=(1,))
+    config = SweepConfig(family="example1", p=(3,), q=(1,))
     run_sweep(config, out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["host"] == {

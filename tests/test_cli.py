@@ -518,6 +518,16 @@ class TestOracleCommand:
         assert out == ""
         assert "ridge" in err
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_mc_samples_below_one_exits_2_naming_the_option(self, capsys, n):
+        """Checked before the model is built, under the option's own name
+        rather than mc_bayes_risk's ``n_samples``."""
+        code = main(["oracle", "example1", "--p", "6", "--q", "2", "--mc-samples", n])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: mc_samples: must be at least 1\n"
+
     def test_ridge_zero_is_passed_as_given(self, tmp_path, capsys):
         """``--ridge 0`` turns bhatt_optimal's fallback off: a singular C1
         fails at the optimal frame itself rather than being ridged."""

@@ -60,33 +60,33 @@ ORACLE = ("pca", "rp", "sparse_rp", "bhatt_optimal")
 CONFIGS = {
     "inverse_wishart": SweepConfig(
         family="inverse_wishart",
-        p_grid=(20, 50),
-        q_grid=(1, 2, 5),
+        p=(20, 50),
+        q=(1, 2, 5),
         df1_over_p=(1.0, 2.0, 5.0),
         df2_over_p=(1.0, 2.0, 5.0),
         projections=ORACLE,
-        master_seed=301,
+        seed=301,
     ),
     # the benchmark's latent_small_p grid at one replicate
     "latent_low_dim": SweepConfig(
         family="latent_low_dim",
-        p_grid=(20, 50),
-        q_grid=(1, 2, 5),
-        share_modes=("none", "q", "theta"),
-        q_densities=("dense", "sparse"),
+        p=(20, 50),
+        q=(1, 2, 5),
+        share=("none", "q", "theta"),
+        q_density=("dense", "sparse"),
         projections=ORACLE,
-        master_seed=302,
+        seed=302,
     ),
     # the dataset is written by _two_class_csv when the test runs
     "empirical_cov": SweepConfig(
         family="empirical_cov",
-        p_grid=(4, 10),
-        q_grid=(1, 2, 3),
-        gamma_grid=(0.0, 0.5, 1.0),
+        p=(4, 10),
+        q=(1, 2, 3),
+        gamma=(0.0, 0.5, 1.0),
         label_column="label",
         n_simu=2,
         projections=ORACLE,
-        master_seed=303,
+        seed=303,
     ),
 }
 
@@ -171,13 +171,13 @@ def test_every_overlap_record_matches_independent_numerics(family, tmp_path):
 RECON = SweepConfig(
     family="inverse_wishart",
     mode="finite_sample_curve",
-    p_grid=(20,),
-    q_grid=(2, 5),
+    p=(20,),
+    q=(2, 5),
     df1_over_p=(2.0,),
     df2_over_p=(2.0,),
     sample_grid=(40, 160),
     projections=(*ORACLE, "empirical_pca", "empirical_rp"),
-    master_seed=301,
+    seed=301,
 )
 
 
@@ -236,14 +236,14 @@ def _count_errors(y, labels, weights, means, covs):
 OOS = SweepConfig(
     family="inverse_wishart",
     mode="finite_sample_curve",
-    p_grid=(20,),
-    q_grid=(2, 5),
+    p=(20,),
+    q=(2, 5),
     df1_over_p=(2.0,),
     df2_over_p=(2.0,),
     sample_grid=(20, 40, 160),
     n_simu=2,
     projections=(*ORACLE, *(f"empirical_{name}" for name in ORACLE)),
-    master_seed=301,
+    seed=301,
 )
 
 
@@ -277,14 +277,14 @@ def test_every_oos_record_matches_an_independent_count():
 MC = SweepConfig(
     family="inverse_wishart",
     mode="risk_mc",
-    p_grid=(8, 20),
-    q_grid=(1, 3),
+    p=(8, 20),
+    q=(1, 3),
     df1_over_p=(1.0, 2.0),
     df2_over_p=(2.0,),
     mc_samples=4096,
     n_simu=2,
     projections=ORACLE,
-    master_seed=301,
+    seed=301,
 )
 
 
@@ -323,8 +323,8 @@ def test_fixture_overlaps_match_the_closed_form(family):
     the block) and the optimal frame alpha/delta."""
     config = SweepConfig(
         family=family,
-        p_grid=(6, 10, 40),
-        q_grid=(1, 2, 3, 5),
+        p=(6, 10, 40),
+        q=(1, 2, 3, 5),
         projections=("pca", "bhatt_optimal"),
     )
     alpha, delta = config.alpha, config.delta

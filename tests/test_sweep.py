@@ -44,8 +44,8 @@ from conftest import sweep_records
 
 PAPER_IW = SweepConfig(
     family="inverse_wishart",
-    p_grid=(20, 50, 100, 200),
-    q_grid=(1, 2, 5, 10, 50),
+    p=(20, 50, 100, 200),
+    q=(1, 2, 5, 10, 50),
     df1_over_p=(1, 1.5, 2, 3, 4, 5, 10),
     df2_over_p=(1, 1.5, 2, 3, 4, 5, 10),
     n_simu=100,
@@ -53,29 +53,29 @@ PAPER_IW = SweepConfig(
 
 PAPER_LATENT = SweepConfig(
     family="latent_low_dim",
-    p_grid=(20, 50, 100, 200),
-    q_grid=(1, 2, 5, 10, 50),
-    share_modes=("none", "q", "theta"),
-    q_densities=("dense", "sparse"),
+    p=(20, 50, 100, 200),
+    q=(1, 2, 5, 10, 50),
+    share=("none", "q", "theta"),
+    q_density=("dense", "sparse"),
     n_simu=100,
 )
 
 PAPER_EMPIRICAL = SweepConfig(
     family="empirical_cov",
-    p_grid=(100, 500, 1000),
-    q_grid=(2, 5, 10, 20),
-    gamma_grid=(0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1),
+    p=(100, 500, 1000),
+    q=(2, 5, 10, 20),
+    gamma=(0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1),
     n_simu=20,
 )
 
 SMALL_IW = SweepConfig(
     family="inverse_wishart",
-    p_grid=(10, 20),
-    q_grid=(1, 3),
+    p=(10, 20),
+    q=(1, 3),
     df1_over_p=(1.0, 2.0),
     df2_over_p=(1.0,),
     n_simu=2,
-    master_seed=77,
+    seed=77,
 )
 
 
@@ -104,7 +104,7 @@ class TestExpandGrid:
         assert [c.index for c in cells] == list(range(len(cells)))
 
     def test_empty_grid_rejected(self):
-        cfg = dataclasses.replace(SMALL_IW, p_grid=(2,), q_grid=(5,))
+        cfg = dataclasses.replace(SMALL_IW, p=(2,), q=(5,))
         with pytest.raises(EmptyGridError):
             expand_grid(cfg)
 
@@ -155,13 +155,13 @@ class TestConfig:
         """A config built in Python never passes through the field table, so
         its construction itself must refuse NaN and infinities."""
         with pytest.raises(ConfigError) as err:
-            SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+            SweepConfig(family=family, p=(6,), q=(2,), **{field: value})
         assert err.value.field == key
 
     @pytest.mark.parametrize(
         "family, field, value, call",
         [
-            ("latent_low_dim", "share_modes", ("none", "both"),
+            ("latent_low_dim", "share", ("none", "both"),
              lambda: gen_latent_pair(6, "both", None, RngStream(0))),
             ("latent_low_dim", "sparse_q_density", 0.0,
              lambda: gen_latent_pair(6, "none", 0.0, RngStream(0))),
@@ -169,7 +169,7 @@ class TestConfig:
              lambda: gen_latent_pair(6, "none", math.nan, RngStream(0))),
             ("latent_low_dim", "sparse_q_density", 1.5,
              lambda: gen_latent_pair(6, "none", 1.5, RngStream(0))),
-            ("empirical_cov", "gamma_grid", (0.5, 1.5),
+            ("empirical_cov", "gamma", (0.5, 1.5),
              lambda: column_overlap(np.ones((4, 3)), np.ones((4, 3)), 1.5, RngStream(0))),
             ("example1", "alpha", 1.0, lambda: pca_favorable_pair(6, 2, 1.0, 1.0)),
             ("example2", "delta", 0.0, lambda: pca_adversarial_pair(6, 2, 4.0, 0.0)),
@@ -184,7 +184,7 @@ class TestConfig:
         uses the value: the config refuses a bad value with that function's
         error, field and message."""
         with pytest.raises(CovProjError) as by_config:
-            SweepConfig(family=family, p_grid=(6,), q_grid=(2,), **{field: value})
+            SweepConfig(family=family, p=(6,), q=(2,), **{field: value})
         with pytest.raises(CovProjError) as by_function:
             call()
         assert type(by_config.value) is type(by_function.value) is ConfigError
@@ -192,7 +192,7 @@ class TestConfig:
         assert str(by_config.value) == str(by_function.value)
 
     @pytest.mark.parametrize(
-        "field, value, key", [("n_simu", 0, "n_simu"), ("master_seed", -1, "seed")]
+        "field, value, key", [("n_simu", 0, "n_simu"), ("seed", -1, "seed")]
     )
     def test_replace_is_checked(self, field, value, key):
         """``dataclasses.replace``, which ``covproj sweep --seed`` and
@@ -206,19 +206,19 @@ class TestConfig:
         default, spelled out: resume compares this echo byte for byte."""
         cfg = SweepConfig(
             family="latent_low_dim",
-            p_grid=(12, 30),
-            q_grid=(2, 3),
+            p=(12, 30),
+            q=(2, 3),
             mode="finite_sample_curve",
             projections=("pca", "empirical_bhatt_optimal"),
             n_simu=3,
-            master_seed=11,
-            n_workers=2,
+            seed=11,
+            workers=2,
             df1_over_p=(1.5, 2),
             df2_over_p=(3.0,),
-            share_modes=("q", "theta"),
-            q_densities=("sparse",),
+            share=("q", "theta"),
+            q_density=("sparse",),
             sparse_q_density=0.3,
-            gamma_grid=(0.25, 1.0),
+            gamma=(0.25, 1.0),
             dataset="data.csv",
             label_column="label",
             alpha=5.5,
@@ -269,9 +269,9 @@ class TestConfig:
         path = tmp_path / "sweep.cfg"
         path.write_text(text)
         cfg = parse_config_file(path)
-        assert cfg.p_grid == (20, 50)
+        assert cfg.p == (20, 50)
         assert cfg.df1_over_p == (1.0, 2.0)
-        assert cfg.master_seed == 9
+        assert cfg.seed == 9
 
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
         """A comment starts a line or follows whitespace, so a dataset in a
@@ -323,7 +323,7 @@ class TestConfig:
     def test_repeated_grid_value_rejected_before_any_cell(self):
         with pytest.raises(ConfigError, match="p: lists 20 more than once"):
             sweep_records(
-                SweepConfig(family="inverse_wishart", p_grid=(20, 20), q_grid=(2,), n_simu=3)
+                SweepConfig(family="inverse_wishart", p=(20, 20), q=(2,), n_simu=3)
             )
 
     def test_unknown_key_rejected(self):
@@ -368,7 +368,7 @@ class TestRunSweep:
         """A sweep writes each cell's records and keeps none: ten times the
         replicates (12,000 records against 1,200) leave the traced peaks
         within 1 MB, while holding the records took about 2.6 MB more."""
-        config = SweepConfig(family="example1", p_grid=tuple(range(3, 13)), q_grid=(1, 2))
+        config = SweepConfig(family="example1", p=tuple(range(3, 13)), q=(1, 2))
         # the first sweep of a process also allocates its lazy imports
         run_sweep(config, out_dir=tmp_path / "warm")
 
@@ -388,8 +388,8 @@ class TestRunSweep:
         failed record per projection instead of dropping the cell."""
         cfg = SweepConfig(
             family="inverse_wishart",
-            p_grid=(10,),
-            q_grid=(6,),
+            p=(10,),
+            q=(6,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             n_simu=2,
@@ -397,7 +397,7 @@ class TestRunSweep:
             sample_grid=(6,),
             ridge=0.0,
             projections=("pca", "rp"),
-            master_seed=5,
+            seed=5,
         )
         records = sweep_records(cfg)
         assert len(records) == 4
@@ -409,14 +409,14 @@ class TestRunSweep:
         pair, the data and the projections of a longer grid's first point."""
         one = SweepConfig(
             family="inverse_wishart",
-            p_grid=(10,),
-            q_grid=(2,),
+            p=(10,),
+            q=(2,),
             df1_over_p=(2.0,),
             mode="finite_sample_curve",
             sample_grid=(40,),
             projections=("pca", "rp", "empirical_pca", "empirical_bhatt_optimal"),
             n_simu=2,
-            master_seed=8,
+            seed=8,
         )
         two = dataclasses.replace(one, sample_grid=(40, 80))
         run_sweep(one, out_dir=tmp_path / "one")
@@ -442,11 +442,11 @@ class TestRunSweep:
         degenerate[1, 1] = 1e-9
         cfg = SweepConfig(
             family="example1",
-            p_grid=(8,),
-            q_grid=(2,),
+            p=(8,),
+            q=(2,),
             projections=PROJECTIONS,
             n_simu=2,
-            master_seed=3,
+            seed=3,
         )
         clean = sweep_records(cfg)
         real = sweep.build_projection
@@ -476,11 +476,11 @@ class TestRunSweep:
         degenerate[1, 1] = 1e-9
         cfg = SweepConfig(
             family="example2",
-            p_grid=(8,),
-            q_grid=(2,),
+            p=(8,),
+            q=(2,),
             projections=PROJECTIONS,
             n_simu=2,
-            master_seed=3,
+            seed=3,
         )
         clean = sweep_records(cfg)
         real = sweep.build_projection
@@ -528,8 +528,8 @@ class TestRunSweep:
             family="empirical_cov",
             dataset=str(data),
             label_column="label",
-            p_grid=(4,),
-            q_grid=(1,),
+            p=(4,),
+            q=(1,),
             projections=("pca", "rp", "bhatt_optimal"),
         )
         assert run_sweep(cfg, tmp_path / "lib") == (3, 3)
@@ -546,13 +546,13 @@ class TestRunSweep:
         rows_1 = [r.to_csv_row() for r in sweep_records(SMALL_IW)]
         rows_8 = [
             r.to_csv_row()
-            for r in sweep_records(dataclasses.replace(SMALL_IW, n_workers=8))
+            for r in sweep_records(dataclasses.replace(SMALL_IW, workers=8))
         ]
         assert rows_1 == rows_8
 
     def test_csv_byte_identity_and_roundtrip(self, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "a")
-        run_sweep(dataclasses.replace(SMALL_IW, n_workers=4), out_dir=tmp_path / "b")
+        run_sweep(dataclasses.replace(SMALL_IW, workers=4), out_dir=tmp_path / "b")
         blob_a = (tmp_path / "a" / "records.csv").read_bytes()
         blob_b = (tmp_path / "b" / "records.csv").read_bytes()
         assert blob_a == blob_b
@@ -600,14 +600,14 @@ class TestRunSweep:
         """A partial run without a manifest is refused before any row is
         appended or trimmed, whatever the resuming configuration."""
         cfg = SweepConfig(
-            family="latent_low_dim", p_grid=(10,), q_grid=(1, 2, 3), master_seed=1
+            family="latent_low_dim", p=(10,), q=(1, 2, 3), seed=1
         )
         out = tmp_path / "run"
         run_sweep(cfg, out_dir=out)
         blob = (out / "records.csv").read_bytes()
         (out / "manifest.json").unlink()
         with pytest.raises(ConfigError):
-            run_sweep(dataclasses.replace(cfg, master_seed=2), out_dir=out)
+            run_sweep(dataclasses.replace(cfg, seed=2), out_dir=out)
         assert (out / "records.csv").read_bytes() == blob
 
     def test_resume_with_other_config_rejected(self, tmp_path):
@@ -616,7 +616,7 @@ class TestRunSweep:
         per_cell = rows_per_cell(SMALL_IW)
         lines = (out / "records.csv").read_text().splitlines()
         (out / "records.csv").write_text("\n".join(lines[: 1 + 2 * per_cell]) + "\n")
-        other = dataclasses.replace(SMALL_IW, master_seed=123)
+        other = dataclasses.replace(SMALL_IW, seed=123)
         with pytest.raises(ConfigError):
             run_sweep(other, out_dir=out)
 
@@ -628,12 +628,23 @@ class TestRunSweep:
         assert again == (0, 0)
         assert (out / "records.csv").read_bytes() == blob
 
+    def test_completed_run_leaves_the_manifest_untouched(self, tmp_path):
+        """The manifest keeps the run and host that made the records: a rerun
+        of a finished directory rewrites neither timestamps nor host."""
+        out = tmp_path / "run"
+        run_sweep(SMALL_IW, out_dir=out)
+        manifest = out / "manifest.json"
+        blob = manifest.read_bytes()
+        assert run_sweep(SMALL_IW, out_dir=out) == (0, 0)
+        assert manifest.read_bytes() == blob
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "records.csv"]
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "run"
         run_sweep(SMALL_IW, out_dir=out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
-        assert manifest["master_seed"] == SMALL_IW.master_seed
+        assert manifest["config"]["seed"] == str(SMALL_IW.seed)
         assert manifest["n_cells"] == len(expand_grid(SMALL_IW))
         assert "finished_at" in manifest
 
@@ -642,14 +653,14 @@ class TestRunSweep:
         carry overlap exactly 0.5 while the optimal matches the closed form."""
         cfg = SweepConfig(
             family="example2",
-            p_grid=(8,),
-            q_grid=(2,),
+            p=(8,),
+            q=(2,),
             alpha=4.0,
             delta=1.0,
             n_simu=2,
             mode="overlap",
             projections=("pca", "bhatt_optimal"),
-            master_seed=1,
+            seed=1,
         )
         records = sweep_records(cfg)
         pca = [r.metric_overlap for r in records if r.projection == "pca"]
@@ -661,15 +672,15 @@ class TestRunSweep:
     def test_finite_sample_records_carry_n(self):
         cfg = SweepConfig(
             family="inverse_wishart",
-            p_grid=(12,),
-            q_grid=(2,),
+            p=(12,),
+            q=(2,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             n_simu=2,
             mode="finite_sample_curve",
             sample_grid=(10, 20),
             projections=("pca", "empirical_pca"),
-            master_seed=4,
+            seed=4,
         )
         records = sweep_records(cfg)
         assert len(records) == 2 * 2 * 2
@@ -693,15 +704,15 @@ class TestRunSweep:
         monkeypatch.setattr(projections, "mixture_covariance", counting)
         cfg = SweepConfig(
             family="inverse_wishart",
-            p_grid=(12,),
-            q_grid=(2,),
+            p=(12,),
+            q=(2,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             n_simu=2,
             mode="finite_sample_curve",
             sample_grid=(10, 20),
             projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
-            master_seed=4,
+            seed=4,
         )
         records = sweep_records(cfg)
         assert len(records) == 2 * 2 * 8 and all(r.ok for r in records)
@@ -734,13 +745,13 @@ class TestRunSweep:
         eig_calls, chol_calls = self._count_factorizations(monkeypatch, 40)
         cfg = SweepConfig(
             family="inverse_wishart",
-            p_grid=(40,),
-            q_grid=(3,),
+            p=(40,),
+            q=(3,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             projections=PROJECTIONS,
             n_simu=2,
-            master_seed=5,
+            seed=5,
         )
         records = sweep_records(cfg)
         assert len(records) == 2 * len(PROJECTIONS) and all(r.ok for r in records)
@@ -753,12 +764,12 @@ class TestRunSweep:
         eig_calls, chol_calls = self._count_factorizations(monkeypatch, 40)
         cfg = SweepConfig(
             family="latent_low_dim",
-            p_grid=(40,),
-            q_grid=(3,),
-            share_modes=("none", "q", "theta"),
-            q_densities=("dense", "sparse"),
+            p=(40,),
+            q=(3,),
+            share=("none", "q", "theta"),
+            q_density=("dense", "sparse"),
             projections=PROJECTIONS,
-            master_seed=5,
+            seed=5,
         )
         records = sweep_records(cfg)
         assert len(records) == 6 * len(PROJECTIONS) and all(r.ok for r in records)
@@ -771,14 +782,14 @@ class TestRunSweep:
         eig_calls, _ = self._count_factorizations(monkeypatch, 12)
         cfg = SweepConfig(
             family="inverse_wishart",
-            p_grid=(12,),
-            q_grid=(2,),
+            p=(12,),
+            q=(2,),
             df1_over_p=(2.0,),
             df2_over_p=(2.0,),
             mode="finite_sample_curve",
             sample_grid=(10, 20),
             projections=PROJECTIONS + tuple(f"empirical_{name}" for name in PROJECTIONS),
-            master_seed=4,
+            seed=4,
         )
         records = sweep_records(cfg)
         assert len(records) == 2 * 8 and all(r.ok for r in records)
@@ -788,12 +799,12 @@ class TestRunSweep:
 # 48 cells, evaluated by two workers
 POOLED = SweepConfig(
     family="inverse_wishart",
-    p_grid=(6, 8),
-    q_grid=(1, 2),
+    p=(6, 8),
+    q=(1, 2),
     df1_over_p=(1.0, 2.0, 3.0),
     df2_over_p=(1.0, 2.0, 3.0, 5.0),
     projections=("pca", "rp"),
-    n_workers=2,
+    workers=2,
 )
 
 
@@ -803,7 +814,7 @@ class TestFailureStopsPool:
 
     FAILING = 1
     # the cells before and at the failure, those running, and two of slack
-    BOUND = FAILING + 2 * POOLED.n_workers + 2
+    BOUND = FAILING + 2 * POOLED.workers + 2
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -871,7 +882,7 @@ class TestFailureStopsPool:
 # a 12-cell grid of two rows per cell that runs in milliseconds: small enough
 # to resume from hundreds of byte cuts of its records file
 TINY = SweepConfig(
-    family="example1", p_grid=(3, 4, 5, 6, 7, 8), q_grid=(1, 2), projections=("pca", "rp")
+    family="example1", p=(3, 4, 5, 6, 7, 8), q=(1, 2), projections=("pca", "rp")
 )
 OUTPUTS = ("records.csv",)
 
@@ -978,11 +989,11 @@ class TestResume:
         full_dir, part_dir = tmp_path / "full", tmp_path / "part"
         run_sweep(SMALL_IW, out_dir=full_dir)
         run_sweep(SMALL_IW, out_dir=part_dir)
-        assert SMALL_IW.n_workers == 1
+        assert SMALL_IW.workers == 1
         records = (part_dir / "records.csv").read_bytes()
         keep = _cells_prefix(records, 2, rows_per_cell(SMALL_IW))
         (part_dir / "records.csv").write_bytes(records[: keep + 30])
-        run_sweep(dataclasses.replace(SMALL_IW, n_workers=2), out_dir=part_dir)
+        run_sweep(dataclasses.replace(SMALL_IW, workers=2), out_dir=part_dir)
         assert _read_files(part_dir, OUTPUTS) == _read_files(full_dir, OUTPUTS)
 
     @pytest.mark.parametrize(
@@ -1038,13 +1049,13 @@ class TestResume:
 
 IW_P100 = SweepConfig(
     family="inverse_wishart",
-    p_grid=(100,),
-    q_grid=(1, 5),
+    p=(100,),
+    q=(1, 5),
     df1_over_p=(1.0, 2.0),
     df2_over_p=(1.0,),
     projections=("pca", "rp", "sparse_rp", "bhatt_optimal"),
     n_simu=2,
-    master_seed=31,
+    seed=31,
 )
 
 
@@ -1083,7 +1094,7 @@ class TestBlasPolicy:
         the BLAS thread count if the sweep did not fix it."""
         run_sweep(IW_P100, out_dir=tmp_path / "w1")
         openblas_at_two.set_threads(1)
-        run_sweep(dataclasses.replace(IW_P100, n_workers=2), out_dir=tmp_path / "w2")
+        run_sweep(dataclasses.replace(IW_P100, workers=2), out_dir=tmp_path / "w2")
         assert (tmp_path / "w1" / "records.csv").read_bytes() == (
             tmp_path / "w2" / "records.csv"
         ).read_bytes()
