@@ -21,17 +21,10 @@ _EXPORTS = {
         "ConfigError",
         "CovProjError",
         "DatasetFormatError",
-        "DegreesOfFreedomError",
-        "DimensionMismatchError",
         "EmptyClassError",
-        "EmptyGridError",
         "InsufficientRowsError",
         "LabeledDataset",
-        "MixedModesError",
-        "NonFiniteProjectionError",
-        "NonPositiveEigenvalueError",
         "NotPositiveDefiniteError",
-        "NotSquareError",
         "ProjectionMatrix",
         "RankDeficientAfterRetriesError",
         "RankDeficientError",

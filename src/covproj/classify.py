@@ -17,7 +17,6 @@ import numpy as np
 from .blas import solve_triangular
 from .core import (
     ConfigError,
-    DimensionMismatchError,
     LabeledDataset,
     NotPositiveDefiniteError,
     ProjectionMatrix,
@@ -26,6 +25,7 @@ from .core import (
     SpdMatrix,
     TwoClassGaussian,
     _check_count,
+    _check_finite,
     _check_ridge,
     _derived_spd,
 )
@@ -70,16 +70,14 @@ class EmbeddedQda:
         if self.w is None:
             return x
         if x.shape[1] != self.w.ambient_dim:
-            raise DimensionMismatchError(
-                f"data has {x.shape[1]} columns, projection expects "
-                f"{self.w.ambient_dim}"
+            raise ConfigError(
+                "x", f"data has {x.shape[1]} columns, projection expects {self.w.ambient_dim}"
             )
         return x @ self.w.entries
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels in {1, 2}, exact ties to class 1; a non-finite x raises ConfigError."""
-        if not np.isfinite(x).all():
-            raise ConfigError("x", "entries must be finite")
+        _check_finite("x", x)
         y = self.embed(x)
         m = self.model
         scores = np.empty((y.shape[0], 2))
@@ -147,7 +145,7 @@ def fit_embedded_qda(
 def oos_error(model: EmbeddedQda, val: LabeledDataset) -> float:
     """Misclassification fraction of the classifier on a held-out split."""
     if val.n == 0:
-        raise DimensionMismatchError("validation set is empty")
+        raise ConfigError("val", "validation set is empty")
     predictions = model.predict(val.X)
     return float(np.count_nonzero(predictions != val.z)) / val.n
 
@@ -217,7 +215,8 @@ def reconstruction_error(
     cov_2: SpdMatrix,
 ) -> float:
     """Embedded covariance estimation error 1/2 sum_k |W^T (S_k - C_k) W|_F^2."""
-    if any(m.dim != w.ambient_dim for m in (s_1, s_2, cov_1, cov_2)):
-        raise DimensionMismatchError("all matrices must match the ambient dimension")
+    for field, m in (("s_1", s_1), ("s_2", s_2), ("cov_1", cov_1), ("cov_2", cov_2)):
+        if m.dim != w.ambient_dim:
+            raise ConfigError(field, "all matrices must match the ambient dimension")
     diffs = _embed([w], s_1.entries - cov_1.entries, s_2.entries - cov_2.entries)
     return 0.5 * sum(float(np.sum(diff[0] * diff[0])) for diff in diffs)

@@ -1,9 +1,10 @@
 """Command-line surface: sweep driver, summaries, dataset evaluation, oracle.
 
-Every command runs with BLAS on one thread (``blas.single_thread``), and
-numpy's OpenBLAS starts on one thread unless ``OPENBLAS_NUM_THREADS`` is
-already set. A numpy without its bundled OpenBLAS is refused before any
-command runs (exit 2).
+Every command runs with BLAS on one thread (``blas.single_thread``; a sweep
+pins it in ``run_sweep``, so its manifest records the thread count the
+command started with), and numpy's OpenBLAS starts on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set. A numpy without its bundled
+OpenBLAS is refused (exit 2) before a command writes anything.
 
 Exit codes: 0 success, 2 configuration or input errors, 3 sink (output
 write) failures, 4 a projection hit a singular embedded covariance during
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 # numpy's bundled OpenBLAS reads this once, when numpy loads. Unset, it
@@ -38,6 +40,7 @@ from .core import (
     TwoClassGaussian,
     _check_count,
     _check_ridge,
+    _check_seed,
 )
 from .datasets import _class_blocks, load_matrix, load_vector
 from .generators import _FIXTURES, _column_subsample, _labeled
@@ -141,6 +144,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_seed("seed", args.seed)
     check_projections(args.projections)
     blocks = _class_blocks(args.dataset, args.label_column, () if args.p is None else (args.p,))
     stream = RngStream(args.seed)
@@ -171,6 +175,8 @@ def _oracle_model(args) -> TwoClassGaussian:
     if args.fixture is not None:
         if args.fixture not in _FIXTURES:
             raise ConfigError("fixture", f"unknown fixture {args.fixture!r}")
+        if any((args.cov1, args.cov2, args.mean1, args.mean2)):
+            raise ConfigError("fixture", "a fixture takes no --cov1, --cov2, --mean1 or --mean2")
         cov_1, cov_2 = _FIXTURES[args.fixture](args.p, args.q, args.alpha, args.delta)
         return TwoClassGaussian.zero_mean(cov_1, cov_2, args.weight1)
     if not args.cov1 or not args.cov2:
@@ -184,6 +190,7 @@ def _oracle_model(args) -> TwoClassGaussian:
 
 def cmd_oracle(args) -> int:
     _check_count("mc_samples", args.mc_samples)
+    _check_seed("seed", args.seed)
     _check_ridge(args.ridge)
     model = _oracle_model(args)
     stream = RngStream(args.seed)
@@ -207,8 +214,11 @@ def cmd_oracle(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # run_sweep pins BLAS itself; pinning here too would hide the count the
+    # command started with from its manifest
+    pin = nullcontext() if args.func is cmd_sweep else single_thread()
     try:
-        with single_thread():
+        with pin:
             return args.func(args)
     except (ConfigError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

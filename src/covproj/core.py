@@ -27,24 +27,12 @@ class CovProjError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotSquareError(CovProjError):
-    """A square matrix was expected."""
-
-
 class NotPositiveDefiniteError(CovProjError):
     """Matrix failed the positive (semi-)definiteness check."""
 
 
-class DimensionMismatchError(CovProjError):
-    """Shapes of the inputs are incompatible."""
-
-
 class RankDeficientError(CovProjError):
     """Projection matrix does not have full column rank."""
-
-
-class NonFiniteProjectionError(CovProjError):
-    """Projection matrix has a NaN or infinite entry."""
 
 
 class RankDeficientAfterRetriesError(CovProjError):
@@ -63,20 +51,12 @@ class SingularBlendError(CovProjError):
         self.dim = dim
 
 
-class NonPositiveEigenvalueError(CovProjError):
-    """An eigenvalue expected to be strictly positive was not."""
-
-
 class SingularAfterRidgeError(CovProjError):
     """Covariance remained singular even after ridge regularization."""
 
 
 class EmptyClassError(CovProjError):
     """A per-class computation received no observations for some class."""
-
-
-class DegreesOfFreedomError(CovProjError):
-    """Degrees of freedom too small for the requested matrix dimension."""
 
 
 class InsufficientRowsError(CovProjError):
@@ -89,19 +69,13 @@ class SingularEmbeddedCovarianceError(CovProjError):
 
 
 class ConfigError(CovProjError):
-    """Invalid configuration value; carries the offending field name."""
+    """A value outside its domain (type, shape, range or finiteness); carries
+    the name of the argument or config field that holds it. A numerical
+    property that fails on a value in its domain has its own error."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class EmptyGridError(CovProjError):
-    """Grid expansion produced no cells."""
-
-
-class MixedModesError(CovProjError):
-    """Records passed to a summary do not share a single metric mode."""
 
 
 class DatasetFormatError(CovProjError):
@@ -139,11 +113,19 @@ def _check_seed(field: str, seed: int) -> None:
         raise ConfigError(field, "must be a 64-bit unsigned integer")
 
 
-def _check_embed_dim(q: int, p: int) -> None:
-    """The one rule for an embedding dimension q in ambient dimension p: a
+def _check_embed_dim(field: str, q: int, p: int) -> None:
+    """The one rule for an embedding dimension in ambient dimension p: a
     frame's columns, PCA's q, the eigenpairs kept."""
     if not 1 <= q <= p:
-        raise DimensionMismatchError(f"embedding dimension q={q} must satisfy 1 <= q <= p={p}")
+        raise ConfigError(
+            field, f"embedding dimension {field}={q} must satisfy 1 <= {field} <= p={p}"
+        )
+
+
+def _check_finite(field: str, a: np.ndarray) -> None:
+    """The one rule for entries from outside the package: all finite."""
+    if not np.isfinite(a).all():
+        raise ConfigError(field, "entries must be finite")
 
 
 def _text_lines(fh, path, error: Callable[[str], CovProjError]) -> Iterator[str]:
@@ -234,9 +216,8 @@ class SpdMatrix:
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise NotSquareError(f"expected a non-empty square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise NotPositiveDefiniteError(f"matrix of order {a.shape[0]} has non-finite entries")
+            raise ConfigError("matrix", f"expected a non-empty square matrix, got shape {a.shape}")
+        _check_finite("matrix", a)
         sym = _as_readonly(_sym(a))
         w = np.linalg.eigvalsh(sym)
         if w[0] < -PSD_RTOL * w[-1]:
@@ -291,11 +272,10 @@ class ProjectionMatrix:
     def __post_init__(self):
         a = _as_readonly(self.entries)
         if a.ndim != 2:
-            raise DimensionMismatchError("projection must be a 2-d array")
+            raise ConfigError("projection", "projection must be a 2-d array")
         p, q = a.shape
-        _check_embed_dim(q, p)
-        if not np.isfinite(a).all():
-            raise NonFiniteProjectionError(f"projection {p}x{q} has non-finite entries")
+        _check_embed_dim("q", q, p)
+        _check_finite("projection", a)
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= RANK_RTOL * s[0]:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0
@@ -341,14 +321,13 @@ class TwoClassGaussian:
         _check_fraction("weight_1", self.weight_1)
         m1 = _as_readonly(np.atleast_1d(self.mean_1))
         m2 = _as_readonly(np.atleast_1d(self.mean_2))
-        for field, mean in (("mean_1", m1), ("mean_2", m2)):
-            if not np.isfinite(mean).all():
-                raise ConfigError(field, "entries must be finite")
+        _check_finite("mean_1", m1)
+        _check_finite("mean_2", m2)
         p = self.cov_1.dim
-        if self.cov_2.dim != p or m1.shape != (p,) or m2.shape != (p,):
-            raise DimensionMismatchError(
-                "means and covariances must share one ambient dimension"
-            )
+        dims = {"cov_2": (self.cov_2.dim,), "mean_1": m1.shape, "mean_2": m2.shape}
+        for field, shape in dims.items():
+            if shape != (p,):
+                raise ConfigError(field, "means and covariances must share one ambient dimension")
         object.__setattr__(self, "mean_1", m1)
         object.__setattr__(self, "mean_2", m2)
 
@@ -380,9 +359,8 @@ class LabeledDataset:
         z = np.array(self.z, dtype=np.int64, copy=True)
         z.setflags(write=False)
         if x.ndim != 2 or z.ndim != 1 or x.shape[0] != z.shape[0]:
-            raise DimensionMismatchError("X must be n x p with one label per row")
-        if not np.isfinite(x).all():
-            raise ConfigError("X", "entries must be finite")
+            raise ConfigError("X", "X must be n x p with one label per row")
+        _check_finite("X", x)
         if not np.all((z == 1) | (z == 2)):
             raise ConfigError("labels", "labels must take values in {1, 2}")
         object.__setattr__(self, "X", x)

@@ -27,8 +27,6 @@ import numpy as np
 from .blas import solve_triangular
 from .core import (
     ConfigError,
-    DegreesOfFreedomError,
-    DimensionMismatchError,
     InsufficientRowsError,
     LabeledDataset,
     RngStream,
@@ -72,7 +70,7 @@ def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
     Requires a finite df > dim - 1.
     """
     if not dim - 1 < df < math.inf:
-        raise DegreesOfFreedomError(f"df={df} must be finite and > p - 1 for dimension {dim}")
+        raise ConfigError("df", f"df={df} must be finite and > p - 1 for dimension {dim}")
     a = _bartlett_factor(dim, df, stream.generator())
     b = solve_triangular(a, np.eye(dim), lower=True)
     return _derived_spd(b.T @ b)
@@ -85,7 +83,7 @@ def sample_scaled_inverse_wishart(dim: int, df: float, stream: RngStream) -> Spd
     dimension grows (the mean is df/(df-p-1) * I when it exists).
     """
     if not dim <= df < math.inf:
-        raise DegreesOfFreedomError(f"df={df} must be finite and >= dimension {dim}")
+        raise ConfigError("df", f"df={df} must be finite and >= dimension {dim}")
     inv = sample_inverse_wishart(dim, df, stream)
     return _derived_spd(df * inv.entries)
 
@@ -174,7 +172,7 @@ def column_overlap(
     x_1 = np.asarray(x_1, dtype=np.float64)
     x_2 = np.asarray(x_2, dtype=np.float64)
     if x_1.ndim != 2 or x_2.ndim != 2 or x_1.shape[1] != x_2.shape[1]:
-        raise DimensionMismatchError("the two groups must share a column count")
+        raise ConfigError("x_2", "the two groups must share a column count")
     _check_gamma(gamma)
     p = x_1.shape[1]
     m = min(x_2.shape[0] // 2, x_1.shape[0])
@@ -225,7 +223,7 @@ def sample_gaussian(
     """n rows of mean + L z with L the Cholesky factor of cov, z iid normal."""
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (cov.dim,):
-        raise DimensionMismatchError("mean length must match covariance order")
+        raise ConfigError("mean", "mean length must match covariance order")
     ell = cov.cholesky()
     z = stream.generator().standard_normal((n, cov.dim))
     return mean + z @ ell.T

@@ -28,8 +28,7 @@ import numpy as np
 
 from .blas import solve_triangular
 from .core import (
-    DimensionMismatchError,
-    NonPositiveEigenvalueError,
+    ConfigError,
     ProjectionMatrix,
     SingularBlendError,
     TwoClassGaussian,
@@ -112,11 +111,9 @@ def _embed(ws: Sequence[ProjectionMatrix], *params: np.ndarray) -> list[np.ndarr
     p = len(params[0])
     for w in ws:
         if w.ambient_dim != p:
-            raise DimensionMismatchError(
-                f"projection ambient dim {w.ambient_dim} != model dim {p}"
-            )
+            raise ConfigError("w", f"projection ambient dim {w.ambient_dim} != model dim {p}")
     if len({w.embed_dim for w in ws}) > 1:
-        raise DimensionMismatchError("stacked projections must share one embedding dim")
+        raise ConfigError("ws", "stacked projections must share one embedding dim")
     # C order whatever each frame's layout: the products' last bits follow it
     stack = np.array([w.entries for w in ws], order="C")
     stack_t = np.swapaxes(stack, 1, 2)
@@ -182,9 +179,7 @@ def optimal_overlap_closed_form(
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.size == 0 or np.any(lam <= 0.0):
-        raise NonPositiveEigenvalueError(
-            "all retained eigenvalues must be strictly positive"
-        )
+        raise ConfigError("eigenvalues", "all retained eigenvalues must be strictly positive")
     root = np.sqrt(lam)
     log_product = float(np.sum(np.log((root + 1.0 / root) / 2.0)))
     return math.sqrt(weights[0] * weights[1]) * math.exp(-0.5 * log_product)

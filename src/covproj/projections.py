@@ -21,7 +21,6 @@ import numpy as np
 from .blas import solve_triangular
 from .core import (
     ConfigError,
-    DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
     ProjectionMatrix,
@@ -32,6 +31,7 @@ from .core import (
     SpdMatrix,
     TwoClassGaussian,
     _check_embed_dim,
+    _check_finite,
     _check_ridge,
     _derived_frame,
     _derived_spd,
@@ -59,7 +59,7 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
     output, and each eigenvector is oriented so its largest-magnitude entry
     is positive, making the output reproducible across runs.
     """
-    _check_embed_dim(q, mixture_cov.dim)
+    _check_embed_dim("q", q, mixture_cov.dim)
     w, v = np.linalg.eigh(mixture_cov.entries)
     order = np.argsort(-w, kind="stable")
     cols = _fix_column_signs(v[:, order[:q]])
@@ -71,15 +71,14 @@ def mixture_covariance(x: np.ndarray) -> SpdMatrix:
     rows whose mixture covariance PCA decomposes. A non-finite entry raises
     ConfigError."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ConfigError("x", "entries must be finite")
+    _check_finite("x", x)
     centered = x - x.mean(axis=0)
     return _derived_spd(centered.T @ centered / x.shape[0])
 
 
 def _full_rank(draw, p: int, q: int, what: str) -> ProjectionMatrix:
     """The first draw() of rank q, trying at most _MAX_RANK_RETRIES times."""
-    _check_embed_dim(q, p)
+    _check_embed_dim("q", q, p)
     for _ in range(_MAX_RANK_RETRIES):
         try:
             return ProjectionMatrix(draw())
@@ -145,9 +144,9 @@ def generalized_eigenpairs(
     """
     p = cov_1.dim
     if cov_2.dim != p:
-        raise DimensionMismatchError("covariances must share the same dimension")
+        raise ConfigError("cov_2", "covariances must share the same dimension")
     k = p if k is None else k
-    _check_embed_dim(k, p)
+    _check_embed_dim("k", k, p)
     _check_ridge(ridge)
     a = cov_1.entries + ridge * np.eye(p) if ridge > 0 else cov_1.entries
     try:
@@ -179,6 +178,7 @@ def bhattacharyya_optimal_projection(
     leaves the achieved overlap unchanged. Their eigenvalues are the first q
     of ``generalized_eigenpairs(cov_1, cov_2, ridge)[0]``.
     """
+    _check_embed_dim("q", q, cov_1.dim)
     _, raw = generalized_eigenpairs(cov_1, cov_2, ridge, q)
     qmat, rmat = np.linalg.qr(raw)
     flip = np.sign(np.diag(rmat))

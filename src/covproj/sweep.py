@@ -57,9 +57,7 @@ from .classify import fit_embedded_qda, mc_bayes_risk, oos_error, reconstruction
 from .core import (
     ConfigError,
     CovProjError,
-    EmptyGridError,
     LabeledDataset,
-    MixedModesError,
     RngStream,
     TwoClassGaussian,
     _check_count,
@@ -350,7 +348,7 @@ def expand_grid(config: SweepConfig) -> list[Cell]:
             for params in combos:
                 cells.append(Cell(len(cells), p, q, params))
     if not cells:
-        raise EmptyGridError("grid expansion produced no cells")
+        raise ConfigError("q", "grid expansion produced no cells")
     return cells
 
 
@@ -824,8 +822,9 @@ def summarize(
             if metric_field is None:
                 metric_field = this
             elif this not in (None, metric_field):
-                raise MixedModesError(
-                    f"records mix metrics {metric_field} and {this}; summarize one mode at a time"
+                raise ConfigError(
+                    "records",
+                    f"records mix metrics {metric_field} and {this}; summarize one mode at a time",
                 )
             value = getattr(record, this) if this else None
         else:

@@ -225,11 +225,9 @@ def test_k_pairs_are_the_leading_pairs_under_every_kernel(core):
 
 # every public name of the package, eager or lazy
 PUBLIC_NAMES = """
-Cell ConfigError CovProjError DatasetFormatError DegreesOfFreedomError
-DimensionMismatchError EmbeddedQda EmptyClassError EmptyGridError
-InsufficientRowsError LabeledDataset MixedModesError
-NonFiniteProjectionError NonPositiveEigenvalueError NotPositiveDefiniteError
-NotSquareError PROJECTIONS ProjectionMatrix
+Cell ConfigError CovProjError DatasetFormatError EmbeddedQda EmptyClassError
+InsufficientRowsError LabeledDataset NotPositiveDefiniteError PROJECTIONS
+ProjectionMatrix
 RankDeficientAfterRetriesError RankDeficientError RiskEstimate RngStream
 SingularAfterRidgeError SingularBlendError SingularEmbeddedCovarianceError
 SpdMatrix SummaryTable SweepConfig SweepRecord TwoClassGaussian
@@ -284,3 +282,16 @@ def test_command_starts_openblas_on_one_thread_unless_set(preset, threads):
     """Importing ``covproj.cli`` before numpy sets the variable numpy's
     OpenBLAS reads when it loads; a value already set wins."""
     assert _run_python(COMMAND_START, OPENBLAS_NUM_THREADS=preset) == [str(threads)]
+
+
+
+@pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
+def test_command_sweep_manifest_records_the_starting_thread_count(tmp_path, preset, threads):
+    """Under the command only ``run_sweep`` pins BLAS, so the manifest's
+    ``threads_before`` is the count OpenBLAS started with."""
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
+    cfg.write_text("family = example1\np = 3,4\nq = 1\nprojections = pca,rp\n")
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    done = _python(SWEEP_COMMAND, *argv, OPENBLAS_NUM_THREADS=preset)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "manifest.json").read_text())["blas"]["threads_before"] == threads

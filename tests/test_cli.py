@@ -409,6 +409,16 @@ class TestEvalCommand:
         assert captured.err == "error: p: must lie in [1, 30], the dataset's feature columns\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2_naming_the_option(self, separable_csv, capsys, seed):
+        """Under the option's own name rather than RngStream's ``master_seed``."""
+        path, _ = separable_csv
+        argv = ["eval", str(path), "--label-column", "label", "--q", "2", "--seed", seed]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed: must be a 64-bit unsigned integer\n"
+
     @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
     def test_invalid_ridge_exits_2_before_any_output(self, separable_csv, capsys, ridge):
         path, _ = separable_csv
@@ -527,6 +537,25 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert err == "error: mc_samples: must be at least 1\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2_naming_the_option(self, capsys, seed):
+        code = main(["oracle", "example1", "--p", "6", "--q", "2", "--seed", seed])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed: must be a 64-bit unsigned integer\n"
+
+    @pytest.mark.parametrize("option", ["--cov1", "--cov2", "--mean1", "--mean2"])
+    def test_fixture_with_a_model_file_exits_2(self, tmp_path, capsys, option):
+        """A fixture builds the whole model, so a file given with it would be
+        ignored; the file need not exist to be refused."""
+        argv = ["oracle", "example1", "--p", "6", "--q", "2", "--mc-samples", "100"]
+        code = main(argv + [option, str(tmp_path / "missing.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: fixture: ") and err.count("\n") == 1
 
     def test_ridge_zero_is_passed_as_given(self, tmp_path, capsys):
         """``--ridge 0`` turns bhatt_optimal's fallback off: a singular C1

@@ -1,4 +1,5 @@
-"""Core types: matrix wrappers, the model container, and RNG streams."""
+"""Core types: matrix wrappers, the model container, RNG streams, and the
+one refusal rule for a value outside its domain."""
 
 import numpy as np
 import pytest
@@ -6,25 +7,36 @@ from numpy.testing import assert_allclose
 
 from covproj import (
     ConfigError,
-    DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
-    NonFiniteProjectionError,
     NotPositiveDefiniteError,
-    NotSquareError,
     ProjectionMatrix,
     RankDeficientError,
     RngStream,
     SpdMatrix,
+    SweepConfig,
+    SweepRecord,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
     bhattacharyya_overlap,
+    column_overlap,
     embedded_overlap,
+    embedded_overlaps,
+    expand_grid,
     fit_embedded_qda,
+    generalized_eigenpairs,
     make_spd,
     mc_bayes_risk,
+    mixture_covariance,
+    oos_error,
+    optimal_overlap_closed_form,
     pca_projection,
+    reconstruction_error,
+    sample_gaussian,
+    sample_inverse_wishart,
+    sample_scaled_inverse_wishart,
     sample_two_class,
+    summarize,
 )
 from conftest import rand_spd
 
@@ -47,13 +59,15 @@ class TestMakeSpd:
             make_spd(raw)
 
     def test_not_square(self):
-        with pytest.raises(NotSquareError):
+        with pytest.raises(ConfigError) as err:
             make_spd(np.ones((2, 3)))
+        assert err.value.field == "matrix"
 
     def test_order_zero_rejected(self):
         """Order 0 has no eigenvalue to test, so the shape check refuses it."""
-        with pytest.raises(NotSquareError):
+        with pytest.raises(ConfigError) as err:
             make_spd(np.empty((0, 0)))
+        assert err.value.field == "matrix"
 
     @pytest.mark.parametrize("off_diagonal", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -62,8 +76,9 @@ class TestMakeSpd:
         diagonal."""
         raw = np.eye(2)
         raw[0, int(off_diagonal)] = bad
-        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        with pytest.raises(ConfigError, match="^matrix: entries must be finite$") as err:
             make_spd(raw)
+        assert err.value.field == "matrix"
 
     def test_idempotent_bit_for_bit(self, g):
         base = g.standard_normal((6, 6))
@@ -94,17 +109,19 @@ class TestMakeSpd:
     @pytest.mark.parametrize(
         "raw, error",
         [
-            (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotPositiveDefiniteError),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), ConfigError),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError),
-            (np.ones((2, 3)), NotSquareError),
-            (np.empty((0, 0)), NotSquareError),
+            (np.ones((2, 3)), ConfigError),
+            (np.empty((0, 0)), ConfigError),
         ],
         ids=["nan", "indefinite", "not_square", "order_zero"],
     )
     def test_constructor_refuses_what_make_spd_refuses(self, raw, error):
         """A NaN entry built directly would reach the overlap, which reads 0.5."""
-        with pytest.raises(error):
+        with pytest.raises(error) as err:
             SpdMatrix(raw)
+        if error is ConfigError:
+            assert err.value.field == "matrix"
 
     def test_constructor_stores_a_read_only_copy(self, g):
         base = g.standard_normal((4, 4))
@@ -128,8 +145,9 @@ class TestProjectionMatrix:
             ProjectionMatrix(np.hstack([col, col]))
 
     def test_q_exceeds_p(self, g):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError) as err:
             ProjectionMatrix(g.standard_normal((3, 5)))
+        assert err.value.field == "q"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("orthonormal", [False, True])
@@ -137,8 +155,9 @@ class TestProjectionMatrix:
         """An orthonormal frame and a general one are refused alike."""
         frame = np.eye(4)[:, :2].copy() if orthonormal else g.standard_normal((4, 2))
         frame[3, 1] = bad
-        with pytest.raises(NonFiniteProjectionError):
+        with pytest.raises(ConfigError) as err:
             ProjectionMatrix(frame)
+        assert err.value.field == "projection"
 
     def test_package_frames_skip_the_rank_check(self, g, monkeypatch):
         """PCA and the optimal projection build orthonormal frames and run no
@@ -163,10 +182,11 @@ class TestTwoClassGaussian:
                 TwoClassGaussian(bad, np.zeros(2), np.zeros(2), c, c)
 
     def test_dimension_check(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError) as err:
             TwoClassGaussian(
                 0.5, np.zeros(3), np.zeros(2), make_spd(np.eye(2)), make_spd(np.eye(2))
             )
+        assert err.value.field == "mean_1"
 
     def test_weight_2_complement(self):
         c = make_spd(np.eye(2))
@@ -287,3 +307,75 @@ class TestLabeledDataset:
         data = LabeledDataset(np.zeros((3, 2)), np.array([1, 2, 2]))
         with pytest.raises(EmptyClassError):
             data.split(0.7, RngStream(0))
+
+
+def _refusals():
+    """(field, call) for each refusal of a value outside its domain: the
+    shape, range and embedding-dimension checks, then the one finite rule at
+    each of its sites."""
+    eye2, eye3 = make_spd(np.eye(2)), make_spd(np.eye(3))
+    zero2, zero3 = np.zeros(2), np.zeros(3)
+    model2 = TwoClassGaussian.zero_mean(eye2, eye2)
+    model3 = TwoClassGaussian.zero_mean(eye3, eye3)
+    frame3 = ProjectionMatrix(np.eye(3)[:, :2])
+    nan2 = np.array([np.nan, 0.0])
+
+    def record(**metric):
+        fields = dict(family="example1", p=3, q=1, param1="", param2="", param3="")
+        return SweepRecord(**fields, replicate=0, projection="pca", **metric)
+
+    return {
+        "spd_not_square": ("matrix", lambda: SpdMatrix(np.ones((2, 3)))),
+        "frame_not_2d": ("projection", lambda: ProjectionMatrix(np.ones(3))),
+        "frame_q_above_p": ("q", lambda: ProjectionMatrix(np.ones((2, 3)))),
+        "pca_q_above_p": ("q", lambda: pca_projection(eye2, 3)),
+        "eigenpairs_k_above_p": ("k", lambda: generalized_eigenpairs(eye2, eye2, k=3)),
+        "eigenpairs_cov_2": ("cov_2", lambda: generalized_eigenpairs(eye2, eye3)),
+        "model_cov_2": ("cov_2", lambda: TwoClassGaussian(0.5, zero2, zero2, eye2, eye3)),
+        "model_mean_2": ("mean_2", lambda: TwoClassGaussian(0.5, zero2, zero3, eye2, eye2)),
+        "dataset_labels_per_row": ("X", lambda: LabeledDataset(np.ones((3, 2)), [1, 2])),
+        "predict_columns": (
+            "x", lambda: fit_embedded_qda(model3, frame3).predict(np.ones((1, 2)))
+        ),
+        "oos_empty_val": (
+            "val",
+            lambda: oos_error(fit_embedded_qda(model2), LabeledDataset(np.ones((0, 2)), [])),
+        ),
+        "recon_cov_2": (
+            "cov_2", lambda: reconstruction_error(frame3, eye3, eye3, eye3, eye2)
+        ),
+        "overlap_ambient_dim": ("w", lambda: embedded_overlap(model2, frame3)),
+        "overlaps_embed_dim": (
+            "ws", lambda: embedded_overlaps(model3, [frame3, ProjectionMatrix(np.eye(3))])
+        ),
+        "closed_form_eigenvalues": ("eigenvalues", lambda: optimal_overlap_closed_form([0.0])),
+        "iw_df": ("df", lambda: sample_inverse_wishart(3, 1.5, RngStream(0))),
+        "scaled_iw_df": ("df", lambda: sample_scaled_inverse_wishart(3, 2.5, RngStream(0))),
+        "overlap_columns": (
+            "x_2", lambda: column_overlap(np.ones((4, 2)), np.ones((4, 3)), 0.5, RngStream(0))
+        ),
+        "gaussian_mean": ("mean", lambda: sample_gaussian(zero3, eye2, 5, RngStream(0))),
+        "empty_grid": ("q", lambda: expand_grid(SweepConfig(family="example1", p=(3,), q=(3,)))),
+        "mixed_metrics": (
+            "records",
+            lambda: summarize([record(metric_overlap=0.2), record(metric_oos=0.4)], ["q"], "pca"),
+        ),
+        "finite_matrix": ("matrix", lambda: SpdMatrix(np.diag(nan2))),
+        "finite_projection": ("projection", lambda: ProjectionMatrix(nan2[:, None])),
+        "finite_mean_1": ("mean_1", lambda: TwoClassGaussian(0.5, nan2, zero2, eye2, eye2)),
+        "finite_mean_2": ("mean_2", lambda: TwoClassGaussian(0.5, zero2, nan2, eye2, eye2)),
+        "finite_X": ("X", lambda: LabeledDataset(np.array([nan2, nan2]), [1, 2])),
+        "finite_mixture_x": ("x", lambda: mixture_covariance(np.array([nan2, nan2]))),
+        "finite_predict_x": ("x", lambda: fit_embedded_qda(model2).predict(nan2[None])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusals()))
+def test_every_refusal_names_its_argument(case):
+    """A value outside its domain is a ConfigError whose field names the
+    argument that holds it."""
+    field, call = _refusals()[case]
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: ")

@@ -148,10 +148,9 @@ class TestLoadMatrixAndVector:
     def test_matrix_must_be_square(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,0,0\n0,1,0\n")
-        from covproj import NotSquareError
-
-        with pytest.raises(NotSquareError):
+        with pytest.raises(ConfigError) as err:
             load_matrix(path)
+        assert err.value.field == "matrix"
 
     def test_vector_row_or_column(self, tmp_path):
         row = tmp_path / "r.csv"

@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covproj import (
-    DimensionMismatchError,
-    NonPositiveEigenvalueError,
+    ConfigError,
     ProjectionMatrix,
     RngStream,
     SingularBlendError,
@@ -134,8 +133,9 @@ class TestEmbeddedOverlap:
     def test_dimension_mismatch(self, g):
         m = random_model(g, 4)
         w = ProjectionMatrix(np.eye(5)[:, :2])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError) as err:
             embedded_overlap(m, w)
+        assert err.value.field == "w"
 
     def test_bound_dominance_spot_check(self, g):
         """MC Bayes risk in the embedding never beats the overlap bound."""
@@ -197,9 +197,10 @@ class TestStackedKernel:
     def test_shapes_checked(self, g):
         m = random_model(g, 4)
         w = ProjectionMatrix(np.eye(4)[:, :2])
-        for other in (np.eye(5)[:, :2], np.eye(4)[:, :3]):
-            with pytest.raises(DimensionMismatchError):
+        for other, field in ((np.eye(5)[:, :2], "w"), (np.eye(4)[:, :3], "ws")):
+            with pytest.raises(ConfigError) as err:
                 embedded_overlaps(m, [w, ProjectionMatrix(other)])
+            assert err.value.field == field
 
     def test_memory_layout_does_not_matter(self, g):
         """A Fortran-ordered frame scores as its C-ordered copy, alone or in a
@@ -287,8 +288,9 @@ class TestOptimalOverlapClosedForm:
 
     def test_nonpositive_rejected(self):
         for bad in ([0.0], [-1.0], []):
-            with pytest.raises(NonPositiveEigenvalueError):
+            with pytest.raises(ConfigError) as err:
                 optimal_overlap_closed_form(bad)
+            assert err.value.field == "eigenvalues"
 
     def test_monotone_in_q(self, g):
         """Appending eigenvalues in decreasing extremeness never raises overlap."""

@@ -10,7 +10,6 @@ from scipy.linalg import solve_triangular
 
 from covproj import (
     ConfigError,
-    DimensionMismatchError,
     EmptyClassError,
     LabeledDataset,
     ProjectionMatrix,
@@ -77,8 +76,9 @@ class TestPcaProjection:
             assert best >= np.linalg.det(v.T @ m.entries @ v) - 1e-9
 
     def test_q_exceeds_p(self, g):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError) as err:
             pca_projection(rand_spd(g, 3), 4)
+        assert err.value.field == "q"
 
     def test_nested_prefix_consistency(self, g):
         m = rand_spd(g, 7)
@@ -93,17 +93,21 @@ def test_one_embedding_dimension_rule(g, q):
     outside [1, p] alike; a negative q no longer reaches numpy's draw."""
     c = rand_spd(g, 3)
     calls = [
-        lambda: pca_projection(c, q),
-        lambda: generalized_eigenpairs(c, c, k=q),
-        lambda: random_projection(3, q, RngStream(0)),
-        lambda: sparse_random_projection(3, q, RngStream(0)),
+        ("q", lambda: pca_projection(c, q)),
+        ("k", lambda: generalized_eigenpairs(c, c, k=q)),
+        ("q", lambda: bhattacharyya_optimal_projection(c, c, q)),
+        ("q", lambda: random_projection(3, q, RngStream(0))),
+        ("q", lambda: sparse_random_projection(3, q, RngStream(0))),
     ]
     if q >= 0:
-        calls.append(lambda: ProjectionMatrix(np.ones((3, q))))
-    for call in calls:
-        with pytest.raises(DimensionMismatchError) as err:
+        calls.append(("q", lambda: ProjectionMatrix(np.ones((3, q)))))
+    for field, call in calls:
+        with pytest.raises(ConfigError) as err:
             call()
-        assert str(err.value) == f"embedding dimension q={q} must satisfy 1 <= q <= p=3"
+        assert err.value.field == field
+        assert str(err.value) == (
+            f"{field}: embedding dimension {field}={q} must satisfy 1 <= {field} <= p=3"
+        )
 
 
 def _fix_column_signs_loop(v):
@@ -299,10 +303,12 @@ class TestOptimalProjection:
         """Rejected before factoring: a singular C1 would raise otherwise."""
         c1, c2 = make_spd(np.zeros((6, 6))), rand_spd(g, 6)
         k = 7 if k == "p+1" else k
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError) as err:
             generalized_eigenpairs(c1, c2, k=k)
-        with pytest.raises(DimensionMismatchError):
+        assert err.value.field == "k"
+        with pytest.raises(ConfigError) as err:
             bhattacharyya_optimal_projection(c1, c2, k)
+        assert err.value.field == "q"
 
     def test_deterministic(self, g):
         c1, c2 = rand_spd(g, 6), rand_spd(g, 6)

@@ -14,9 +14,7 @@ import pytest
 from covproj import (
     ConfigError,
     CovProjError,
-    EmptyGridError,
     LabeledDataset,
-    MixedModesError,
     ProjectionMatrix,
     RngStream,
     SingularBlendError,
@@ -105,8 +103,9 @@ class TestExpandGrid:
 
     def test_empty_grid_rejected(self):
         cfg = dataclasses.replace(SMALL_IW, p=(2,), q=(5,))
-        with pytest.raises(EmptyGridError):
+        with pytest.raises(ConfigError) as err:
             expand_grid(cfg)
+        assert err.value.field == "q"
 
     def test_pure_function_of_config(self):
         a = expand_grid(SMALL_IW)
@@ -1213,8 +1212,9 @@ class TestSummarize:
         a = _toy_record("pca", 0.2)
         b = _toy_record("pca", None, replicate=1)
         b.metric_oos = 0.4
-        with pytest.raises(MixedModesError):
+        with pytest.raises(ConfigError) as err:
             summarize([a, b], ["q"], "pca")
+        assert err.value.field == "records"
 
     @pytest.mark.parametrize(
         "metrics, summarized",
