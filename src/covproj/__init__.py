@@ -65,7 +65,6 @@ _EXPORTS = {
         "pca_favorable_pair",
         "sample_gaussian",
         "sample_inverse_wishart",
-        "sample_scaled_inverse_wishart",
         "sample_two_class",
     ),
     "classify": (

@@ -61,24 +61,16 @@ class EmbeddedQda:
     chol_factors: tuple[np.ndarray, np.ndarray]
     log_dets: tuple[float, float]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.model.dim
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.w is None:
-            return x
-        if x.shape[1] != self.w.ambient_dim:
-            raise ConfigError(
-                "x", f"data has {x.shape[1]} columns, projection expects {self.w.ambient_dim}"
-            )
-        return x @ self.w.entries
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels in {1, 2}, exact ties to class 1; a non-finite x raises ConfigError."""
         _check_finite("x", x)
-        y = self.embed(x)
+        y = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.w is not None:
+            if y.shape[1] != self.w.ambient_dim:
+                raise ConfigError(
+                    "x", f"data has {y.shape[1]} columns, projection expects {self.w.ambient_dim}"
+                )
+            y = y @ self.w.entries
         m = self.model
         scores = np.empty((y.shape[0], 2))
         for k, (mean, weight) in enumerate(((m.mean_1, m.weight_1), (m.mean_2, m.weight_2))):

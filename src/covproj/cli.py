@@ -35,18 +35,21 @@ from .core import (
     ConfigError,
     CovProjError,
     DatasetFormatError,
+    ProjectionMatrix,
     RngStream,
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
     _check_count,
     _check_ridge,
     _check_seed,
+    _derived_frame,
 )
 from .datasets import _class_blocks, load_matrix, load_vector
 from .generators import _FIXTURES, _column_subsample, _labeled
-from .metrics import bhattacharyya_overlap, embedded_overlap
+from .metrics import embedded_overlap
 from .projections import PROJECTIONS, build_projection, empirical_covariances
 from .sweep import (
+    SweepConfig,
     _items,
     check_projections,
     parse_config_file,
@@ -107,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--mean1", default=None, help="optional vector file")
     p_oracle.add_argument("--mean2", default=None, help="optional vector file")
     p_oracle.add_argument("--weight1", type=float, default=0.5)
-    p_oracle.add_argument("--p", type=int, default=10, help="ambient dimension for fixtures")
-    p_oracle.add_argument("--alpha", type=float, default=4.0)
-    p_oracle.add_argument("--delta", type=float, default=1.0)
+    # None when left out: a fixture fills in its defaults, covariance files refuse them
+    p_oracle.add_argument("--p", type=int, default=None, help="ambient dimension for fixtures")
+    p_oracle.add_argument("--alpha", type=float, default=None)
+    p_oracle.add_argument("--delta", type=float, default=None)
     p_oracle.add_argument("--q", type=int, required=True)
     p_oracle.add_argument(
         "--projection",
@@ -177,15 +181,30 @@ def _oracle_model(args) -> TwoClassGaussian:
             raise ConfigError("fixture", f"unknown fixture {args.fixture!r}")
         if any((args.cov1, args.cov2, args.mean1, args.mean2)):
             raise ConfigError("fixture", "a fixture takes no --cov1, --cov2, --mean1 or --mean2")
-        cov_1, cov_2 = _FIXTURES[args.fixture](args.p, args.q, args.alpha, args.delta)
+        p = 10 if args.p is None else args.p
+        alpha = SweepConfig.alpha if args.alpha is None else args.alpha
+        delta = SweepConfig.delta if args.delta is None else args.delta
+        cov_1, cov_2 = _FIXTURES[args.fixture](p, args.q, alpha, delta)
         return TwoClassGaussian.zero_mean(cov_1, cov_2, args.weight1)
     if not args.cov1 or not args.cov2:
         raise ConfigError("cov1/cov2", "provide a fixture name or both covariance files")
+    for field in ("p", "alpha", "delta"):
+        if getattr(args, field) is not None:
+            raise ConfigError(field, f"a covariance-file model takes no --{field}")
     cov_1 = load_matrix(args.cov1)
     cov_2 = load_matrix(args.cov2)
     mean_1 = load_vector(args.mean1) if args.mean1 else np.zeros(cov_1.dim)
     mean_2 = load_vector(args.mean2) if args.mean2 else np.zeros(cov_2.dim)
     return TwoClassGaussian(args.weight1, mean_1, mean_2, cov_1, cov_2)
+
+
+def _oracle_frame(args, model: TwoClassGaussian, stream: RngStream) -> ProjectionMatrix:
+    """The frame ``--projection`` names; identity embeds the model exactly, with q = p."""
+    if args.projection == "identity":
+        if args.fixture is None and args.q != model.dim:
+            raise ConfigError("q", f"the identity frame has q = p = {model.dim}, got {args.q}")
+        return _derived_frame(np.eye(model.dim))
+    return build_projection(args.projection, args.q, model.cov_1, model.cov_2, stream, args.ridge)
 
 
 def cmd_oracle(args) -> int:
@@ -194,14 +213,8 @@ def cmd_oracle(args) -> int:
     _check_ridge(args.ridge)
     model = _oracle_model(args)
     stream = RngStream(args.seed)
-    if args.projection == "identity":
-        w = None
-        overlap = bhattacharyya_overlap(model)
-    else:
-        w = build_projection(
-            args.projection, args.q, model.cov_1, model.cov_2, stream.child(0), args.ridge
-        )
-        overlap = embedded_overlap(model, w)
+    w = _oracle_frame(args, model, stream.child(0))
+    overlap = embedded_overlap(model, w)
     risk = mc_bayes_risk(model, w, args.mc_samples, stream.child(1))
     print(f"embedded_overlap={overlap:.12g}")
     print(

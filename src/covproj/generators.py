@@ -76,25 +76,18 @@ def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
     return _derived_spd(b.T @ b)
 
 
-def sample_scaled_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
-    """df * InvWishart(I_dim, df); requires a finite df >= dim.
-
-    The df scaling keeps the matrix scale consistent with the identity as the
-    dimension grows (the mean is df/(df-p-1) * I when it exists).
-    """
-    if not dim <= df < math.inf:
-        raise ConfigError("df", f"df={df} must be finite and >= dimension {dim}")
-    inv = sample_inverse_wishart(dim, df, stream)
-    return _derived_spd(df * inv.entries)
-
-
 def gen_iw_pair(
     p: int, df_1: float, df_2: float, stream: RngStream
 ) -> tuple[SpdMatrix, SpdMatrix]:
-    """Two independent scaled inverse Wishart draws with their own forks."""
-    cov_1 = sample_scaled_inverse_wishart(p, df_1, stream.child(0))
-    cov_2 = sample_scaled_inverse_wishart(p, df_2, stream.child(1))
-    return cov_1, cov_2
+    """Two independent scaled inverse Wishart draws df_k * InvWishart(I_p, df_k),
+    class k from ``stream.child(k - 1)``, each df_k finite and >= p. The scaling
+    keeps the mean, df/(df-p-1) * I when it exists, near the identity at any p."""
+    covs = []
+    for k, (field, df) in enumerate((("df_1", df_1), ("df_2", df_2))):
+        if not p <= df < math.inf:
+            raise ConfigError(field, f"{field}={df} must be finite and >= dimension {p}")
+        covs.append(_derived_spd(df * sample_inverse_wishart(p, df, stream.child(k)).entries))
+    return covs[0], covs[1]
 
 
 def latent_rank(p: int) -> int:
@@ -244,6 +237,16 @@ def _labeled(x_1: np.ndarray, x_2: np.ndarray) -> LabeledDataset:
     return LabeledDataset(np.vstack([x_1, x_2]), labels)
 
 
+def _spiked_class_1(p: int, block: int, alpha: float, delta: float) -> SpdMatrix:
+    """The fixtures' shared C1 = diag(alpha I_block, delta I_rest), after the
+    one check of their parameters."""
+    _check_spike_levels(alpha, delta)
+    if not 1 <= block < p:
+        raise ConfigError("q", f"block size must satisfy 1 <= q < p, got {block}")
+    diag = np.concatenate([np.full(block, alpha), np.full(p - block, delta)])
+    return _derived_spd(np.diag(diag))
+
+
 def pca_favorable_pair(
     p: int, block: int, alpha: float, delta: float
 ) -> tuple[SpdMatrix, SpdMatrix]:
@@ -254,9 +257,7 @@ def pca_favorable_pair(
     coordinates, where the class variances differ by the ratio alpha/delta,
     so the PCA choice coincides with the overlap-optimal one.
     """
-    _check_spike_params(p, block, alpha, delta)
-    c1 = np.diag(np.concatenate([np.full(block, alpha), np.full(p - block, delta)]))
-    return _derived_spd(c1), _derived_spd(delta * np.eye(p))
+    return _spiked_class_1(p, block, alpha, delta), _derived_spd(delta * np.eye(p))
 
 
 def pca_adversarial_pair(
@@ -270,17 +271,10 @@ def pca_adversarial_pair(
     classifier in the PCA subspace is blind; the discriminating directions
     live entirely in the remaining coordinates.
     """
-    _check_spike_params(p, block, alpha, delta)
+    c1 = _spiked_class_1(p, block, alpha, delta)
     if 2 * block > p:
         raise ConfigError("q", "the adversarial pair requires block <= p/2")
-    c1 = np.diag(np.concatenate([np.full(block, alpha), np.full(p - block, delta)]))
-    return _derived_spd(c1), _derived_spd(alpha * np.eye(p))
-
-
-def _check_spike_params(p: int, block: int, alpha: float, delta: float) -> None:
-    _check_spike_levels(alpha, delta)
-    if not 1 <= block < p:
-        raise ConfigError("q", f"block size must satisfy 1 <= q < p, got {block}")
+    return c1, _derived_spd(alpha * np.eye(p))
 
 
 def _check_spike_levels(alpha: float, delta: float) -> None:

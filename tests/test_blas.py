@@ -240,8 +240,8 @@ load_vector make_spd mc_bayes_risk metrics mixture_covariance oos_error
 optimal_overlap_closed_form optimal_projection_auto_ridge parse_config_file
 pca_adversarial_pair pca_favorable_pair pca_projection project_model
 projections random_projection read_records_csv reconstruction_error run_sweep
-sample_gaussian sample_inverse_wishart sample_scaled_inverse_wishart
-sample_two_class sparse_random_projection summarize sweep
+sample_gaussian sample_inverse_wishart sample_two_class
+sparse_random_projection summarize sweep
 """.split()
 
 LIBRARY_IMPORT = """

@@ -8,8 +8,13 @@ import pytest
 
 from covproj import (
     RngStream,
+    SweepConfig,
     TwoClassGaussian,
+    bhattacharyya_overlap,
+    load_matrix,
+    load_vector,
     mc_bayes_risk,
+    pca_adversarial_pair,
     pca_favorable_pair,
     sample_two_class,
 )
@@ -579,6 +584,58 @@ class TestOracleCommand:
         default = capsys.readouterr().out
         assert main(argv + ["--ridge", "1e-6"]) == 0
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("option, value", [("--p", "50"), ("--alpha", "7"), ("--delta", "3")])
+    def test_covariance_file_model_refuses_a_fixture_option(
+        self, tmp_path, capsys, option, value
+    ):
+        """--p, --alpha and --delta shape a fixture only; with covariance
+        files they would be ignored, so they are refused before any file is
+        read."""
+        argv = ["oracle", "--cov1", str(tmp_path / "c1.csv"), "--cov2", str(tmp_path / "c2.csv")]
+        code = main(argv + ["--q", "1", "--mc-samples", "100", option, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option[2:]}: a covariance-file model takes no {option}\n"
+
+    @pytest.mark.parametrize("q", ["1", "9"])
+    def test_identity_frame_of_a_file_model_refuses_another_q(self, tmp_path, capsys, q):
+        """The identity frame of a 3-dim model has q = 3; any other --q would
+        be unused."""
+        (tmp_path / "c1.csv").write_text("2,0,0\n0,1,0\n0,0,1\n")
+        (tmp_path / "c2.csv").write_text("1,0,0\n0,3,0\n0,0,1\n")
+        argv = ["oracle", "--cov1", str(tmp_path / "c1.csv"), "--cov2", str(tmp_path / "c2.csv")]
+        code = main(argv + ["--q", q, "--projection", "identity", "--mc-samples", "100"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: q: the identity frame has q = p = 3, got {q}\n"
+
+    @pytest.mark.parametrize("source", ["example1", "example2", "file"])
+    def test_identity_lines_are_the_ambient_scores(self, tmp_path, capsys, source):
+        """--projection identity prints the ambient overlap and the ambient
+        Monte Carlo risk (no frame) exactly; a fixture takes its defaults,
+        p = 10 and the sweep's alpha and delta, and --q as its block size."""
+        if source == "file":
+            (tmp_path / "c1.csv").write_text("2.0,0.3,0.1\n0.3,1.0,0.2\n0.1,0.2,0.5\n")
+            (tmp_path / "c2.csv").write_text("1.0,0.0,0.1\n0.0,3.0,0.4\n0.1,0.4,1.5\n")
+            (tmp_path / "m1.csv").write_text("0.1,0.2,0.3\n")
+            files = [str(tmp_path / name) for name in ("c1.csv", "c2.csv", "m1.csv")]
+            argv = ["--cov1", files[0], "--cov2", files[1], "--mean1", files[2], "--q", "3"]
+            cov_1, cov_2 = load_matrix(files[0]), load_matrix(files[1])
+            model = TwoClassGaussian(0.5, load_vector(files[2]), np.zeros(3), cov_1, cov_2)
+        else:
+            argv = [source, "--q", "2"]
+            pair = {"example1": pca_favorable_pair, "example2": pca_adversarial_pair}[source]
+            model = TwoClassGaussian.zero_mean(*pair(10, 2, SweepConfig.alpha, SweepConfig.delta))
+        argv = ["oracle", *argv, "--projection", "identity", "--mc-samples", "3000", "--seed", "5"]
+        assert main(argv) == 0
+        risk = mc_bayes_risk(model, None, 3000, RngStream(5).child(1))
+        assert capsys.readouterr().out == (
+            f"embedded_overlap={bhattacharyya_overlap(model):.12g}\n"
+            f"mc_bayes_risk={risk.estimate:.6f} +- {risk.std_error:.6f} (n=3000)\n"
+        )
 
     @pytest.mark.parametrize("fixture", ["example1", "example2"])
     def test_infinite_alpha_exits_2(self, capsys, fixture):

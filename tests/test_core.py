@@ -24,6 +24,7 @@ from covproj import (
     embedded_overlaps,
     expand_grid,
     fit_embedded_qda,
+    gen_iw_pair,
     generalized_eigenpairs,
     make_spd,
     mc_bayes_risk,
@@ -34,7 +35,6 @@ from covproj import (
     reconstruction_error,
     sample_gaussian,
     sample_inverse_wishart,
-    sample_scaled_inverse_wishart,
     sample_two_class,
     summarize,
 )
@@ -350,7 +350,7 @@ def _refusals():
         ),
         "closed_form_eigenvalues": ("eigenvalues", lambda: optimal_overlap_closed_form([0.0])),
         "iw_df": ("df", lambda: sample_inverse_wishart(3, 1.5, RngStream(0))),
-        "scaled_iw_df": ("df", lambda: sample_scaled_inverse_wishart(3, 2.5, RngStream(0))),
+        "scaled_iw_df": ("df_1", lambda: gen_iw_pair(3, 2.5, 4, RngStream(0))),
         "overlap_columns": (
             "x_2", lambda: column_overlap(np.ones((4, 2)), np.ones((4, 3)), 0.5, RngStream(0))
         ),

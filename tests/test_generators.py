@@ -21,7 +21,6 @@ from covproj import (
     pca_projection,
     sample_gaussian,
     sample_inverse_wishart,
-    sample_scaled_inverse_wishart,
 )
 from covproj.generators import _bartlett_factor, _bartlett_indices, _mixing_matrix
 
@@ -83,12 +82,17 @@ class TestWishart:
         assert np.array_equal(a, expected)
 
 
+def _scaled_iw(dim, df, stream):
+    """df * InvWishart(I_dim, df), the draw of each class of ``gen_iw_pair``."""
+    return df * sample_inverse_wishart(dim, df, stream).entries
+
+
 class TestScaledInverseWishart:
     def test_scalar_mean(self):
         """p = 1, df = 5: draws are 5/chi2_5 with mean 5/(5-2) = 5/3."""
         stream = RngStream(111)
         draws = [
-            sample_scaled_inverse_wishart(1, 5, stream.child(i)).entries[0, 0]
+            _scaled_iw(1, 5, stream.child(i))[0, 0]
             for i in range(20_000)
         ]
         assert abs(np.mean(draws) - 5.0 / 3.0) < 0.03 * (5.0 / 3.0)
@@ -99,7 +103,7 @@ class TestScaledInverseWishart:
         total = np.zeros((10, 10))
         n = 5000
         for i in range(n):
-            total += sample_scaled_inverse_wishart(10, 50, stream.child(i)).entries
+            total += _scaled_iw(10, 50, stream.child(i))
         expected = 50.0 / 39.0
         mean = total / n
         assert np.max(np.abs(np.diag(mean) - expected)) < 0.05 * expected
@@ -113,7 +117,7 @@ class TestScaledInverseWishart:
         total = np.zeros((p, p))
         n = 500
         for i in range(n):
-            total += sample_scaled_inverse_wishart(p, 100 * p, stream.child(i)).entries
+            total += _scaled_iw(p, 100 * p, stream.child(i))
         assert np.max(np.abs(total / n - np.eye(p))) < 0.03
 
     def test_concentration_improves_with_df(self):
@@ -123,10 +127,7 @@ class TestScaledInverseWishart:
         scores = []
         for k, df_mult in enumerate((1, 2, 10)):
             dists = [
-                np.linalg.norm(
-                    sample_scaled_inverse_wishart(p, df_mult * p, stream.child(k, i)).entries
-                    - np.eye(p)
-                )
+                np.linalg.norm(_scaled_iw(p, df_mult * p, stream.child(k, i)) - np.eye(p))
                 / np.sqrt(p)
                 for i in range(reps)
             ]
@@ -134,18 +135,27 @@ class TestScaledInverseWishart:
         assert scores[0] > scores[1] > scores[2]
 
     def test_df_below_dim_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            sample_scaled_inverse_wishart(20, 19.5, RngStream(115))
-        assert err.value.field == "df"
+        """A scaled draw needs df >= p; the pair names the class whose df is short."""
+        for field, dfs in (("df_1", (19.5, 20)), ("df_2", (20, 19.5))):
+            with pytest.raises(ConfigError) as err:
+                gen_iw_pair(20, *dfs, RngStream(115))
+            assert err.value.field == field
 
-    @pytest.mark.parametrize("sampler", [sample_inverse_wishart, sample_scaled_inverse_wishart])
+    @pytest.mark.parametrize(
+        "field, sampler",
+        [
+            ("df", lambda df: sample_inverse_wishart(3, df, RngStream(116))),
+            ("df_1", lambda df: gen_iw_pair(3, df, 3, RngStream(116))),
+        ],
+        ids=["sample_inverse_wishart", "gen_iw_pair"],
+    )
     @pytest.mark.parametrize("df", [np.nan, np.inf])
-    def test_non_finite_df_rejected(self, sampler, df):
+    def test_non_finite_df_rejected(self, field, sampler, df):
         """A NaN df would give an all-NaN matrix and an infinite one a zero
         matrix; both samplers refuse it like a df that is too small."""
         with pytest.raises(ConfigError) as err:
-            sampler(3, df, RngStream(116))
-        assert err.value.field == "df"
+            sampler(df)
+        assert err.value.field == field
 
 
 class TestIwPair:
@@ -167,7 +177,16 @@ class TestIwPair:
     def test_df_too_small(self):
         with pytest.raises(ConfigError) as err:
             gen_iw_pair(20, 10, 40, RngStream(123))
-        assert err.value.field == "df"
+        assert err.value.field == "df_1"
+
+    @pytest.mark.parametrize("p, df_1, df_2", [(1, 5, 7), (20, 20, 200), (50, 100, 50.5)])
+    def test_each_class_is_the_scaled_draw_of_its_fork(self, p, df_1, df_2):
+        """Class k is df_k * InvWishart(I_p, df_k) from stream.child(k - 1), bit for bit."""
+        stream = RngStream(125)
+        pair = gen_iw_pair(p, df_1, df_2, stream)
+        for k, (cov, df) in enumerate(zip(pair, (df_1, df_2))):
+            expected = df * sample_inverse_wishart(p, df, stream.child(k)).entries
+            assert np.array_equal(cov.entries, expected)
 
     def test_matches_independent_sampler(self):
         """p = 20, df = 40: pairs from gen_iw_pair and df-scaled draws of
