@@ -65,11 +65,10 @@ class EmbeddedQda:
         """Labels in {1, 2}, exact ties to class 1; a non-finite x raises ConfigError."""
         _check_finite("x", x)
         y = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        dim = self.model.dim if self.w is None else self.w.ambient_dim
+        if y.shape[1] != dim:
+            raise ConfigError("x", f"data has {y.shape[1]} columns, the rule expects {dim}")
         if self.w is not None:
-            if y.shape[1] != self.w.ambient_dim:
-                raise ConfigError(
-                    "x", f"data has {y.shape[1]} columns, projection expects {self.w.ambient_dim}"
-                )
             y = y @ self.w.entries
         m = self.model
         scores = np.empty((y.shape[0], 2))

@@ -40,6 +40,7 @@ from .core import (
     SingularEmbeddedCovarianceError,
     TwoClassGaussian,
     _check_count,
+    _check_fraction,
     _check_ridge,
     _check_seed,
     _derived_frame,
@@ -211,6 +212,7 @@ def cmd_oracle(args) -> int:
     _check_count("mc_samples", args.mc_samples)
     _check_seed("seed", args.seed)
     _check_ridge(args.ridge)
+    _check_fraction("weight1", args.weight1)
     model = _oracle_model(args)
     stream = RngStream(args.seed)
     w = _oracle_frame(args, model, stream.child(0))

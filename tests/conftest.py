@@ -40,6 +40,19 @@ def sweep_records(config) -> list[SweepRecord]:
         return list(read_records_csv(Path(out) / "records.csv"))
 
 
+def two_class_csv(directory: Path) -> Path:
+    """``two_class.csv`` in ``directory``: a label column and 4 features, 100
+    rows of class 1 and 100 of class 2 with twice its spread."""
+    g = np.random.default_rng(0)
+    x = g.standard_normal((200, 4)) * np.repeat([[1.0], [2.0]], 100, axis=0)
+    lines = ["label,x0,x1,x2,x3"]
+    lines += [f"{label}," + ",".join(f"{v:.6f}" for v in row)
+              for label, row in zip(np.repeat([1, 2], 100), x)]
+    path = directory / "two_class.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def reference_chernoff_distance(model: TwoClassGaussian, s: float) -> float:
     """The Chernoff distance of one model, factor by factor: three Cholesky
     factorizations, their log-dets and one triangular solve of d, even when

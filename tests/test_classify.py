@@ -168,6 +168,17 @@ class TestDecisionGeometry:
             fit_embedded_qda(empirical_covariances(data), w)
         fit_embedded_qda(empirical_covariances(data), w, ridge=1e-6)
 
+    def test_singularity_threshold_is_a_1e_12_eigenvalue_ratio(self):
+        """At ridge 0 an eigenvalue ratio of 1e-10 still fits, and one of
+        1e-13 is refused naming the class that holds it."""
+        def rule(small):
+            cov_1 = make_spd(np.diag([1.0, small]))
+            return fit_embedded_qda(TwoClassGaussian.zero_mean(cov_1, make_spd(np.eye(2))))
+
+        assert rule(1e-10).log_dets[0] == pytest.approx(math.log(1e-10))
+        with pytest.raises(SingularEmbeddedCovarianceError, match="of class 1 is singular"):
+            rule(1e-13)
+
 
 def former_embedding(weights, means, covs, w, ridge):
     """The arithmetic of the former explicit-parameter QDA builder, kept as

@@ -107,18 +107,22 @@ class TestSweepCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("via", ["config", "override"])
-    def test_seed_beyond_64_bits_exits_2_before_any_output(self, iw_cfg, tmp_path, capsys, via):
-        seed = str(2**64)
+    @pytest.mark.parametrize(
+        "via, seed",
+        [("config", str(2**64)), ("override", str(2**64)), ("config", "-1"), ("override", "-1")],
+        ids=["config", "override", "config_negative", "override_negative"],
+    )
+    def test_seed_beyond_64_bits_exits_2_before_any_output(
+        self, iw_cfg, tmp_path, capsys, via, seed
+    ):
         argv = ["sweep", "--config", str(iw_cfg), "--out", str(tmp_path / "run")]
         if via == "config":
             iw_cfg.write_text(IW_CFG.replace("seed = 13", f"seed = {seed}"))
         else:
             argv += ["--seed", seed]
         assert main(argv) == 2
-        assert "seed: must be a 64-bit unsigned integer" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "records.csv").exists()
-        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert capsys.readouterr() == ("", "error: seed: must be a 64-bit unsigned integer\n")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -550,6 +554,16 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert err == "error: seed: must be a 64-bit unsigned integer\n"
+
+    @pytest.mark.parametrize("weight", ["0", "1", "1.5", "nan"])
+    def test_weight_outside_the_unit_interval_exits_2_naming_the_option(self, capsys, weight):
+        """Checked up front under the option's own name, not the model's
+        ``weight_1``."""
+        code = main(["oracle", "example1", "--p", "6", "--q", "2", "--weight1", weight])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: weight1: must lie strictly between 0 and 1\n"
 
     @pytest.mark.parametrize("option", ["--cov1", "--cov2", "--mean1", "--mean2"])
     def test_fixture_with_a_model_file_exits_2(self, tmp_path, capsys, option):

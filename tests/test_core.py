@@ -337,6 +337,12 @@ def _refusals():
         "predict_columns": (
             "x", lambda: fit_embedded_qda(model3, frame3).predict(np.ones((1, 2)))
         ),
+        "predict_columns_no_frame_1": (
+            "x", lambda: fit_embedded_qda(model2).predict(np.ones((1, 1)))
+        ),
+        "predict_columns_no_frame_3": (
+            "x", lambda: fit_embedded_qda(model2).predict(np.ones((1, 3)))
+        ),
         "oos_empty_val": (
             "val",
             lambda: oos_error(fit_embedded_qda(model2), LabeledDataset(np.ones((0, 2)), [])),

@@ -38,7 +38,7 @@ from covproj.cli import main
 from covproj.projections import PROJECTIONS
 from covproj.sweep import rows_per_cell
 
-from conftest import sweep_records
+from conftest import sweep_records, two_class_csv
 
 PAPER_IW = SweepConfig(
     family="inverse_wishart",
@@ -75,6 +75,30 @@ SMALL_IW = SweepConfig(
     n_simu=2,
     seed=77,
 )
+
+
+# one tiny sweep of each mode and family, as the command runs them
+_IW_TINY = dict(
+    family="inverse_wishart", p=(8,), q=(2,), df1_over_p=(2.0,), df2_over_p=(2.0,),
+    n_simu=2, mc_samples=2000,
+)
+_ALL_FRAMES = ("pca", "rp", "sparse_rp", "bhatt_optimal")
+WORKER_CONFIGS = {
+    "small_iw": SMALL_IW,
+    "example1": SweepConfig(family="example1", p=(3, 4, 5, 6, 7, 8), q=(1, 2),
+                            projections=("pca", "rp")),
+    "overlap": SweepConfig(**_IW_TINY, projections=_ALL_FRAMES),
+    "risk_mc": SweepConfig(**_IW_TINY, mode="risk_mc", projections=_ALL_FRAMES),
+    "finite_sample_curve": SweepConfig(
+        **_IW_TINY, mode="finite_sample_curve", sample_grid=(40,),
+        projections=("pca", "bhatt_optimal", "empirical_pca", "empirical_bhatt_optimal"),
+    ),
+    "latent": SweepConfig(family="latent_low_dim", p=(20,), q=(2,), share=("none", "q", "theta"),
+                          q_density=("dense", "sparse"), projections=_ALL_FRAMES),
+    "empirical": SweepConfig(family="empirical_cov", dataset="two_class.csv",
+                             label_column="label", p=(4,), q=(2,), gamma=(0.0, 0.5, 1.0),
+                             n_simu=2, projections=_ALL_FRAMES),
+}
 
 
 class TestExpandGrid:
@@ -541,13 +565,23 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
         assert "(3 new records, 3 failed records" in capsys.readouterr().out
 
-    def test_worker_count_invariance(self):
-        rows_1 = [r.to_csv_row() for r in sweep_records(SMALL_IW)]
-        rows_8 = [
-            r.to_csv_row()
-            for r in sweep_records(dataclasses.replace(SMALL_IW, workers=8))
-        ]
-        assert rows_1 == rows_8
+    def test_worker_count_invariance(self, tmp_path):
+        """Two and eight workers write one worker's records, and none of them
+        failed, in each mode and family: a bad draw or frame built where
+        nothing checks it would show as a failed record or a worker split."""
+        dataset = str(two_class_csv(tmp_path))
+        for name, config in WORKER_CONFIGS.items():
+            if config.family == "empirical_cov":
+                config = dataclasses.replace(config, dataset=dataset)
+            records = sweep_records(config)
+            assert records and all(r.ok for r in records), name
+            rows_1 = [r.to_csv_row() for r in records]
+            for workers in (2, 8):
+                rows_n = [
+                    r.to_csv_row()
+                    for r in sweep_records(dataclasses.replace(config, workers=workers))
+                ]
+                assert rows_1 == rows_n, (name, workers)
 
     def test_csv_byte_identity_and_roundtrip(self, tmp_path):
         run_sweep(SMALL_IW, out_dir=tmp_path / "a")
