@@ -41,7 +41,6 @@ from .core import (
     TwoClassGaussian,
     _check_count,
     _check_fraction,
-    _check_ridge,
     _check_seed,
     _derived_frame,
 )
@@ -123,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--mc-samples", type=int, default=100000)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--ridge", type=float, default=1e-6, help="bhatt_optimal fallback ridge")
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
@@ -205,13 +203,12 @@ def _oracle_frame(args, model: TwoClassGaussian, stream: RngStream) -> Projectio
         if args.fixture is None and args.q != model.dim:
             raise ConfigError("q", f"the identity frame has q = p = {model.dim}, got {args.q}")
         return _derived_frame(np.eye(model.dim))
-    return build_projection(args.projection, args.q, model.cov_1, model.cov_2, stream, args.ridge)
+    return build_projection(args.projection, args.q, model.cov_1, model.cov_2, stream)
 
 
 def cmd_oracle(args) -> int:
     _check_count("mc_samples", args.mc_samples)
     _check_seed("seed", args.seed)
-    _check_ridge(args.ridge)
     _check_fraction("weight1", args.weight1)
     model = _oracle_model(args)
     stream = RngStream(args.seed)

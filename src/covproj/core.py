@@ -101,10 +101,12 @@ def _check_fraction(field: str, value: float) -> None:
         raise ConfigError(field, "must lie strictly between 0 and 1")
 
 
-def _check_count(field: str, value: int) -> None:
-    """The one rule for a count: replicates, workers, Monte Carlo samples."""
-    if value < 1:
-        raise ConfigError(field, "must be at least 1")
+def _check_count(field: str, value: int, least: int = 1) -> None:
+    """The one rule for a count: replicates, workers, samples, dimensions."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(field, f"must be at least {least}")
 
 
 def _check_seed(field: str, seed: int) -> None:
@@ -116,7 +118,7 @@ def _check_seed(field: str, seed: int) -> None:
 def _check_embed_dim(field: str, q: int, p: int) -> None:
     """The one rule for an embedding dimension in ambient dimension p: a
     frame's columns, PCA's q, the eigenpairs kept."""
-    if not 1 <= q <= p:
+    if not isinstance(q, (int, np.integer)) or not 1 <= q <= p:
         raise ConfigError(
             field, f"embedding dimension {field}={q} must satisfy 1 <= {field} <= p={p}"
         )

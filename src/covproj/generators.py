@@ -32,6 +32,7 @@ from .core import (
     RngStream,
     SpdMatrix,
     TwoClassGaussian,
+    _check_count,
     _derived_spd,
 )
 from .projections import mixture_covariance
@@ -67,8 +68,9 @@ def sample_inverse_wishart(dim: int, df: float, stream: RngStream) -> SpdMatrix:
 
     With W = A A^T the inverse is B^T B for B = A^{-1}, computed by one
     triangular solve, so no general matrix inversion is ever formed.
-    Requires a finite df > dim - 1.
+    Requires an integer dim >= 1 and a finite df > dim - 1.
     """
+    _check_count("dim", dim)
     if not dim - 1 < df < math.inf:
         raise ConfigError("df", f"df={df} must be finite and > p - 1 for dimension {dim}")
     a = _bartlett_factor(dim, df, stream.generator())
@@ -82,6 +84,7 @@ def gen_iw_pair(
     """Two independent scaled inverse Wishart draws df_k * InvWishart(I_p, df_k),
     class k from ``stream.child(k - 1)``, each df_k finite and >= p. The scaling
     keeps the mean, df/(df-p-1) * I when it exists, near the identity at any p."""
+    _check_count("p", p)
     covs = []
     for k, (field, df) in enumerate((("df_1", df_1), ("df_2", df_2))):
         if not p <= df < math.inf:

@@ -41,6 +41,7 @@ from .core import (
 PROJECTIONS = ("pca", "rp", "sparse_rp", "bhatt_optimal")
 
 _MAX_RANK_RETRIES = 100
+_FALLBACK_RIDGE = 1e-6  # bhatt_optimal's ridge on a singular C1, times trace(C1)/p
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -68,9 +69,11 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
 
 def mixture_covariance(x: np.ndarray) -> SpdMatrix:
     """Sample covariance (divisor n) of the rows of x: a class, or the pooled
-    rows whose mixture covariance PCA decomposes. A non-finite entry raises
-    ConfigError."""
+    rows whose mixture covariance PCA decomposes. A non-finite entry, or an
+    x that is not 2-D with at least one row, raises ConfigError."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ConfigError("x", f"need a 2-D array with at least one row, got shape {x.shape}")
     _check_finite("x", x)
     centered = x - x.mean(axis=0)
     return _derived_spd(centered.T @ centered / x.shape[0])
@@ -120,15 +123,15 @@ def sparse_random_projection(p: int, q: int, stream: RngStream) -> ProjectionMat
 
 
 def generalized_eigenpairs(
-    cov_1: SpdMatrix, cov_2: SpdMatrix, ridge: float = 0.0, k: int | None = None
+    cov_1: SpdMatrix, cov_2: SpdMatrix, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The k most extreme eigenpairs of C2 phi = lam (C1 + ridge*I) phi, most
-    extreme first; all p of them when k is None.
+    """The k most extreme eigenpairs of C2 phi = lam C1 phi, most extreme
+    first; all p of them when k is None. C1 is used exactly as given.
 
     Returns the eigenvalues (length k) and the eigenvectors phi as the
     columns of a p x k array, in the same order.
 
-    Solved by whitening: factor C1 + ridge*I = L L^T, take the symmetric
+    Solved by whitening: factor C1 = L L^T, take the symmetric
     eigendecomposition of L^{-1} C2 L^{-T}, and back-transform the
     eigenvectors as phi = L^{-T} u (normalized to unit Euclidean length,
     oriented largest-entry-positive). Forming C1^{-1} C2 explicitly would
@@ -147,14 +150,10 @@ def generalized_eigenpairs(
         raise ConfigError("cov_2", "covariances must share the same dimension")
     k = p if k is None else k
     _check_embed_dim("k", k, p)
-    _check_ridge(ridge)
-    a = cov_1.entries + ridge * np.eye(p) if ridge > 0 else cov_1.entries
     try:
-        ell = np.linalg.cholesky(a)
+        ell = np.linalg.cholesky(cov_1.entries)
     except np.linalg.LinAlgError as exc:
-        raise SingularAfterRidgeError(
-            f"class-1 covariance singular at ridge={ridge:.3e}"
-        ) from exc
+        raise SingularAfterRidgeError(f"class-1 covariance singular at p={p}") from exc
     inner = solve_triangular(ell, cov_2.entries, lower=True)
     whitened = solve_triangular(ell, inner.T, lower=True)
     whitened = _sym(whitened)
@@ -173,38 +172,36 @@ def bhattacharyya_optimal_projection(
 ) -> ProjectionMatrix:
     """Overlap-minimizing q-dimensional embedding for a zero-mean class pair.
 
-    Retains the q generalized eigenvectors with the largest lam + 1/lam and
-    orthonormalizes them among themselves (QR with positive diagonal), which
-    leaves the achieved overlap unchanged. Their eigenvalues are the first q
-    of ``generalized_eigenpairs(cov_1, cov_2, ridge)[0]``.
+    Retains the q generalized eigenvectors of (C1 + ridge*I, C2) with the
+    largest lam + 1/lam and orthonormalizes them among themselves (QR with
+    positive diagonal), which leaves the achieved overlap unchanged. This is
+    the one place an (absolute) ridge enters the generalized problem.
     """
     _check_embed_dim("q", q, cov_1.dim)
-    _, raw = generalized_eigenpairs(cov_1, cov_2, ridge, q)
+    _check_ridge(ridge)
+    if ridge > 0:
+        cov_1 = _derived_spd(cov_1.entries + ridge * np.eye(cov_1.dim))
+    _, raw = generalized_eigenpairs(cov_1, cov_2, q)
     qmat, rmat = np.linalg.qr(raw)
     flip = np.sign(np.diag(rmat))
     flip[flip == 0] = 1.0
     return _derived_frame(qmat * flip)
 
 
-def optimal_projection_auto_ridge(
-    cov_1: SpdMatrix, cov_2: SpdMatrix, q: int, rel_ridge: float = 1e-6
-) -> ProjectionMatrix:
+def optimal_projection_auto_ridge(cov_1: SpdMatrix, cov_2: SpdMatrix, q: int) -> ProjectionMatrix:
     """Optimal projection that falls back to a scaled ridge when needed.
 
     Tries ridge 0 first; if the class-1 covariance is rank deficient (the
-    empirical case with n < p, where regularization is necessary to
-    approximate the inversion), retries with ridge = rel_ridge * trace/p.
+    empirical case with n <= p, where regularization is necessary to
+    approximate the inversion), retries with ridge = _FALLBACK_RIDGE * trace/p.
     """
-    _check_ridge(rel_ridge)
     try:
         return bhattacharyya_optimal_projection(cov_1, cov_2, q, ridge=0.0)
     except SingularAfterRidgeError:
         scale = float(np.trace(cov_1.entries)) / cov_1.dim
-        if scale <= 0 or rel_ridge <= 0:
+        if scale <= 0:
             raise
-        return bhattacharyya_optimal_projection(
-            cov_1, cov_2, q, ridge=rel_ridge * scale
-        )
+        return bhattacharyya_optimal_projection(cov_1, cov_2, q, ridge=_FALLBACK_RIDGE * scale)
 
 
 def empirical_covariances(data: LabeledDataset) -> TwoClassGaussian:
@@ -233,15 +230,14 @@ def build_projection(
     cov_1: SpdMatrix,
     cov_2: SpdMatrix,
     stream: RngStream,
-    rel_ridge: float = 1e-6,
     x: np.ndarray | None = None,
 ) -> ProjectionMatrix:
     """The q-dimensional projection ``name`` (one of ``PROJECTIONS``).
 
     PCA decomposes the mixture covariance of the rows ``x`` when they are
     given, and C1 + C2 otherwise; the random families draw from ``stream``;
-    the optimal projection falls back to a ridge of ``rel_ridge`` times the
-    mean class-1 variance when C1 is singular.
+    the optimal projection falls back to a ridge of ``_FALLBACK_RIDGE`` times
+    the mean class-1 variance when C1 is singular.
     """
     if name == "pca":
         if x is not None:
@@ -252,5 +248,5 @@ def build_projection(
     if name == "sparse_rp":
         return sparse_random_projection(cov_1.dim, q, stream)
     if name == "bhatt_optimal":
-        return optimal_projection_auto_ridge(cov_1, cov_2, q, rel_ridge)
+        return optimal_projection_auto_ridge(cov_1, cov_2, q)
     raise ConfigError("projections", f"unknown projection {name!r}")

@@ -178,10 +178,12 @@ class SweepConfig:
         if self.mode not in MODES:
             hint = f"; {_FOLDED}" if self.mode == "oos_loss" else ""
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}{hint}")
-        if not self.p or any(p < 1 for p in self.p):
-            raise ConfigError("p", "need at least one positive ambient dimension")
-        if not self.q or any(q < 1 for q in self.q):
-            raise ConfigError("q", "need at least one positive embedding dimension")
+        grids = {"p": 1, "q": 1, **({"sample_grid": 2} if self.mode == DATA_MODE else {})}
+        for key, least in grids.items():
+            if not getattr(self, key):
+                raise ConfigError(key, "need at least one value")
+            for value in getattr(self, key):
+                _check_count(key, value, least)
         _check_count("n_simu", self.n_simu)
         _check_count("workers", self.workers)
         check_projections(self.projections, self.mode)
@@ -210,9 +212,6 @@ class SweepConfig:
         _check_fraction("train_frac", self.train_frac)
         _check_count("mc_samples", self.mc_samples)
         _check_ridge(self.ridge)
-        if self.mode == DATA_MODE:
-            if not self.sample_grid or any(n < 2 for n in self.sample_grid):
-                raise ConfigError("sample_grid", "per-class sizes must all be >= 2")
         _check_seed("seed", self.seed)
 
     def to_mapping(self) -> dict[str, str]:
@@ -513,7 +512,7 @@ def _eval_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> 
         name = record.projection.removeprefix(EMPIRICAL)
         on, x = (model, None) if name == record.projection else (est, draw.train.X)
         try:
-            w = build_projection(name, cell.q, on.cov_1, on.cov_2, draw.build[j], config.ridge, x)
+            w = build_projection(name, cell.q, on.cov_1, on.cov_2, draw.build[j], x)
             built.append((j, record, w))
         except CovProjError as exc:
             record.status = _failed(exc)

@@ -320,6 +320,9 @@ def _refusals():
     frame3 = ProjectionMatrix(np.eye(3)[:, :2])
     nan2 = np.array([np.nan, 0.0])
 
+    def config(**fields):
+        return SweepConfig(**{"family": "example1", "p": (3,), "q": (1,), **fields})
+
     def record(**metric):
         fields = dict(family="example1", p=3, q=1, param1="", param2="", param3="")
         return SweepRecord(**fields, replicate=0, projection="pca", **metric)
@@ -356,7 +359,24 @@ def _refusals():
         ),
         "closed_form_eigenvalues": ("eigenvalues", lambda: optimal_overlap_closed_form([0.0])),
         "iw_df": ("df", lambda: sample_inverse_wishart(3, 1.5, RngStream(0))),
+        "iw_order_0": ("dim", lambda: sample_inverse_wishart(0, 1.0, RngStream(0))),
+        "iw_order_negative": ("dim", lambda: sample_inverse_wishart(-1, 1.0, RngStream(0))),
         "scaled_iw_df": ("df_1", lambda: gen_iw_pair(3, 2.5, 4, RngStream(0))),
+        "scaled_iw_order_0": ("p", lambda: gen_iw_pair(0, 1, 1, RngStream(0))),
+        "mixture_no_rows": ("x", lambda: mixture_covariance(np.ones((0, 2)))),
+        "mixture_1d": ("x", lambda: mixture_covariance(np.ones(3))),
+        "integer_pca_q": ("q", lambda: pca_projection(eye2, 1.5)),
+        "integer_eigenpairs_k": ("k", lambda: generalized_eigenpairs(eye2, eye2, k=1.5)),
+        "integer_mc_samples": (
+            "n_samples", lambda: mc_bayes_risk(model2, None, 10.5, RngStream(0))
+        ),
+        "integer_n_simu": ("n_simu", lambda: config(n_simu=1.5)),
+        "integer_workers": ("workers", lambda: config(workers=2.5)),
+        "integer_p": ("p", lambda: config(p=(20.5,))),
+        "integer_q": ("q", lambda: config(q=(1.5,))),
+        "integer_sample_grid": (
+            "sample_grid", lambda: config(mode="finite_sample_curve", sample_grid=(20.5,))
+        ),
         "overlap_columns": (
             "x_2", lambda: column_overlap(np.ones((4, 2)), np.ones((4, 3)), 0.5, RngStream(0))
         ),

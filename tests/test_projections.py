@@ -14,6 +14,7 @@ from covproj import (
     LabeledDataset,
     ProjectionMatrix,
     RngStream,
+    SingularAfterRidgeError,
     TwoClassGaussian,
     bhattacharyya_optimal_projection,
     build_projection,
@@ -260,29 +261,24 @@ class TestOptimalProjection:
         )
 
     def test_auto_ridge_on_rank_deficient(self, g):
-        """A rank-deficient first covariance needs the ridge fallback."""
+        """A rank-deficient first covariance needs the ridge fallback: the
+        optimal frame at the absolute ridge 1e-6 * trace(C1) / p, to the bit."""
         x = g.standard_normal((4, 10))
-        s1 = make_spd(x.T @ x / 4)
-        s2 = rand_spd(g, 10)
-        assert optimal_projection_auto_ridge(s1, s2, 3).embed_dim == 3
+        c1 = make_spd(x.T @ x / 4)
+        c2 = rand_spd(g, 10)
+        with pytest.raises(SingularAfterRidgeError):
+            bhattacharyya_optimal_projection(c1, c2, 3)
+        ridge = 1e-6 * np.trace(c1.entries) / 10
+        expected = bhattacharyya_optimal_projection(c1, c2, 3, ridge=ridge)
+        assert np.array_equal(optimal_projection_auto_ridge(c1, c2, 3).entries, expected.entries)
 
     @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, -1.0])
-    @pytest.mark.parametrize(
-        "entry", ["generalized_eigenpairs", "auto_ridge", "build_projection"]
-    )
-    def test_ridge_rule_holds_at_each_entry(self, g, entry, ridge):
-        """0 <= ridge < inf wherever a ridge enters, even with a regular C1,
-        for which the ridge fallback never runs."""
+    def test_ridge_rule_holds_at_the_optimal_projection(self, g, ridge):
+        """0 <= ridge < inf where a ridge enters the generalized problem, even
+        with a regular C1."""
         c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
-        calls = {
-            "generalized_eigenpairs": lambda: generalized_eigenpairs(c1, c2, ridge),
-            "auto_ridge": lambda: optimal_projection_auto_ridge(c1, c2, 2, ridge),
-            "build_projection": lambda: build_projection(
-                "bhatt_optimal", 2, c1, c2, RngStream(0), rel_ridge=ridge
-            ),
-        }
         with pytest.raises(ConfigError) as err:
-            calls[entry]()
+            bhattacharyya_optimal_projection(c1, c2, 2, ridge)
         assert err.value.field == "ridge"
 
     @pytest.mark.parametrize("p", [20, 100, 200])

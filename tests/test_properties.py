@@ -247,7 +247,7 @@ def _frames(config, q, build, model):
     """Each projection of the point built on ``model``'s pair, as the sweep
     builds it; the random frames depend on their streams alone."""
     return [
-        build_projection(name, q, model.cov_1, model.cov_2, stream, config.ridge)
+        build_projection(name, q, model.cov_1, model.cov_2, stream)
         for name, stream in zip(config.projections, build)
     ]
 
@@ -355,7 +355,7 @@ def _curve_fits(config, q, build, model, train, val):
     for name, stream in zip(config.projections, build):
         base = name.removeprefix(EMPIRICAL)
         on, x = (model, None) if base == name else (est, train.X)
-        w = build_projection(base, q, on.cov_1, on.cov_2, stream, config.ridge, x)
+        w = build_projection(base, q, on.cov_1, on.cov_2, stream, x)
         qda = fit_embedded_qda(est, w, ridge=config.ridge)
         recon = reconstruction_error(w, est.cov_1, est.cov_2, model.cov_1, model.cov_2)
         fits.append((w, qda, oos_error(qda, val), recon))

@@ -427,6 +427,29 @@ class TestRunSweep:
         assert all(not r.ok for r in records)
         assert all(r.status == "failed:SingularEmbeddedCovarianceError" for r in records)
 
+    def test_ridge_is_the_qda_ridge_alone(self):
+        """With n <= p the sample C1 is singular and the optimal frame comes
+        from the fallback, which no config key reaches: two ridges give the
+        same frames, so metric_recon, which no classifier enters, is equal."""
+        cfg = SweepConfig(
+            family="inverse_wishart",
+            p=(30,),
+            q=(3,),
+            df1_over_p=(2.0,),
+            df2_over_p=(2.0,),
+            n_simu=2,
+            mode="finite_sample_curve",
+            sample_grid=(10, 40),
+            projections=("empirical_bhatt_optimal",),
+            seed=6,
+        )
+        recons = [
+            [r.metric_recon for r in sweep_records(dataclasses.replace(cfg, ridge=ridge))]
+            for ridge in (1e-6, 1e-3)
+        ]
+        assert len(recons[0]) == 4 and None not in recons[0]
+        assert recons[0] == recons[1]
+
     def test_one_point_curve_is_the_first_point_of_a_longer_curve(self, tmp_path):
         """A one-value sample_grid, which replaced the oos_loss mode, draws the
         pair, the data and the projections of a longer grid's first point."""
