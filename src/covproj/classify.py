@@ -22,7 +22,6 @@ from .core import (
     ProjectionMatrix,
     RngStream,
     SingularEmbeddedCovarianceError,
-    SpdMatrix,
     TwoClassGaussian,
     _check_count,
     _check_finite,
@@ -63,8 +62,7 @@ class EmbeddedQda:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels in {1, 2}, exact ties to class 1; a non-finite x raises ConfigError."""
-        _check_finite("x", x)
-        y = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(_check_finite("x", x))
         dim = self.model.dim if self.w is None else self.w.ambient_dim
         if y.shape[1] != dim:
             raise ConfigError("x", f"data has {y.shape[1]} columns, the rule expects {dim}")
@@ -199,15 +197,12 @@ def mc_bayes_risk(
 
 
 def reconstruction_error(
-    w: ProjectionMatrix,
-    s_1: SpdMatrix,
-    s_2: SpdMatrix,
-    cov_1: SpdMatrix,
-    cov_2: SpdMatrix,
+    w: ProjectionMatrix, estimate: TwoClassGaussian, model: TwoClassGaussian
 ) -> float:
-    """Embedded covariance estimation error 1/2 sum_k |W^T (S_k - C_k) W|_F^2."""
-    for field, m in (("s_1", s_1), ("s_2", s_2), ("cov_1", cov_1), ("cov_2", cov_2)):
-        if m.dim != w.ambient_dim:
-            raise ConfigError(field, "all matrices must match the ambient dimension")
-    diffs = _embed([w], s_1.entries - cov_1.entries, s_2.entries - cov_2.entries)
+    """Embedded covariance estimation error 1/2 sum_k |W^T (S_k - C_k) W|_F^2,
+    with S_k the estimate's class covariances and C_k the model's."""
+    e, m = estimate, model
+    if e.dim != m.dim:
+        raise ConfigError("estimate", f"has dimension {e.dim}, the model {m.dim}")
+    diffs = _embed([w], e.cov_1.entries - m.cov_1.entries, e.cov_2.entries - m.cov_2.entries)
     return 0.5 * sum(float(np.sum(diff[0] * diff[0])) for diff in diffs)

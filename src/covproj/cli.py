@@ -160,7 +160,7 @@ def cmd_eval(args) -> int:
     # singular fit is reported in its row
     fits = []
     for j, name in enumerate(args.projections):
-        w = build_projection(name, args.q, est.cov_1, est.cov_2, stream.child(3, j), x=train.X)
+        w = build_projection(name, args.q, est, stream.child(3, j))
         try:
             fits.append(fit_embedded_qda(est, w, ridge=args.ridge))
         except SingularEmbeddedCovarianceError as exc:
@@ -203,7 +203,7 @@ def _oracle_frame(args, model: TwoClassGaussian, stream: RngStream) -> Projectio
         if args.fixture is None and args.q != model.dim:
             raise ConfigError("q", f"the identity frame has q = p = {model.dim}, got {args.q}")
         return _derived_frame(np.eye(model.dim))
-    return build_projection(args.projection, args.q, model.cov_1, model.cov_2, stream)
+    return build_projection(args.projection, args.q, model, stream)
 
 
 def cmd_oracle(args) -> int:

@@ -124,10 +124,15 @@ def _check_embed_dim(field: str, q: int, p: int) -> None:
         )
 
 
-def _check_finite(field: str, a: np.ndarray) -> None:
-    """The one rule for entries from outside the package: all finite."""
+def _check_finite(field: str, a) -> np.ndarray:
+    """The one rule and conversion for entries from outside the package: finite float64."""
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(field, "entries must be numbers") from None
     if not np.isfinite(a).all():
         raise ConfigError(field, "entries must be finite")
+    return a
 
 
 def _text_lines(fh, path, error: Callable[[str], CovProjError]) -> Iterator[str]:
@@ -216,10 +221,9 @@ class SpdMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
+        a = _check_finite("matrix", self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ConfigError("matrix", f"expected a non-empty square matrix, got shape {a.shape}")
-        _check_finite("matrix", a)
         sym = _as_readonly(_sym(a))
         w = np.linalg.eigvalsh(sym)
         if w[0] < -PSD_RTOL * w[-1]:
@@ -272,12 +276,11 @@ class ProjectionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_readonly(self.entries)
+        a = _as_readonly(_check_finite("projection", self.entries))
         if a.ndim != 2:
             raise ConfigError("projection", "projection must be a 2-d array")
         p, q = a.shape
         _check_embed_dim("q", q, p)
-        _check_finite("projection", a)
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= RANK_RTOL * s[0]:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0
@@ -321,10 +324,11 @@ class TwoClassGaussian:
 
     def __post_init__(self):
         _check_fraction("weight_1", self.weight_1)
-        m1 = _as_readonly(np.atleast_1d(self.mean_1))
-        m2 = _as_readonly(np.atleast_1d(self.mean_2))
-        _check_finite("mean_1", m1)
-        _check_finite("mean_2", m2)
+        m1 = _as_readonly(np.atleast_1d(_check_finite("mean_1", self.mean_1)))
+        m2 = _as_readonly(np.atleast_1d(_check_finite("mean_2", self.mean_2)))
+        for field in ("cov_1", "cov_2"):
+            if not isinstance(getattr(self, field), SpdMatrix):
+                raise ConfigError(field, "covariances must be SpdMatrix (see make_spd)")
         p = self.cov_1.dim
         dims = {"cov_2": (self.cov_2.dim,), "mean_1": m1.shape, "mean_2": m2.shape}
         for field, shape in dims.items():
@@ -357,14 +361,14 @@ class LabeledDataset:
     z: np.ndarray
 
     def __post_init__(self):
-        x = _as_readonly(np.atleast_2d(self.X))
-        z = np.array(self.z, dtype=np.int64, copy=True)
-        z.setflags(write=False)
+        x = _as_readonly(np.atleast_2d(_check_finite("X", self.X)))
+        z = _check_finite("labels", self.z)
         if x.ndim != 2 or z.ndim != 1 or x.shape[0] != z.shape[0]:
             raise ConfigError("X", "X must be n x p with one label per row")
-        _check_finite("X", x)
         if not np.all((z == 1) | (z == 2)):
             raise ConfigError("labels", "labels must take values in {1, 2}")
+        z = z.astype(np.int64)
+        z.setflags(write=False)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "z", z)
 

@@ -33,6 +33,7 @@ from .core import (
     SpdMatrix,
     TwoClassGaussian,
     _check_count,
+    _check_finite,
     _derived_spd,
 )
 from .projections import mixture_covariance
@@ -165,8 +166,8 @@ def column_overlap(
     shared. gamma = 0 returns a pure row subsample of x_1; gamma = 1 makes
     the two returned m x p groups identically distributed.
     """
-    x_1 = np.asarray(x_1, dtype=np.float64)
-    x_2 = np.asarray(x_2, dtype=np.float64)
+    x_1 = _check_finite("x_1", x_1)
+    x_2 = _check_finite("x_2", x_2)
     if x_1.ndim != 2 or x_2.ndim != 2 or x_1.shape[1] != x_2.shape[1]:
         raise ConfigError("x_2", "the two groups must share a column count")
     _check_gamma(gamma)
@@ -216,10 +217,11 @@ def empirical_cov_pair(
 def sample_gaussian(
     mean: np.ndarray, cov: SpdMatrix, n: int, stream: RngStream
 ) -> np.ndarray:
-    """n rows of mean + L z with L the Cholesky factor of cov, z iid normal."""
-    mean = np.asarray(mean, dtype=np.float64)
+    """n >= 0 rows of mean + L z with L the Cholesky factor of cov, z iid normal."""
+    mean = _check_finite("mean", mean)
     if mean.shape != (cov.dim,):
         raise ConfigError("mean", "mean length must match covariance order")
+    _check_count("n", n, least=0)
     ell = cov.cholesky()
     z = stream.generator().standard_normal((n, cov.dim))
     return mean + z @ ell.T
@@ -228,7 +230,9 @@ def sample_gaussian(
 def sample_two_class(
     model: TwoClassGaussian, n_1: int, n_2: int, stream: RngStream
 ) -> LabeledDataset:
-    """Labeled sample with n_k rows drawn from class k of the model."""
+    """Labeled sample with n_k >= 0 rows drawn from class k of the model."""
+    _check_count("n_1", n_1, least=0)
+    _check_count("n_2", n_2, least=0)
     x_1 = sample_gaussian(model.mean_1, model.cov_1, n_1, stream.child(0))
     x_2 = sample_gaussian(model.mean_2, model.cov_2, n_2, stream.child(1))
     return _labeled(x_1, x_2)

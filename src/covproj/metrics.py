@@ -32,6 +32,7 @@ from .core import (
     ProjectionMatrix,
     SingularBlendError,
     TwoClassGaussian,
+    _check_finite,
     _derived_spd,
     _sym,
 )
@@ -164,22 +165,21 @@ def embedded_overlap(model: TwoClassGaussian, w: ProjectionMatrix) -> float:
     return embedded_overlaps(model, [w])[0]
 
 
-def optimal_overlap_closed_form(
-    eigenvalues, weights: tuple[float, float] = (0.5, 0.5)
-) -> float:
-    """Overlap achieved by the overlap-minimizing embedding, from its spectrum.
+def optimal_overlap_closed_form(eigenvalues) -> float:
+    """Overlap achieved by the overlap-minimizing embedding of a balanced
+    zero-mean pair, from its spectrum.
 
     Given the q retained generalized eigenvalues lam_j of the class
     covariance pair, returns
 
-        sqrt(pi1*pi2) * ( prod_j (lam_j^(1/2) + lam_j^(-1/2)) / 2 )^(-1/2).
+        1/2 * ( prod_j (lam_j^(1/2) + lam_j^(-1/2)) / 2 )^(-1/2).
 
     Every factor is >= 1, so the value is non-increasing as eigenvalues are
     appended in decreasing order of lam + 1/lam.
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lam = _check_finite("eigenvalues", eigenvalues)
     if lam.size == 0 or np.any(lam <= 0.0):
         raise ConfigError("eigenvalues", "all retained eigenvalues must be strictly positive")
     root = np.sqrt(lam)
     log_product = float(np.sum(np.log((root + 1.0 / root) / 2.0)))
-    return math.sqrt(weights[0] * weights[1]) * math.exp(-0.5 * log_product)
+    return 0.5 * math.exp(-0.5 * log_product)

@@ -4,9 +4,10 @@ Unsupervised: PCA of the mixture covariance, dense Gaussian random
 projection, and the very sparse three-valued random projection. Supervised
 benchmark: the overlap-optimal projection built from the generalized
 eigenvectors of the class covariance pair, selected by the extremeness score
-lam + 1/lam. Each family is built by ``build_projection`` from a class
-covariance pair, which is either the true pair (the parameter-oracle form) or
-the sample estimates (the empirical form).
+lam + 1/lam. Each family is built by ``build_projection`` from one
+TwoClassGaussian, which is either the true model (the parameter-oracle form)
+or the plug-in model of the sample estimates (the empirical form); PCA, being
+unsupervised, sees only the model's mixture covariance.
 
 Every constructor returns a ProjectionMatrix and is deterministic given its
 inputs and an RngStream. ``generalized_eigenpairs`` returns plain arrays: the
@@ -68,13 +69,12 @@ def pca_projection(mixture_cov: SpdMatrix, q: int) -> ProjectionMatrix:
 
 
 def mixture_covariance(x: np.ndarray) -> SpdMatrix:
-    """Sample covariance (divisor n) of the rows of x: a class, or the pooled
-    rows whose mixture covariance PCA decomposes. A non-finite entry, or an
-    x that is not 2-D with at least one row, raises ConfigError."""
-    x = np.asarray(x, dtype=np.float64)
+    """Sample covariance (divisor n) of one class's rows x, for the estimates
+    and ``empirical_cov_pair`` (``perfbench/tracer.py`` wraps this name). An
+    x that is not 2-D with at least one row of finite numbers raises ConfigError."""
+    x = _check_finite("x", x)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigError("x", f"need a 2-D array with at least one row, got shape {x.shape}")
-    _check_finite("x", x)
     centered = x - x.mean(axis=0)
     return _derived_spd(centered.T @ centered / x.shape[0])
 
@@ -225,28 +225,25 @@ def empirical_covariances(data: LabeledDataset) -> TwoClassGaussian:
 
 
 def build_projection(
-    name: str,
-    q: int,
-    cov_1: SpdMatrix,
-    cov_2: SpdMatrix,
-    stream: RngStream,
-    x: np.ndarray | None = None,
+    name: str, q: int, model: TwoClassGaussian, stream: RngStream
 ) -> ProjectionMatrix:
-    """The q-dimensional projection ``name`` (one of ``PROJECTIONS``).
+    """The q-dimensional projection ``name`` (one of ``PROJECTIONS``) of ``model``.
 
-    PCA decomposes the mixture covariance of the rows ``x`` when they are
-    given, and C1 + C2 otherwise; the random families draw from ``stream``;
-    the optimal projection falls back to a ridge of ``_FALLBACK_RIDGE`` times
-    the mean class-1 variance when C1 is singular.
+    PCA decomposes the mixture covariance pi1 C1 + pi2 C2 + pi1 pi2 d d^T,
+    d = mu2 - mu1, which for ``empirical_covariances`` is the pooled rows'
+    covariance; the random families draw from ``stream``; the optimal
+    projection falls back to a ridge of ``_FALLBACK_RIDGE`` times the mean
+    class-1 variance when C1 is singular.
     """
+    m = model
     if name == "pca":
-        if x is not None:
-            return pca_projection(mixture_covariance(x), q)
-        return pca_projection(_derived_spd(cov_1.entries + cov_2.entries), q)
+        d = m.mean_2 - m.mean_1
+        mixture = m.weight_1 * m.cov_1.entries + m.weight_2 * m.cov_2.entries
+        return pca_projection(_derived_spd(mixture + m.weight_1 * m.weight_2 * np.outer(d, d)), q)
     if name == "rp":
-        return random_projection(cov_1.dim, q, stream)
+        return random_projection(m.dim, q, stream)
     if name == "sparse_rp":
-        return sparse_random_projection(cov_1.dim, q, stream)
+        return sparse_random_projection(m.dim, q, stream)
     if name == "bhatt_optimal":
-        return optimal_projection_auto_ridge(cov_1, cov_2, q)
+        return optimal_projection_auto_ridge(m.cov_1, m.cov_2, q)
     raise ConfigError("projections", f"unknown projection {name!r}")

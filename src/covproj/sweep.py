@@ -510,9 +510,9 @@ def _eval_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> 
     built = []  # (index, record, projection) of every projection that built
     for j, record in enumerate(records):
         name = record.projection.removeprefix(EMPIRICAL)
-        on, x = (model, None) if name == record.projection else (est, draw.train.X)
+        on = model if name == record.projection else est
         try:
-            w = build_projection(name, cell.q, on.cov_1, on.cov_2, draw.build[j], x)
+            w = build_projection(name, cell.q, on, draw.build[j])
             built.append((j, record, w))
         except CovProjError as exc:
             record.status = _failed(exc)
@@ -528,9 +528,7 @@ def _eval_point(config: SweepConfig, cell: Cell, rep: int, idx: int, source) -> 
             else:
                 qda = fit_embedded_qda(est, w, ridge=config.ridge)
                 record.metric_oos = oos_error(qda, draw.val)
-                record.metric_recon = reconstruction_error(
-                    w, est.cov_1, est.cov_2, model.cov_1, model.cov_2
-                )
+                record.metric_recon = reconstruction_error(w, est, model)
         except CovProjError as exc:
             record.status = _failed(exc)
     return records

@@ -390,27 +390,27 @@ class TestMcBayesRisk:
 
 class TestReconstructionError:
     def test_zero_when_estimates_exact(self, g):
-        c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
+        model = TwoClassGaussian.zero_mean(rand_spd(g, 4), rand_spd(g, 4))
         w = ProjectionMatrix(np.eye(4)[:, :2])
-        assert reconstruction_error(w, c1, c2, c1, c2) == 0.0
+        assert reconstruction_error(w, model, model) == 0.0
 
     def test_single_unit_discrepancy(self):
         p = 3
         identity = ProjectionMatrix(np.eye(p))
         sigma = make_spd(np.eye(p))
         s_1 = make_spd(np.eye(p) + np.diag([1.0, 0.0, 0.0]))
-        assert_allclose(
-            reconstruction_error(identity, s_1, sigma, sigma, sigma), 0.5, rtol=1e-14
-        )
+        estimate = TwoClassGaussian.zero_mean(s_1, sigma)
+        model = TwoClassGaussian.zero_mean(sigma, sigma)
+        assert_allclose(reconstruction_error(identity, estimate, model), 0.5, rtol=1e-14)
 
     def test_orthogonal_right_factor_invariance(self, g):
-        c1, c2 = rand_spd(g, 6), rand_spd(g, 6)
-        s1, s2 = rand_spd(g, 6), rand_spd(g, 6)
+        model = TwoClassGaussian.zero_mean(rand_spd(g, 6), rand_spd(g, 6))
+        estimate = TwoClassGaussian.zero_mean(rand_spd(g, 6), rand_spd(g, 6))
         w = ProjectionMatrix(rand_orthonormal(g, 6, 3))
         rot = rand_orthonormal(g, 3, 3)
         w_rot = ProjectionMatrix(w.entries @ rot)
         assert_allclose(
-            reconstruction_error(w_rot, s1, s2, c1, c2),
-            reconstruction_error(w, s1, s2, c1, c2),
+            reconstruction_error(w_rot, estimate, model),
+            reconstruction_error(w, estimate, model),
             rtol=1e-9,
         )

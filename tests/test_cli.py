@@ -536,6 +536,35 @@ class TestOracleCommand:
         assert overlap == pytest.approx(expected, rel=1e-9)
         assert risk <= overlap + 3 * se
 
+    @pytest.mark.parametrize(
+        "weight, means, expected",
+        [
+            # mixture diag(1.6, 2.6): e2, class variances 1 and 3, sqrt(pi1 pi2) = 0.4
+            ("0.2", None, 0.4 * (math.sqrt(3) / 2) ** 0.5),
+            # mixture diag(2.5, 4.25): e2, and a mean gap of 3 along it
+            ("0.5", ("0,0\n", "0,3\n"), 0.5 * math.exp(-9 / 16) * (math.sqrt(3) / 2) ** 0.5),
+        ],
+        ids=["weight1", "means"],
+    )
+    def test_pca_keeps_the_mixture_covariances_lead(
+        self, tmp_path, capsys, weight, means, expected
+    ):
+        """PCA sees no labels, so it decomposes pi1 C1 + pi2 C2 + pi1 pi2 d d^T
+        (d the mean gap). For C1 = diag(4, 1) and C2 = diag(1, 3), C1 + C2
+        leads along e1, but the weights, or the means, turn the mixture's
+        lead to e2, whose overlap has the closed form."""
+        (tmp_path / "c1.csv").write_text("4,0\n0,1\n")
+        (tmp_path / "c2.csv").write_text("1,0\n0,3\n")
+        argv = ["oracle", "--cov1", str(tmp_path / "c1.csv"), "--cov2", str(tmp_path / "c2.csv")]
+        if means is not None:
+            for name, text in zip(("mean1", "mean2"), means):
+                (tmp_path / f"{name}.csv").write_text(text)
+                argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        argv += ["--weight1", weight, "--q", "1", "--projection", "pca", "--mc-samples", "2000"]
+        code, overlap, risk, se = self._run(capsys, *argv)
+        assert code == 0
+        assert overlap == pytest.approx(expected, rel=1e-9)
+
     def test_projection_choices_are_the_registry(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")

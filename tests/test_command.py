@@ -231,17 +231,22 @@ def test_command_sweep_manifest_records_the_starting_thread_count(tmp_path, pres
 
 
 _FRAMES = "projections = pca,rp,sparse_rp,bhatt_optimal\n"
-CONFIGS = {
+# the sweep configs and an oracle's model files
+INPUTS = {
     "risk_mc.cfg": "family = inverse_wishart\nmode = risk_mc\np = 8\nq = 2\n"
     "df1_over_p = 2\ndf2_over_p = 2\nn_simu = 2\nmc_samples = 2000\n" + _FRAMES,
     "latent.cfg": "family = latent_low_dim\np = 20\nq = 2\nshare = none,q,theta\n"
     "q_density = dense,sparse\n" + _FRAMES,
     "empirical.cfg": "family = empirical_cov\ndataset = {dir}/two_class.csv\n"
     "label_column = label\np = 4\nq = 2\ngamma = 0,0.5,1\nn_simu = 2\n" + _FRAMES,
+    "c1.csv": "4,0.5\n0.5,1\n",
+    "c2.csv": "1,0\n0,3\n",
+    "m1.csv": "0.1,0\n",
+    "m2.csv": "0,3\n",
 }
 
 # argv, the files the command writes and the files it leaves byte-equal, in
-# a directory holding two_class.csv, the configs above and a finished sweep
+# a directory holding two_class.csv, the inputs above and a finished sweep
 # in run/; every row exits 0 with nothing on stderr
 ROWS = {
     "oracle": (["oracle", "example1", "--p", "6", "--q", "2", "--mc-samples", "2000"], [], []),
@@ -254,6 +259,13 @@ ROWS = {
     "oracle_bhatt_optimal": (
         ["oracle", "example2", "--p", "6", "--q", "3", "--mc-samples", "2000",
          "--projection", "bhatt_optimal"],
+        [],
+        [],
+    ),
+    "oracle_files": (
+        ["oracle", "--cov1", "{dir}/c1.csv", "--cov2", "{dir}/c2.csv", "--mean1",
+         "{dir}/m1.csv", "--mean2", "{dir}/m2.csv", "--weight1", "0.3", "--q", "1",
+         "--mc-samples", "2000"],
         [],
         [],
     ),
@@ -291,7 +303,7 @@ def test_command_runs_without_scipy(tmp_path, row):
     """Each command runs end to end on the numpy-only runtime."""
     argv, written, unchanged = ROWS[row]
     two_class_csv(tmp_path)
-    for name, text in CONFIGS.items():
+    for name, text in INPUTS.items():
         (tmp_path / name).write_text(text.format(dir=tmp_path))
     run_sweep(SweepConfig(family="example1", p=(3, 4, 5), q=(1, 2)), tmp_path / "run")
     before = {name: (tmp_path / name).read_bytes() for name in unchanged}

@@ -350,9 +350,7 @@ def _refusals():
             "val",
             lambda: oos_error(fit_embedded_qda(model2), LabeledDataset(np.ones((0, 2)), [])),
         ),
-        "recon_cov_2": (
-            "cov_2", lambda: reconstruction_error(frame3, eye3, eye3, eye3, eye2)
-        ),
+        "recon_cov_2": ("estimate", lambda: reconstruction_error(frame3, model3, model2)),
         "overlap_ambient_dim": ("w", lambda: embedded_overlap(model2, frame3)),
         "overlaps_embed_dim": (
             "ws", lambda: embedded_overlaps(model3, [frame3, ProjectionMatrix(np.eye(3))])
@@ -393,6 +391,26 @@ def _refusals():
         "finite_X": ("X", lambda: LabeledDataset(np.array([nan2, nan2]), [1, 2])),
         "finite_mixture_x": ("x", lambda: mixture_covariance(np.array([nan2, nan2]))),
         "finite_predict_x": ("x", lambda: fit_embedded_qda(model2).predict(nan2[None])),
+        "finite_closed_form_nan": ("eigenvalues", lambda: optimal_overlap_closed_form([np.nan])),
+        "finite_closed_form_inf": ("eigenvalues", lambda: optimal_overlap_closed_form([np.inf])),
+        "number_matrix": ("matrix", lambda: make_spd([["a"]])),
+        "number_projection": ("projection", lambda: ProjectionMatrix([["a"]])),
+        "number_mixture_x": ("x", lambda: mixture_covariance([["a"]])),
+        "number_X": ("X", lambda: LabeledDataset([["a"]], [1])),
+        "number_labels": ("labels", lambda: LabeledDataset([[1.0]], ["x"])),
+        "number_mean_1": ("mean_1", lambda: TwoClassGaussian(0.5, ["a"], zero2, eye2, eye2)),
+        "number_overlap_x_1": (
+            "x_1", lambda: column_overlap([["a"]], np.ones((4, 1)), 0.5, RngStream(0))
+        ),
+        "number_gaussian_mean": ("mean", lambda: sample_gaussian(["a"], eye2, 2, RngStream(0))),
+        "number_predict_x": ("x", lambda: fit_embedded_qda(model2).predict([["a", "b"]])),
+        "model_cov_1_array": (
+            "cov_1", lambda: TwoClassGaussian(0.5, zero2, zero2, np.eye(2), np.eye(2))
+        ),
+        "gaussian_n_negative": ("n", lambda: sample_gaussian(zero2, eye2, -1, RngStream(0))),
+        "gaussian_n_fraction": ("n", lambda: sample_gaussian(zero2, eye2, 2.5, RngStream(0))),
+        "two_class_n_1_negative": ("n_1", lambda: sample_two_class(model2, -1, 2, RngStream(0))),
+        "two_class_n_2_fraction": ("n_2", lambda: sample_two_class(model2, 2, 2.5, RngStream(0))),
     }
 
 

@@ -21,6 +21,7 @@ from covproj import (
     embedded_overlap,
     empirical_cov_pair,
     empirical_covariances,
+    gen_iw_pair,
     generalized_eigenpairs,
     make_spd,
     mixture_covariance,
@@ -33,6 +34,7 @@ from covproj import (
     sample_gaussian,
     sparse_random_projection,
 )
+from covproj.core import _derived_spd
 from covproj.projections import _fix_column_signs
 from conftest import rand_spd, rand_orthonormal
 
@@ -86,6 +88,17 @@ class TestPcaProjection:
         w5 = pca_projection(m, 5)
         w2 = pca_projection(m, 2)
         assert np.array_equal(w5.entries[:, :2], w2.entries)
+
+    @pytest.mark.parametrize("p", [5, 50, 200])
+    def test_balanced_zero_mean_model_keeps_the_sums_frame(self, g, p):
+        """At equal weights and zero means the mixture is (C1 + C2)/2, an
+        exact halving, and its frame is the bits of the frame of C1 + C2, so
+        no parameter-oracle PCA record moves with the mixture."""
+        iw_pair = gen_iw_pair(p, 2 * p, 2 * p, RngStream(p))
+        for c1, c2 in [(rand_spd(g, p), rand_spd(g, p)), iw_pair]:
+            got = build_projection("pca", 3, TwoClassGaussian.zero_mean(c1, c2), RngStream(0))
+            want = pca_projection(_derived_spd(c1.entries + c2.entries), 3)
+            assert np.array_equal(got.entries, want.entries)
 
 
 @pytest.mark.parametrize("q", [-1, 0, 4])
@@ -352,6 +365,33 @@ class TestEmpiricalCovariances:
             mixture_covariance(x).entries, centered.T @ centered / 40, atol=1e-12
         )
 
+    def test_pooled_covariance_is_the_estimates_mixture(self, g):
+        """The law of total covariance: the pooled rows' covariance is the
+        plug-in model's pi1 S1 + pi2 S2 + pi1 pi2 d d^T (divisor n, weights
+        n_k/n), so empirical PCA needs the estimates only, not the rows."""
+        scale = np.array([8.0, 5.0, 3.0, 1.0, 0.7, 0.5])
+        x_1 = g.standard_normal((30, 6)) * scale + 1.0
+        x = np.vstack([x_1, g.standard_normal((50, 6)) - 0.5])
+        data = LabeledDataset(x, np.repeat([1, 2], [30, 50]))
+        est = empirical_covariances(data)
+        d = est.mean_2 - est.mean_1
+        mixture = (
+            est.weight_1 * est.cov_1.entries
+            + est.weight_2 * est.cov_2.entries
+            + est.weight_1 * est.weight_2 * np.outer(d, d)
+        )
+        pooled = mixture_covariance(data.X)
+        err = np.linalg.norm(mixture - pooled.entries) / np.linalg.norm(pooled.entries)
+        assert err <= 1e-12
+        lam = np.linalg.eigvalsh(pooled.entries)[::-1]
+        assert np.min(lam[:3] - lam[1:4]) > 0.02 * lam[0]  # the top three are separated
+        assert_allclose(
+            build_projection("pca", 3, est, RngStream(0)).entries,
+            pca_projection(pooled, 3).entries,
+            rtol=0,
+            atol=1e-10,
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_refused(self, g, bad):
         """Refused where the rows enter: a NaN covariance would make PCA and
@@ -362,6 +402,3 @@ class TestEmpiricalCovariances:
             with pytest.raises(ConfigError) as err:
                 call(x)
             assert (err.value.field, str(err.value)) == ("x", "x: entries must be finite")
-        c1, c2 = rand_spd(g, 4), rand_spd(g, 4)
-        with pytest.raises(ConfigError, match="^x: entries must be finite$"):
-            build_projection("pca", 2, c1, c2, RngStream(0), x=x)

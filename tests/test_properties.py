@@ -244,10 +244,10 @@ def sweep_points(draw):
 
 
 def _frames(config, q, build, model):
-    """Each projection of the point built on ``model``'s pair, as the sweep
-    builds it; the random frames depend on their streams alone."""
+    """Each projection of the point built on ``model``, as the sweep builds
+    it; the random frames depend on their streams alone."""
     return [
-        build_projection(name, q, model.cov_1, model.cov_2, stream)
+        build_projection(name, q, model, stream)
         for name, stream in zip(config.projections, build)
     ]
 
@@ -307,11 +307,10 @@ def test_common_scale_leaves_a_points_overlaps_unchanged(case):
     assert got == _overlaps(model, frames)
     p = model.cov_1.dim
     sample = empirical_covariances(sample_two_class(model, p, p, RngStream(config.seed)))
-    s_k = (sample.cov_1, sample.cov_2)
-    scaled_s_k = [make_spd(c * s.entries) for s in s_k]
+    scaled_sample = _mapped(sample, lambda cov: c * cov)
     for frame in frames:
-        want = reconstruction_error(frame, *s_k, model.cov_1, model.cov_2)
-        got = reconstruction_error(frame, *scaled_s_k, scaled.cov_1, scaled.cov_2)
+        want = reconstruction_error(frame, sample, model)
+        got = reconstruction_error(frame, scaled_sample, scaled)
         assert got == pytest.approx(c * c * want, rel=1e-12, abs=0)
 
 
@@ -354,10 +353,10 @@ def _curve_fits(config, q, build, model, train, val):
     fits = []
     for name, stream in zip(config.projections, build):
         base = name.removeprefix(EMPIRICAL)
-        on, x = (model, None) if base == name else (est, train.X)
-        w = build_projection(base, q, on.cov_1, on.cov_2, stream, x)
+        on = model if base == name else est
+        w = build_projection(base, q, on, stream)
         qda = fit_embedded_qda(est, w, ridge=config.ridge)
-        recon = reconstruction_error(w, est.cov_1, est.cov_2, model.cov_1, model.cov_2)
+        recon = reconstruction_error(w, est, model)
         fits.append((w, qda, oos_error(qda, val), recon))
     return fits
 

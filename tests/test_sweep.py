@@ -747,9 +747,9 @@ class TestRunSweep:
         )
 
     def test_finite_sample_estimates_once_per_point(self, monkeypatch):
-        """Each (replicate, sample size) point computes three sample
-        covariances, the two class estimates and the pooled one empirical PCA
-        decomposes, however many projections build and fit from them."""
+        """Each (replicate, sample size) point computes two sample
+        covariances, the class estimates, however many projections build and
+        fit from them: empirical PCA decomposes the estimates' mixture."""
         original = projections.mixture_covariance
         calls = []
 
@@ -772,7 +772,7 @@ class TestRunSweep:
         )
         records = sweep_records(cfg)
         assert len(records) == 2 * 2 * 8 and all(r.ok for r in records)
-        assert len(calls) == 3 * 2 * 2
+        assert len(calls) == 2 * 2 * 2
 
     def _count_factorizations(self, monkeypatch, p):
         """Patch numpy's eigvalsh and cholesky to log the order of every
